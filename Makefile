@@ -15,7 +15,7 @@ BENCH_THRESHOLD ?= 10
 # size the previous tests left behind.
 BENCH_MEMLIMIT ?= 2GiB
 
-.PHONY: build test check race vet fmt lint bench bench-smoke bench-gate bench-baseline bench-huge bench-kernels benchdiff curve chaos serve-smoke serve-bench
+.PHONY: build test check race vet fmt lint bench bench-smoke bench-gate bench-baseline bench-huge bench-kernels benchdiff curve chaos serve-smoke serve-bench perfbench-smoke
 
 build:
 	$(GO) build ./...
@@ -64,6 +64,14 @@ curve:
 serve-smoke:
 	$(GO) test -count=1 -run 'TestAllocServeSmoke|TestAllocServeShedding' ./cmd/allocserve/
 
+# Benchmark-harness smoke: perfbench is its own module built against this
+# one (it imports autodiff, core, gnn and nn), so neither `go build ./...`
+# nor `go test ./...` compiles it. Vet it and run its tests so an API
+# change here cannot break the benchmark unnoticed. Writes only under
+# .bench_build/.
+perfbench-smoke:
+	$(GO) -C perfbench vet ./... && $(GO) -C perfbench test ./...
+
 # Serving regression bench: the end-to-end service benchmarks (cold and
 # cached paths under 1/8/64 concurrent clients) diffed against the
 # committed baseline.
@@ -74,9 +82,9 @@ serve-bench:
 
 # Full pre-merge check: lint (formatting + vet) + race-detected tests +
 # chaos suites + benchmark smoke run + observability smoke + serving
-# smoke + huge-graph scaling gate + regression gate against the
-# committed baseline.
-check: lint race chaos bench-smoke curve serve-smoke bench-huge bench-gate
+# smoke + benchmark-harness smoke + huge-graph scaling gate + regression
+# gate against the committed baseline.
+check: lint race chaos bench-smoke curve serve-smoke perfbench-smoke bench-huge bench-gate
 
 # Regression gate: measure the stable micro set (min of -count=3) and fail
 # when any benchmark regressed more than BENCH_THRESHOLD percent in ns/op,

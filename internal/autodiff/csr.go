@@ -46,13 +46,16 @@ func (t *Tape) SegmentMeanCSR(a *Node, offs []int32, members []int) *Node {
 	})
 }
 
-// GatherMatMulAddTanhCSR is GatherMatMulAddTanh with the backward scatter
-// driven by a prebuilt bucket structure over a's rows (offs has
-// a.Rows+1 entries; bucket r lists the positions e with idx[e] == r):
-// the forward pass is the identical fused kernel, and the gradient scatter
-// reuses the graph's incidence view instead of counting-sorting idx inside
-// every backward call.
-func (t *Tape) GatherMatMulAddTanhCSR(a *Node, idx []int, b, add *Node, offs []int32, members []int) *Node {
+// GatherMatMulAddTanhCSR records tanh(gather(a, idx)·b + add), add nil to
+// skip the additive term. The caller passes proj = a.Value·b.Value
+// (MatMulInto), computed once per node and shared by every gather of the
+// same a; proj is read only during the call. Each product row depends
+// only on its own input row, so the value is bit-identical to
+// GatherMatMulAddTanh. The backward pass is GatherMatMulAddTanh's
+// arithmetic, with the dA scatter driven by a prebuilt bucket structure
+// over a's rows (offs has a.Rows+1 entries; bucket r lists the positions
+// e with idx[e] == r) instead of counting-sorting idx on every call.
+func (t *Tape) GatherMatMulAddTanhCSR(a *Node, idx []int, b, add *Node, proj *tensor.Matrix, offs []int32, members []int) *Node {
 	var addM *tensor.Matrix
 	req := anyGrad(a, b)
 	if add != nil {
@@ -66,7 +69,11 @@ func (t *Tape) GatherMatMulAddTanhCSR(a *Node, idx []int, b, add *Node, offs []i
 		panic(fmt.Sprintf("autodiff: gather-csr buckets %d/%d for %d rows, %d edges",
 			len(offs), len(members), a.Value.Rows, len(idx)))
 	}
-	v := tensor.GatherMatMulAddTanhInto(a.Value, idx, b.Value, addM, t.newVal(len(idx), b.Value.Cols))
+	if proj.Rows != a.Value.Rows || proj.Cols != b.Value.Cols {
+		panic(fmt.Sprintf("autodiff: gather-csr projection %dx%d, want %dx%d",
+			proj.Rows, proj.Cols, a.Value.Rows, b.Value.Cols))
+	}
+	v := tensor.GatherAddTanhInto(proj, idx, addM, t.newVal(len(idx), b.Value.Cols))
 	return t.pushOwned(v, req, func(g *tensor.Matrix) {
 		d := tensor.TanhGradInto(g, v, tensor.Get(g.Rows, g.Cols))
 		if add != nil {

@@ -44,14 +44,21 @@ func TestGradGatherMatMulAddTanhCSR(t *testing.T) {
 	add := randMat(rng, 7, 3)
 	idx := []int{0, 2, 2, 4, 1, 0, 3}
 	offs, members := buckets(idx, 5)
+	op := func(tp *Tape, a, b, add *Node) *Node {
+		proj := tensor.MatMul(a.Value, b.Value)
+		return tp.Sum(tp.GatherMatMulAddTanhCSR(a, idx, b, add, proj, offs, members))
+	}
 	checkGrad(t, "gather-matmul-add-tanh-csr-h", h, func(tp *Tape, x *Node) *Node {
-		return tp.Sum(tp.GatherMatMulAddTanhCSR(x, idx, tp.Const(w), tp.Const(add), offs, members))
+		return op(tp, x, tp.Const(w), tp.Const(add))
 	})
 	checkGrad(t, "gather-matmul-add-tanh-csr-w", w, func(tp *Tape, x *Node) *Node {
-		return tp.Sum(tp.GatherMatMulAddTanhCSR(tp.Const(h), idx, x, tp.Const(add), offs, members))
+		return op(tp, tp.Const(h), x, tp.Const(add))
 	})
 	checkGrad(t, "gather-matmul-add-tanh-csr-add", add, func(tp *Tape, x *Node) *Node {
-		return tp.Sum(tp.GatherMatMulAddTanhCSR(tp.Const(h), idx, tp.Const(w), x, offs, members))
+		return op(tp, tp.Const(h), tp.Const(w), x)
+	})
+	checkGrad(t, "gather-matmul-tanh-csr-nil-add-h", h, func(tp *Tape, x *Node) *Node {
+		return op(tp, x, tp.Const(w), nil)
 	})
 }
 
@@ -72,9 +79,10 @@ func TestGradConcatMatMulTanh(t *testing.T) {
 }
 
 // TestCSROpsBitMatchSegVectorOps pins the CSR tape ops against the
-// seg-vector ops they replace: identical forward bits and identical
-// gradient bits (the backward decomposition is the same arithmetic, fed by
-// prebuilt buckets instead of per-call bucketing).
+// seg-vector ops they replace: identical forward bits (the CSR message op
+// gathers a shared node projection instead of projecting per edge) and
+// identical gradient bits (the backward decomposition is the same
+// arithmetic, fed by prebuilt buckets instead of per-call bucketing).
 func TestCSROpsBitMatchSegVectorOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const nodes, edges, k, m = 30, 90, 16, 8
@@ -95,7 +103,7 @@ func TestCSROpsBitMatchSegVectorOps(t *testing.T) {
 		hn, wn := tp.Leaf(h), tp.Leaf(w)
 		var msg, agg *Node
 		if csr {
-			msg = tp.GatherMatMulAddTanhCSR(hn, src, wn, tp.Const(add), srcOffs, srcMembers)
+			msg = tp.GatherMatMulAddTanhCSR(hn, src, wn, tp.Const(add), tensor.MatMul(h, w), srcOffs, srcMembers)
 			agg = tp.SegmentMeanCSR(msg, dstOffs, dstMembers)
 		} else {
 			msg = tp.GatherMatMulAddTanh(hn, src, wn, tp.Const(add))

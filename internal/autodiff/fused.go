@@ -92,6 +92,40 @@ func (t *Tape) GatherMatMulAddTanh(a *Node, idx []int, b, add *Node) *Node {
 	})
 }
 
+// GatherMatMul records gather(a, idx)·b — the edge head's per-edge
+// projection of its endpoint embeddings — as one tape entry. The forward
+// pass projects every row of a once (a·b into transient scratch) and
+// gathers the projected rows, so a node with many incident edges is
+// multiplied once rather than once per edge. Each product row depends
+// only on its own input row, so the value is bit-identical to
+// MatMul(GatherRows(a, idx), b), and the backward pass is that pair's
+// arithmetic: dB = gather(a, idx)ᵀ·G read in place, and dA scatters
+// G·bᵀ over idx.
+func (t *Tape) GatherMatMul(a *Node, idx []int, b *Node) *Node {
+	if a.Value.Cols != b.Value.Rows {
+		panic(fmt.Sprintf("autodiff: gather-matmul shape mismatch %dx%d · %dx%d",
+			a.Value.Rows, a.Value.Cols, b.Value.Rows, b.Value.Cols))
+	}
+	proj := tensor.MatMulInto(a.Value, b.Value, tensor.Get(a.Value.Rows, b.Value.Cols))
+	v := tensor.GatherRowsInto(proj, idx, t.newVal(len(idx), b.Value.Cols))
+	tensor.Put(proj)
+	return t.pushOwned(v, anyGrad(a, b), func(g *tensor.Matrix) {
+		if a.reqG {
+			dg := tensor.MatMulT2Into(g, b.Value, tensor.Get(g.Rows, b.Value.Rows)) // per-row dA = G·Bᵀ
+			ds := tensor.GetZeroed(a.Value.Rows, a.Value.Cols)
+			tensor.ScatterAddRowsPar(ds, dg, idx)
+			a.accum(ds)
+			tensor.Put(ds)
+			tensor.Put(dg)
+		}
+		if b.reqG {
+			db := tensor.GatherMatMulT1Into(a.Value, idx, g, tensor.Get(a.Value.Cols, g.Cols))
+			b.accum(db)
+			tensor.Put(db)
+		}
+	})
+}
+
 // Affine records y = x·wᵀ + bias (w is out×in, bias 1×out) as one tape
 // entry — the fused forward pass of nn.Linear, with no transposed weight
 // copy on the tape.

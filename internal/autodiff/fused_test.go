@@ -56,6 +56,55 @@ func TestGradGatherMatMulAddTanh(t *testing.T) {
 	})
 }
 
+func TestGradGatherMatMul(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	h := randMat(rng, 5, 6)
+	w := randMat(rng, 6, 3)
+	idx := []int{0, 2, 2, 4, 1, 0, 3} // row 2 and row 0 feed two edges each
+	checkGrad(t, "gather-matmul-h", h, func(tp *Tape, x *Node) *Node {
+		return tp.Sum(tp.Tanh(tp.GatherMatMul(x, idx, tp.Const(w))))
+	})
+	checkGrad(t, "gather-matmul-w", w, func(tp *Tape, x *Node) *Node {
+		return tp.Sum(tp.Tanh(tp.GatherMatMul(tp.Const(h), idx, x)))
+	})
+}
+
+// TestGatherMatMulBitMatchesGatherThenMatMul pins the node-projecting
+// GatherMatMul against the MatMul∘GatherRows pair it replaces: identical
+// value bits, and identical gradient bits for both operands, on a
+// gather that skips some rows and repeats others.
+func TestGatherMatMulBitMatchesGatherThenMatMul(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	const rows, k, n, edges = 30, 10, 7, 80
+	h := randMat(rng, rows, k)
+	w := randMat(rng, k, n)
+	seed := randMat(rng, edges, n)
+	idx := make([]int, edges)
+	for e := range idx {
+		idx[e] = rng.Intn(rows - 3) // the last three rows are never gathered
+	}
+	run := func(fused bool) []*tensor.Matrix {
+		tp := NewTape()
+		hn, wn := tp.Leaf(h), tp.Leaf(w)
+		var y *Node
+		if fused {
+			y = tp.GatherMatMul(hn, idx, wn)
+		} else {
+			y = tp.MatMul(tp.GatherRows(hn, idx), wn)
+		}
+		tp.Backward(y, seed)
+		return []*tensor.Matrix{y.Value.Clone(), hn.Grad().Clone(), wn.Grad().Clone()}
+	}
+	got, want := run(true), run(false)
+	for i, name := range []string{"value", "dH", "dW"} {
+		for j := range want[i].Data {
+			if math.Float64bits(got[i].Data[j]) != math.Float64bits(want[i].Data[j]) {
+				t.Fatalf("%s[%d]: gather-matmul %v vs gather-then-matmul %v", name, j, got[i].Data[j], want[i].Data[j])
+			}
+		}
+	}
+}
+
 func TestGradAffine(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	x := randMat(rng, 4, 5)

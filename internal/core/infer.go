@@ -42,12 +42,15 @@ func (mo *Model) InferProbsInto(r nn.ValueReader, f *gnn.Features, out []float64
 		return tensor.TransposeInto(v, sc.Get(v.Cols, v.Rows))
 	}
 	e := f.Edge.Rows
-	gHead := tensor.GatherRowsInto(h, f.Src, sc.Get(e, h.Cols))
-	gTail := tensor.GatherRowsInto(h, f.Dst, sc.Get(e, h.Cols))
-	wHeadT := transposed(mo.wHead)
-	wTailT := transposed(mo.wTail)
-	hHead := tensor.MatMulInto(gHead, wHeadT, sc.Get(e, wHeadT.Cols)) // E×M
-	hTail := tensor.MatMulInto(gTail, wTailT, sc.Get(e, wTailT.Cols)) // E×M
+	// Endpoint projections: project every node once, then gather per
+	// edge, as the tape's GatherMatMul does.
+	gatherProjected := func(p *nn.Param, idx []int) *tensor.Matrix {
+		wT := transposed(p)
+		proj := tensor.MatMulInto(h, wT, sc.Get(h.Rows, wT.Cols))
+		return tensor.GatherRowsInto(proj, idx, sc.Get(e, wT.Cols))
+	}
+	hHead := gatherProjected(mo.wHead, f.Src) // E×M
+	hTail := gatherProjected(mo.wTail, f.Dst) // E×M
 
 	var eProj *tensor.Matrix
 	if mo.Cfg.UseEdgeCollapse {

@@ -124,8 +124,10 @@ func (mo *Model) EdgeProbs(b *nn.Binder, f *gnn.Features) *autodiff.Node {
 	t := b.Tape
 	h := mo.Enc.Encode(b, f) // N×2M
 
-	hHead := t.MatMul(t.GatherRows(h, f.Src), t.Transpose(b.Node(mo.wHead))) // E×M
-	hTail := t.MatMul(t.GatherRows(h, f.Dst), t.Transpose(b.Node(mo.wTail))) // E×M
+	// Endpoint projections gather rows of h·wHeadᵀ / h·wTailᵀ, so each
+	// node is projected once rather than once per incident edge.
+	hHead := t.GatherMatMul(h, f.Src, t.Transpose(b.Node(mo.wHead))) // E×M
+	hTail := t.GatherMatMul(h, f.Dst, t.Transpose(b.Node(mo.wTail))) // E×M
 
 	var eProj *autodiff.Node
 	if mo.Cfg.UseEdgeCollapse {

@@ -121,6 +121,17 @@ func TestSettingsPresets(t *testing.T) {
 	}
 }
 
+// TestPresetClustersValidate pins that every preset's cluster satisfies
+// sim.Cluster.Validate, the check the serving layer applies to request
+// clusters.
+func TestPresetClustersValidate(t *testing.T) {
+	for _, s := range AllSettings() {
+		if err := s.Cluster.Validate(); err != nil {
+			t.Errorf("%s: %v", s.Name, err)
+		}
+	}
+}
+
 func TestSettingScale(t *testing.T) {
 	s := Small().Scale(0.01)
 	if s.TrainN < 1 || s.TestN < 1 {

@@ -67,11 +67,58 @@ func preCSREncode(b *nn.Binder, e *Encoder, f *Features) *autodiff.Node {
 	return h
 }
 
+// perEdgeEncode is Encode with the message transform projecting every
+// edge's endpoint row on its own (the per-edge GatherMatMulAddTanh op)
+// instead of gathering a once-per-hop node projection. It records the same
+// ops in the same tape order with the same backward arithmetic, so it is
+// the gradient reference for Encode. (preCSREncode is not: its
+// slice/concat chain accumulates h's gradient in a different tape order
+// and matches Encode's gradients only to rounding.)
+func perEdgeEncode(b *nn.Binder, e *Encoder, f *Features) *autodiff.Node {
+	t := b.Tape
+	f.EnsureCSR()
+	h := e.In.ApplyTanh(b, t.Const(f.Node))
+
+	w1T := t.Transpose(b.Node(e.W1))
+	w2T := t.Transpose(b.Node(e.W2))
+	var efUp, efDown *autodiff.Node
+	if e.UseEdgeFeatures {
+		ef := t.Const(f.Edge)
+		efUp = t.MatMulT2(ef, b.Node(e.WeUp))
+		efDown = t.MatMulT2(ef, b.Node(e.WeDown))
+	}
+
+	for k := 0; k < e.K; k++ {
+		msgIn := t.GatherMatMulAddTanh(h, f.Src, w1T, efUp)
+		aggIn := t.SegmentMeanCSR(msgIn, f.InOff, f.InEdge)
+		msgOut := t.GatherMatMulAddTanh(h, f.Dst, w1T, efDown)
+		aggOut := t.SegmentMeanCSR(msgOut, f.OutOff, f.OutEdge)
+
+		nextUp := t.ConcatMatMulTanh(h, 0, e.M, aggIn, w2T)
+		nextDown := t.ConcatMatMulTanh(h, e.M, 2*e.M, aggOut, w2T)
+		h = t.ConcatCols(nextUp, nextDown)
+	}
+	return h
+}
+
+// encodeGrads backpropagates seed through the node representations and
+// returns a copy of every parameter gradient, in registration order.
+func encodeGrads(ps *nn.ParamSet, b *nn.Binder, out *autodiff.Node, seed *tensor.Matrix) []*tensor.Matrix {
+	b.Tape.Backward(out, seed)
+	grads := make([]*tensor.Matrix, 0, len(ps.All()))
+	for _, p := range ps.All() {
+		grads = append(grads, b.Node(p).Grad().Clone())
+	}
+	return grads
+}
+
 // TestEncodeCSRBitIdenticalToPreCSR pins the CSR-native Encode and
 // EncodeInfer against the pre-CSR composition, bit for bit, on randomized
 // graphs — including degree-0 nodes (empty buckets), M with a non-multiple-
 // of-four concat width (scalar remainder lanes), and a shape large enough
 // to cross the kernels' parallel work gate — at GOMAXPROCS 1 and NumCPU.
+// Every parameter gradient of Encode is pinned, bit for bit, against the
+// per-edge projection reference.
 func TestEncodeCSRBitIdenticalToPreCSR(t *testing.T) {
 	shapes := []struct {
 		nodes, edges, isolated, m, k int
@@ -95,6 +142,10 @@ func TestEncodeCSRBitIdenticalToPreCSR(t *testing.T) {
 		runtime.GOMAXPROCS(1)
 		bref := nn.NewBinder(autodiff.NewTape())
 		want := preCSREncode(bref, enc, f).Value.Clone()
+		seed := tensor.New(sh.nodes, 2*sh.m)
+		seed.RandUniform(rng, 1)
+		bgrad := nn.NewBinder(autodiff.NewTape())
+		wantGrads := encodeGrads(ps, bgrad, perEdgeEncode(bgrad, enc, f), seed)
 
 		for _, procs := range maxprocs {
 			runtime.GOMAXPROCS(procs)
@@ -108,6 +159,15 @@ func TestEncodeCSRBitIdenticalToPreCSR(t *testing.T) {
 				if math.Float64bits(got.Value.Data[i]) != math.Float64bits(want.Data[i]) {
 					t.Fatalf("shape %d procs %d: encode[%d] csr %v vs pre-csr %v",
 						si, procs, i, got.Value.Data[i], want.Data[i])
+				}
+			}
+
+			for pi, g := range encodeGrads(ps, b, got, seed) {
+				for i, w := range wantGrads[pi].Data {
+					if math.Float64bits(g.Data[i]) != math.Float64bits(w) {
+						t.Fatalf("shape %d procs %d: %s grad[%d] %v vs per-edge %v",
+							si, procs, ps.All()[pi].Name, i, g.Data[i], w)
+					}
 				}
 			}
 

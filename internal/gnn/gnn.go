@@ -198,19 +198,26 @@ func (e *Encoder) Encode(b *nn.Binder, f *Features) *autodiff.Node {
 	}
 
 	for k := 0; k < e.K; k++ {
+		// Every message is tanh(P[endpoint] + edge term) with P = h·W1ᵀ,
+		// so each node row is projected once per hop and P is shared by
+		// both directions: O(N·2M·M + E·M) instead of O(E·2M·M). P is
+		// forward-only scratch (the backward passes read h and W1ᵀ), so it
+		// returns to the arena once both message ops have read it.
+		proj := tensor.MatMulInto(h.Value, w1T.Value, tensor.Get(h.Value.Rows, e.M))
+
 		// Upstream messages: for edge (u→v), transform u's embedding (+
-		// edge features) and mean-pool at v. Gather, product, add and
-		// activation run as one fused tape entry — the E×2M gathered
-		// neighbor matrix is never materialized — and the mean pools
-		// through the graph's CSR in-buckets, so no per-call bucketing or
-		// count scratch is allocated.
-		msgIn := t.GatherMatMulAddTanhCSR(h, f.Src, w1T, efUp, f.OutOff, f.OutEdge)
+		// edge features) and mean-pool at v. Gather, add and activation
+		// run as one fused tape entry, and the mean pools through the
+		// graph's CSR in-buckets, so no per-call bucketing or count
+		// scratch is allocated.
+		msgIn := t.GatherMatMulAddTanhCSR(h, f.Src, w1T, efUp, proj, f.OutOff, f.OutEdge)
 		aggIn := t.SegmentMeanCSR(msgIn, f.InOff, f.InEdge)
 
 		// Downstream messages: for edge (u→v), transform v's embedding and
 		// mean-pool at u.
-		msgOut := t.GatherMatMulAddTanhCSR(h, f.Dst, w1T, efDown, f.InOff, f.InEdge)
+		msgOut := t.GatherMatMulAddTanhCSR(h, f.Dst, w1T, efDown, proj, f.InOff, f.InEdge)
 		aggOut := t.SegmentMeanCSR(msgOut, f.OutOff, f.OutEdge)
+		tensor.Put(proj)
 
 		// [own half : aggregated messages] → next half. The fused op feeds
 		// each concatenated row straight to the product kernel, so the

@@ -35,14 +35,18 @@ func (e *Encoder) EncodeInfer(sc *tensor.Scope, r nn.ValueReader, f *Features) *
 	}
 
 	for k := 0; k < e.K; k++ {
-		// Upstream messages: transform the head node of each edge (+ edge
-		// features), mean-pool at the tail; downstream mirrors it. The
-		// whole hop is one fused CSR kernel — per-edge message rows live
-		// only in worker-local scratch, so the E×M message matrix never
+		// One node projection P = h·W1ᵀ per hop, shared by both
+		// directions, as in Encode.
+		proj := tensor.MatMulInto(h, w1T, sc.Get(n, m))
+
+		// Upstream messages: gather the head node's projected row (+ edge
+		// features), mean-pool at the tail; downstream mirrors it. Each
+		// direction is one fused CSR kernel that folds every message into
+		// its bucket as it is computed, so the E×M message matrix never
 		// exists on the serving path (per-row arithmetic and per-bucket
 		// accumulation order match the tape path bit-for-bit).
-		aggIn := tensor.GatherMatMulAddTanhSegMeanCSRInto(h, f.Src, w1T, efUp, f.InOff, f.InEdge, sc.Get(n, m))
-		aggOut := tensor.GatherMatMulAddTanhSegMeanCSRInto(h, f.Dst, w1T, efDown, f.OutOff, f.OutEdge, sc.Get(n, m))
+		aggIn := tensor.GatherAddTanhSegMeanCSRInto(proj, f.Src, efUp, f.InOff, f.InEdge, sc.Get(n, m))
+		aggOut := tensor.GatherAddTanhSegMeanCSRInto(proj, f.Dst, efDown, f.OutOff, f.OutEdge, sc.Get(n, m))
 
 		// [own half : aggregated messages] → next half: the fused kernel
 		// assembles each concatenated row in scratch, copying the same

@@ -102,7 +102,8 @@ func (gs *GraphSpec) BuildGraph() (*stream.Graph, error) {
 	return g, nil
 }
 
-// BuildCluster resolves the spec against a default cluster.
+// BuildCluster resolves the spec against a default cluster and validates
+// the result (sim.Cluster.Validate).
 func (cs *ClusterSpec) BuildCluster(def sim.Cluster) (sim.Cluster, error) {
 	if cs == nil {
 		return def, nil
@@ -131,18 +132,9 @@ func (cs *ClusterSpec) BuildCluster(def sim.Cluster) (sim.Cluster, error) {
 		c.OverheadPerOp = cs.OverheadPerOp
 	}
 	if cs.DeviceMIPS != nil {
-		if len(cs.DeviceMIPS) != c.Devices {
-			return c, fmt.Errorf("%d device_mips values for %d devices", len(cs.DeviceMIPS), c.Devices)
-		}
 		c.DeviceMIPS = cs.DeviceMIPS
 	}
-	if c.Devices <= 0 {
-		return c, fmt.Errorf("cluster has %d devices", c.Devices)
-	}
-	if c.Bandwidth <= 0 {
-		return c, fmt.Errorf("cluster has non-positive bandwidth")
-	}
-	return c, nil
+	return c, c.Validate()
 }
 
 // AccessRecord is one JSONL access-log line: enough to join a response

@@ -181,3 +181,48 @@ func TestHTTPShedResponse(t *testing.T) {
 		t.Fatalf("shed access record malformed: %+v", rec)
 	}
 }
+
+// TestHTTPRejectsInvalidCluster pins cluster validation at the wire: a
+// cluster spec that resolves to non-positive capacities, a negative
+// scheduling overhead or a mismatched device_mips list answers 400
+// instead of a placement scored against a meaningless cluster.
+func TestHTTPRejectsInvalidCluster(t *testing.T) {
+	s := gen.Small()
+	g := s.Generate().Test[0]
+	reg := obs.NewRegistry()
+	svc := newTestService(t, Options{Registry: reg})
+	srv := httptest.NewServer(NewHandler(svc, s.Cluster, "", reg, HandlerOpts{}))
+	defer srv.Close()
+
+	var spec struct {
+		Graph json.RawMessage `json:"graph"`
+	}
+	if err := json.Unmarshal(testSpecBody(t, g), &spec); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, cluster string
+		status        int
+	}{
+		{"default cluster", `null`, http.StatusOK},
+		{"valid heterogeneous", `{"devices":3,"device_mips":[1000,1250,1500],"overhead_per_op":0.01}`, http.StatusOK},
+		{"negative mips", `{"mips":-1250}`, http.StatusBadRequest},
+		{"all-zero device mips", `{"devices":3,"device_mips":[0,0,0]}`, http.StatusBadRequest},
+		{"one negative device mips", `{"devices":2,"device_mips":[1250,-1]}`, http.StatusBadRequest},
+		{"device mips count", `{"devices":3,"device_mips":[1250,1250]}`, http.StatusBadRequest},
+		{"negative bandwidth", `{"bandwidth_mbps":-1000}`, http.StatusBadRequest},
+		{"negative overhead", `{"overhead_per_op":-0.5}`, http.StatusBadRequest},
+		{"negative devices", `{"devices":-2}`, http.StatusBadRequest},
+	} {
+		body := `{"graph":` + string(spec.Graph) + `,"cluster":` + tc.cluster + `}`
+		resp, err := http.Post(srv.URL+"/allocate", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.status {
+			t.Errorf("%s: status %d, want %d (%s)", tc.name, resp.StatusCode, tc.status, bytes.TrimSpace(msg))
+		}
+	}
+}

@@ -81,6 +81,37 @@ func (c Cluster) Heterogeneous(mips []float64) Cluster {
 	return c
 }
 
+// Validate reports whether c describes a usable cluster: at least one
+// device, positive and finite MIPS, Bandwidth and per-device MIPS (one
+// entry per device when set), and a finite, non-negative OverheadPerOp.
+// The simulators divide by these capacities, so a zero, negative or NaN
+// one would turn every throughput into a meaningless 0, 1 or NaN.
+func (c Cluster) Validate() error {
+	positive := func(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
+	nonNegative := func(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
+	if c.Devices <= 0 {
+		return fmt.Errorf("sim: cluster has %d devices", c.Devices)
+	}
+	if !positive(c.MIPS) {
+		return fmt.Errorf("sim: cluster MIPS %g is not positive and finite", c.MIPS)
+	}
+	if !positive(c.Bandwidth) {
+		return fmt.Errorf("sim: cluster bandwidth %g is not positive and finite", c.Bandwidth)
+	}
+	if !nonNegative(c.OverheadPerOp) {
+		return fmt.Errorf("sim: cluster overhead per operator %g is not finite and non-negative", c.OverheadPerOp)
+	}
+	if c.DeviceMIPS != nil && len(c.DeviceMIPS) != c.Devices {
+		return fmt.Errorf("sim: %d device MIPS values for %d devices", len(c.DeviceMIPS), c.Devices)
+	}
+	for d, m := range c.DeviceMIPS {
+		if !positive(m) {
+			return fmt.Errorf("sim: device %d MIPS %g is not positive and finite", d, m)
+		}
+	}
+	return nil
+}
+
 // DefaultCluster returns the paper's experimental environment for the
 // given device count and bandwidth in Mbps.
 func DefaultCluster(devices int, mbps float64) Cluster {

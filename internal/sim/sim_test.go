@@ -324,3 +324,39 @@ func TestHeterogeneousPanicsOnLengthMismatch(t *testing.T) {
 	}()
 	DefaultCluster(3, 100).Heterogeneous([]float64{1})
 }
+
+// TestClusterValidate pins the cluster invariants: positive, finite
+// capacities (NaN and +Inf included), one MIPS entry per device, and a
+// finite non-negative scheduling overhead.
+func TestClusterValidate(t *testing.T) {
+	base := DefaultCluster(3, 1000)
+	if err := base.Validate(); err != nil {
+		t.Fatalf("default cluster rejected: %v", err)
+	}
+	if err := base.Heterogeneous([]float64{1000, 1250, 1500}).Validate(); err != nil {
+		t.Fatalf("heterogeneous cluster rejected: %v", err)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, mut := range map[string]func(c *Cluster){
+		"no devices":           func(c *Cluster) { c.Devices = 0 },
+		"negative MIPS":        func(c *Cluster) { c.MIPS = -1250 },
+		"NaN MIPS":             func(c *Cluster) { c.MIPS = nan },
+		"infinite MIPS":        func(c *Cluster) { c.MIPS = inf },
+		"zero bandwidth":       func(c *Cluster) { c.Bandwidth = 0 },
+		"NaN bandwidth":        func(c *Cluster) { c.Bandwidth = nan },
+		"infinite bandwidth":   func(c *Cluster) { c.Bandwidth = inf },
+		"negative overhead":    func(c *Cluster) { c.OverheadPerOp = -0.5 },
+		"NaN overhead":         func(c *Cluster) { c.OverheadPerOp = nan },
+		"infinite overhead":    func(c *Cluster) { c.OverheadPerOp = inf },
+		"device MIPS count":    func(c *Cluster) { c.DeviceMIPS = []float64{1250, 1250} },
+		"zero device MIPS":     func(c *Cluster) { c.DeviceMIPS = []float64{0, 0, 0} },
+		"NaN device MIPS":      func(c *Cluster) { c.DeviceMIPS = []float64{1250, nan, 1250} },
+		"infinite device MIPS": func(c *Cluster) { c.DeviceMIPS = []float64{1250, 1250, inf} },
+	} {
+		c := base
+		mut(&c)
+		if err := c.Validate(); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+}

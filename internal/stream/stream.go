@@ -303,18 +303,20 @@ func (g *Graph) PseudoTopoOrder() []int {
 }
 
 // Validate checks structural invariants: acyclicity, in-range edges,
-// positive rates/features, and (weak) connectivity.
+// finite non-negative features with positive rates, and (weak)
+// connectivity. NaN fails every comparison, so each check is written to
+// accept only the valid range rather than to reject the invalid one.
 func (g *Graph) Validate() error {
 	if len(g.Nodes) == 0 {
 		return fmt.Errorf("stream: empty graph")
 	}
-	if g.SourceRate <= 0 {
-		return fmt.Errorf("stream: non-positive source rate %g", g.SourceRate)
+	if !positiveFinite(g.SourceRate) {
+		return fmt.Errorf("stream: source rate %g is not positive and finite", g.SourceRate)
 	}
 	for i, n := range g.Nodes {
-		if n.IPT < 0 || n.Payload < 0 || n.Selectivity <= 0 {
-			return fmt.Errorf("stream: node %d has invalid features IPT=%g payload=%g sel=%g",
-				i, n.IPT, n.Payload, n.Selectivity)
+		if !nonNegFinite(n.IPT) || !nonNegFinite(n.Payload) || !positiveFinite(n.Selectivity) || !nonNegFinite(n.State) {
+			return fmt.Errorf("stream: node %d has invalid features IPT=%g payload=%g sel=%g state=%g",
+				i, n.IPT, n.Payload, n.Selectivity, n.State)
 		}
 	}
 	for i, e := range g.Edges {
@@ -324,8 +326,8 @@ func (g *Graph) Validate() error {
 		if e.Src == e.Dst {
 			return fmt.Errorf("stream: edge %d is a self-loop at %d", i, e.Src)
 		}
-		if e.Payload < 0 {
-			return fmt.Errorf("stream: edge %d has negative payload", i)
+		if !nonNegFinite(e.Payload) {
+			return fmt.Errorf("stream: edge %d payload %g is not finite and non-negative", i, e.Payload)
 		}
 	}
 	if _, err := g.TopoOrder(); err != nil {
@@ -336,6 +338,10 @@ func (g *Graph) Validate() error {
 	}
 	return nil
 }
+
+func positiveFinite(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
+
+func nonNegFinite(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 
 func (g *Graph) weaklyConnected() bool {
 	n := len(g.Nodes)

@@ -68,6 +68,35 @@ func TestValidateRejectsBadFeatures(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNonFiniteFeatures pins that NaN and ±Inf fail
+// validation in every numeric field, not only out-of-range finite values
+// (NaN passes a plain "< 0" check).
+func TestValidateRejectsNonFiniteFeatures(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, mut := range map[string]func(g *Graph){
+		"source rate NaN":   func(g *Graph) { g.SourceRate = nan },
+		"source rate +Inf":  func(g *Graph) { g.SourceRate = inf },
+		"node IPT NaN":      func(g *Graph) { g.Nodes[1].IPT = nan },
+		"node IPT +Inf":     func(g *Graph) { g.Nodes[1].IPT = inf },
+		"node payload NaN":  func(g *Graph) { g.Nodes[1].Payload = nan },
+		"node payload +Inf": func(g *Graph) { g.Nodes[1].Payload = inf },
+		"selectivity NaN":   func(g *Graph) { g.Nodes[1].Selectivity = nan },
+		"selectivity +Inf":  func(g *Graph) { g.Nodes[1].Selectivity = inf },
+		"state NaN":         func(g *Graph) { g.Nodes[1].State = nan },
+		"state +Inf":        func(g *Graph) { g.Nodes[1].State = inf },
+		"state negative":    func(g *Graph) { g.Nodes[1].State = -1 },
+		"edge payload NaN":  func(g *Graph) { g.Edges[0].Payload = nan },
+		"edge payload +Inf": func(g *Graph) { g.Edges[0].Payload = inf },
+		"edge payload -Inf": func(g *Graph) { g.Edges[0].Payload = -inf },
+	} {
+		g := chain(3, 1000)
+		mut(g)
+		if err := g.Validate(); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
 func TestAddEdgeSelfLoopRejectedByValidate(t *testing.T) {
 	g := chain(3, 100)
 	g.Edges = append(g.Edges, Edge{Src: 1, Dst: 1, Payload: 1})

@@ -94,16 +94,23 @@ func TestScatterAddRowsCSRBitIdenticalToPar(t *testing.T) {
 	}
 }
 
-// TestGatherSegMeanCSRBitIdenticalToUnfused pins the fully fused
-// gather-project-mean kernel against the unfused GatherMatMulAddTanhInto →
-// SegmentMeanInto pair it replaces on the inference path.
+// TestGatherSegMeanCSRBitIdenticalToUnfused pins the gather-add-tanh
+// kernels, fed the node projection MatMulInto(h, b), against the per-edge
+// GatherMatMulAddTanhInto → SegmentMeanCSRInto pair they replace: the
+// unfused GatherAddTanhInto row for row, and the fused mean per bucket,
+// empty buckets and never-gathered nodes included. The node projection
+// runs on both the unpacked and the cache-blocked packed product path
+// (K > kcPanel spans two panels), since MatMulInto picks the latter for
+// wide weights.
 func TestGatherSegMeanCSRBitIdenticalToUnfused(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	defer setPack(packMinElems)
 	shapes := []struct{ nodes, edges, k, m, segments int }{
 		{6, 9, 5, 3, 6},
 		{40, 120, 12, 7, 40}, // remainder dims
 		{200, 900, 48, 24, 200},
-		{500, 3000, 24, 24, 500}, // parallel path (3000·24·24 ≥ 2^16)
+		{500, 3000, 24, 24, 500},  // parallel path (3000·24 ≥ 2^16)
+		{300, 2800, 134, 31, 300}, // two k panels, remainder cols, parallel
 	}
 	for _, sh := range shapes {
 		rng := rand.New(rand.NewSource(int64(sh.edges)))
@@ -116,7 +123,7 @@ func TestGatherSegMeanCSRBitIdenticalToUnfused(t *testing.T) {
 		idx := make([]int, sh.edges)
 		seg := make([]int, sh.edges)
 		for e := range idx {
-			idx[e] = rng.Intn(sh.nodes)
+			idx[e] = rng.Intn(sh.nodes - 1)    // the last node is never gathered
 			seg[e] = rng.Intn(sh.segments - 1) // last segment stays empty
 		}
 		offs, members := segBuckets(seg, sh.segments)
@@ -126,11 +133,16 @@ func TestGatherSegMeanCSRBitIdenticalToUnfused(t *testing.T) {
 				am = nil
 			}
 			msg := GatherMatMulAddTanhInto(h, idx, b, am, New(sh.edges, sh.m))
-			want := SegmentMeanInto(msg, seg, sh.segments, New(sh.segments, sh.m))
-			for _, procs := range []int{1, runtime.NumCPU()} {
-				runtime.GOMAXPROCS(procs)
-				got := GatherMatMulAddTanhSegMeanCSRInto(h, idx, b, am, offs, members, New(sh.segments, sh.m))
-				mustBitEqual(t, "GatherMatMulAddTanhSegMeanCSRInto", got, want)
+			want := SegmentMeanCSRInto(msg, offs, members, New(sh.segments, sh.m))
+			for _, pack := range []int{1 << 62, 0} { // never pack, always pack
+				setPack(pack)
+				for _, procs := range []int{1, runtime.NumCPU()} {
+					runtime.GOMAXPROCS(procs)
+					proj := MatMulInto(h, b, New(sh.nodes, sh.m))
+					mustBitEqual(t, "GatherAddTanhInto", GatherAddTanhInto(proj, idx, am, New(sh.edges, sh.m)), msg)
+					got := GatherAddTanhSegMeanCSRInto(proj, idx, am, offs, members, New(sh.segments, sh.m))
+					mustBitEqual(t, "GatherAddTanhSegMeanCSRInto", got, want)
+				}
 			}
 		}
 	}

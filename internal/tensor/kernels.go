@@ -342,6 +342,45 @@ func GatherMatMulAddTanhInto(a *Matrix, idx []int, b, add, dst *Matrix) *Matrix 
 	return dst
 }
 
+// GatherAddTanhInto computes tanh(gather(p, idx) + add) into dst — the GNN
+// message transform once the node rows are already projected (p = h·W):
+// row i reads p.Row(idx[i]) in place, adds add.Row(i) (nil to skip) and
+// applies the activation. With p from MatMulInto(h, w) the result is
+// bit-identical to GatherMatMulAddTanhInto(h, idx, w, add), because each
+// product row depends only on its own input row; a node feeding many
+// edges is projected once instead of once per edge.
+func GatherAddTanhInto(p *Matrix, idx []int, add, dst *Matrix) *Matrix {
+	n := p.Cols
+	mustShape("gather-add-tanh dst", dst, len(idx), n)
+	if add != nil {
+		mustShape("gather-add-tanh add", add, len(idx), n)
+	}
+	checkGather(idx, p.Rows)
+	rowRange := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			r := idx[i]
+			prow := p.Data[r*n : (r+1)*n]
+			orow := dst.Data[i*n : (i+1)*n]
+			if add != nil {
+				arow := add.Data[i*n : (i+1)*n]
+				for j, v := range prow {
+					orow[j] = math.Tanh(v + arow[j])
+				}
+			} else {
+				for j, v := range prow {
+					orow[j] = math.Tanh(v)
+				}
+			}
+		}
+	}
+	if len(idx)*n < parallelThreshold {
+		rowRange(0, len(idx))
+		return dst
+	}
+	parallel.RunChunks(len(idx), parallel.DefaultWorkers(), rowRange)
+	return dst
+}
+
 // MatMulT1Into computes aᵀ·b into dst (a.Cols×b.Cols) and returns dst.
 // The i dimension (a's rows) is register-blocked by 4 with a fixed
 // ascending order; parallel fan-out splits dst rows, so every output
