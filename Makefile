@@ -40,9 +40,13 @@ race:
 
 # Chaos gate: the fault-injection, drift re-allocation, and resilience
 # suites under the race detector, twice, so flaky timing in the wall-clock
-# controllers or a data race in the re-allocation loop fails loudly.
+# controllers or a data race in the re-allocation loop fails loudly. Then
+# the tests that reach the shared forward-pass binder pool from several
+# goroutines (offline passes, served snapshot passes, the batcher), ten
+# times each, so a pool race or a poisoned binder fails loudly too.
 chaos:
 	$(GO) test -race -count=2 ./internal/runtime/ ./internal/realloc/ ./internal/resilience/
+	$(GO) test -race -count=10 -run 'TestProbsIntoConcurrent|TestProbsIntoAfterPanic|TestConcurrentAllocateRace|TestBatchedMatchesSolo' ./internal/core/ ./internal/serve/
 
 # One iteration of every benchmark: catches benchmarks that panic or
 # regress into non-termination without paying for a full measurement run.

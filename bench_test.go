@@ -478,8 +478,8 @@ func BenchmarkTrainEpoch(b *testing.B) {
 }
 
 // BenchmarkServe measures the allocation service end-to-end, in process
-// (no HTTP): the cold path (unique requests → batched tape-free forward
-// pass + placement) and the cached path (repeat requests served straight
+// (no HTTP): the cold path (unique requests → batched snapshot-bound
+// forward pass + placement) and the cached path (repeat requests served straight
 // from the placement LRU), each under 1, 8, and 64 concurrent clients.
 // The single-client runs disable the coalescing window — with no second
 // client it is pure added latency — so they measure the bare request

@@ -1,8 +1,9 @@
 // Command allocserve is the allocation-as-a-service daemon: it loads a
 // checkpointed coarsening model and answers "stream graph spec →
-// placement" over HTTP/JSON at high QPS. The hot path is the tape-free
-// batched forward pass in internal/serve; repeat requests hit a bounded
-// placement cache keyed by the canonical request fingerprint.
+// placement" over HTTP/JSON at high QPS. The hot path is the batched
+// forward pass in internal/serve — the model's training forward, bound to
+// the served parameter snapshot; repeat requests hit a bounded placement
+// cache keyed by the canonical request fingerprint.
 //
 // Usage:
 //

@@ -72,27 +72,8 @@ type Tape struct {
 // NewTape returns an empty tape.
 func NewTape() *Tape { return &Tape{} }
 
-// NewTapeWithCapacity returns an empty tape pre-sized for n nodes, so the
-// node slice is never reallocated while recording up to n ops.
-func NewTapeWithCapacity(n int) *Tape {
-	return &Tape{nodes: make([]*Node, 0, n)}
-}
-
 // Len returns the number of recorded nodes (useful in tests).
 func (t *Tape) Len() int { return len(t.nodes) }
-
-// Cap returns the node-slice capacity (useful to verify slab retention).
-func (t *Tape) Cap() int { return cap(t.nodes) }
-
-// Reserve grows the node slice capacity to at least n so subsequent
-// recording does not reallocate it mid-step.
-func (t *Tape) Reserve(n int) {
-	if cap(t.nodes) < n {
-		grown := make([]*Node, len(t.nodes), n)
-		copy(grown, t.nodes)
-		t.nodes = grown
-	}
-}
 
 // Reset clears the tape for reuse: every tape-owned matrix (op outputs,
 // gradients, forward caches) returns to the arena and node structs move

@@ -139,26 +139,36 @@ func (mo *Model) EdgeProbs(b *nn.Binder, f *gnn.Features) *autodiff.Node {
 	return mo.head.Apply(b, hEdge) // E×1, sigmoid
 }
 
-// fwdPool recycles binder+tape pairs across inference forward passes, so
-// repeated Probs calls (the allocation hot path of Pipeline.Allocate and
-// batch evaluation) reuse the node slab and arena-backed matrices instead
-// of rebuilding the tape from nothing. sync.Pool keeps this safe under
-// the parallel evaluation fan-out: each goroutine drives its own binder.
+// fwdPool recycles binder+tape pairs across inference forward passes —
+// offline (Pipeline.Allocate, batch evaluation, multilevel) and the
+// serving daemon alike — so repeated passes reuse the node slab instead
+// of rebuilding the tape from nothing. A pooled binder is always reset
+// and bound to the live parameters; sync.Pool keeps it safe under
+// concurrent callers, each goroutine driving its own binder.
 var fwdPool = sync.Pool{
 	New: func() any { return nn.NewBinder(autodiff.NewTape()) },
 }
 
-// Probs computes merge probabilities outside any training loop (the
-// forward tape is pooled and recycled).
-func (mo *Model) Probs(g *stream.Graph, c sim.Cluster) []float64 {
-	f := gnn.BuildFeatures(g, c)
+// ProbsInto runs EdgeProbs on a pooled binder bound to snap (nil reads the
+// live parameters) and copies the merge probabilities into out, which must
+// have length f.Edge.Rows. Training, offline inference and serving thus
+// share one forward pass. The binder returns to the pool reset and
+// unbound, so the pool pins no retired snapshot; a pass that panics drops
+// its binder instead, so no half-recorded tape is ever reused.
+func (mo *Model) ProbsInto(snap *nn.Snapshot, f *gnn.Features, out []float64) []float64 {
 	b := fwdPool.Get().(*nn.Binder)
-	b.Reset() // reclaim the previous forward pass's matrices
-	p := mo.EdgeProbs(b, f)
-	out := make([]float64, g.NumEdges())
-	copy(out, p.Value.Data)
+	b.BindSnapshot(snap)
+	copy(out, mo.EdgeProbs(b, f).Value.Data)
+	b.BindSnapshot(nil)
+	b.Reset()
 	fwdPool.Put(b)
 	return out
+}
+
+// Probs computes merge probabilities from the live parameters outside any
+// training loop.
+func (mo *Model) Probs(g *stream.Graph, c sim.Cluster) []float64 {
+	return mo.ProbsInto(nil, gnn.BuildFeatures(g, c), make([]float64, g.NumEdges()))
 }
 
 // Decision is a per-edge collapse decision vector.
@@ -172,30 +182,6 @@ func (mo *Model) Greedy(g *stream.Graph, c sim.Cluster) Decision {
 		d[i] = p >= 0.5
 	}
 	return d
-}
-
-// Sample draws Bernoulli decisions from the merge probabilities.
-func (mo *Model) Sample(g *stream.Graph, c sim.Cluster, rng *rand.Rand) Decision {
-	probs := mo.Probs(g, c)
-	d := make(Decision, len(probs))
-	for i, p := range probs {
-		d[i] = rng.Float64() < p
-	}
-	return d
-}
-
-// SampleN draws n decision vectors from a single forward pass.
-func (mo *Model) SampleN(g *stream.Graph, c sim.Cluster, rng *rand.Rand, n int) []Decision {
-	probs := mo.Probs(g, c)
-	out := make([]Decision, n)
-	for s := 0; s < n; s++ {
-		d := make(Decision, len(probs))
-		for i, p := range probs {
-			d[i] = rng.Float64() < p
-		}
-		out[s] = d
-	}
-	return out
 }
 
 // LogProb records Σ_e [d_e·log p_e + (1−d_e)·log(1−p_e)] weighted by a

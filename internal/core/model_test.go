@@ -62,35 +62,22 @@ func TestGreedyMatchesProbsThreshold(t *testing.T) {
 	}
 }
 
-func TestSampleDeterministicGivenSeed(t *testing.T) {
-	g, c, m := testSetup(t)
-	d1 := m.Sample(g, c, rand.New(rand.NewSource(5)))
-	d2 := m.Sample(g, c, rand.New(rand.NewSource(5)))
-	for i := range d1 {
-		if d1[i] != d2[i] {
-			t.Fatal("sampling not reproducible")
-		}
+// sampleDecision draws Bernoulli collapse decisions from the model's
+// merge probabilities.
+func sampleDecision(m *Model, g *stream.Graph, c sim.Cluster, rng *rand.Rand) Decision {
+	probs := m.Probs(g, c)
+	d := make(Decision, len(probs))
+	for i, p := range probs {
+		d[i] = rng.Float64() < p
 	}
-}
-
-func TestSampleNCount(t *testing.T) {
-	g, c, m := testSetup(t)
-	ds := m.SampleN(g, c, rand.New(rand.NewSource(6)), 4)
-	if len(ds) != 4 {
-		t.Fatalf("got %d samples", len(ds))
-	}
-	for _, d := range ds {
-		if len(d) != g.NumEdges() {
-			t.Fatal("decision length mismatch")
-		}
-	}
+	return d
 }
 
 func TestLogProbLossGradientDirection(t *testing.T) {
 	// With positive advantage, a gradient step must increase the
 	// probability of the sampled decisions.
 	g, c, m := testSetup(t)
-	d := m.Sample(g, c, rand.New(rand.NewSource(7)))
+	d := sampleDecision(m, g, c, rand.New(rand.NewSource(7)))
 	before := m.Probs(g, c)
 
 	f := gnn.BuildFeatures(g, c)
@@ -147,7 +134,7 @@ func equalFloats(a, b []float64) bool {
 func TestAllocateDecisionRoundTrip(t *testing.T) {
 	g, c, m := testSetup(t)
 	pipe := &Pipeline{Model: m, Placer: placer.Metis{Seed: 1}}
-	d := m.Sample(g, c, rand.New(rand.NewSource(8)))
+	d := sampleDecision(m, g, c, rand.New(rand.NewSource(8)))
 	a := pipe.AllocateDecision(g, c, d)
 	if err := a.Placement.Validate(g); err != nil {
 		t.Fatal(err)

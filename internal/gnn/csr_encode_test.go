@@ -112,11 +112,11 @@ func encodeGrads(ps *nn.ParamSet, b *nn.Binder, out *autodiff.Node, seed *tensor
 	return grads
 }
 
-// TestEncodeCSRBitIdenticalToPreCSR pins the CSR-native Encode and
-// EncodeInfer against the pre-CSR composition, bit for bit, on randomized
-// graphs — including degree-0 nodes (empty buckets), M with a non-multiple-
-// of-four concat width (scalar remainder lanes), and a shape large enough
-// to cross the kernels' parallel work gate — at GOMAXPROCS 1 and NumCPU.
+// TestEncodeCSRBitIdenticalToPreCSR pins the CSR-native Encode against
+// the pre-CSR composition, bit for bit, on randomized graphs — including
+// degree-0 nodes (empty buckets), M with a non-multiple-of-four concat
+// width (scalar remainder lanes), and a shape large enough to cross the
+// kernels' parallel work gate — at GOMAXPROCS 1 and NumCPU.
 // Every parameter gradient of Encode is pinned, bit for bit, against the
 // per-edge projection reference.
 func TestEncodeCSRBitIdenticalToPreCSR(t *testing.T) {
@@ -170,16 +170,6 @@ func TestEncodeCSRBitIdenticalToPreCSR(t *testing.T) {
 					}
 				}
 			}
-
-			sc := tensor.NewScope()
-			inf := enc.EncodeInfer(sc, nn.LiveValues{}, f)
-			for i := range want.Data {
-				if math.Float64bits(inf.Data[i]) != math.Float64bits(want.Data[i]) {
-					t.Fatalf("shape %d procs %d: infer[%d] csr %v vs pre-csr %v",
-						si, procs, i, inf.Data[i], want.Data[i])
-				}
-			}
-			sc.Release()
 		}
 	}
 }

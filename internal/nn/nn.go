@@ -108,9 +108,11 @@ func NewBinder(t *autodiff.Tape) *Binder {
 }
 
 // BindSnapshot makes subsequent Node calls create leaves over s's value
-// copies instead of the live parameter matrices, so a replica's forward
-// pass reads a consistent view while the leader owns the live values.
-// The binding persists across Reset; pass nil to bind live values again.
+// copies instead of the live parameter matrices, so a forward pass reads a
+// consistent view while someone else owns the live values: a data-parallel
+// replica while the leader steps the optimizer, or the serving daemon
+// while a reload replaces the parameters (core.Model.ProbsInto). The
+// binding persists across Reset; pass nil to bind live values again.
 func (b *Binder) BindSnapshot(s *Snapshot) { b.snap = s }
 
 // Node returns (creating on first use) the tape leaf for p.

@@ -102,13 +102,24 @@ func (gs *GraphSpec) BuildGraph() (*stream.Graph, error) {
 	return g, nil
 }
 
+// maxRequestDevices caps a request's device count. The simulator, the
+// placers and Metis size per-device state by it (about 280 B per device
+// per request), so an unbounded count lets a tiny body exhaust memory;
+// 1024 is 16× the largest preset cluster. The daemon's own default
+// cluster is operator input and is not capped.
+const maxRequestDevices = 1024
+
 // BuildCluster resolves the spec against a default cluster and validates
-// the result (sim.Cluster.Validate).
+// the result (sim.Cluster.Validate). A device count above
+// maxRequestDevices is rejected.
 func (cs *ClusterSpec) BuildCluster(def sim.Cluster) (sim.Cluster, error) {
 	if cs == nil {
 		return def, nil
 	}
 	c := def
+	if cs.Devices > maxRequestDevices {
+		return c, fmt.Errorf("devices %d exceeds the per-request limit %d", cs.Devices, maxRequestDevices)
+	}
 	if cs.Devices != 0 {
 		c.Devices = cs.Devices
 		c.DeviceMIPS = nil
@@ -221,7 +232,8 @@ func withTraceID(next http.Handler) http.Handler {
 
 // handleAllocate is POST /allocate: decode, validate, serve, respond —
 // writing one access-log record whatever the outcome. Shed requests get
-// 429 + Retry-After so well-behaved clients back off.
+// 429 + Retry-After so well-behaved clients back off; a draining service
+// answers 503, and any other service failure 500.
 func handleAllocate(w http.ResponseWriter, r *http.Request, s *Service, defCluster sim.Cluster, accessLog *obs.JSONLWriter) {
 	start := time.Now()
 	rec := AccessRecord{TraceID: TraceIDFrom(r.Context())}
@@ -265,14 +277,17 @@ func handleAllocate(w http.ResponseWriter, r *http.Request, s *Service, defClust
 	rec.Devices = c.Devices
 
 	res, err := s.AllocateCtx(r.Context(), g, c)
-	if err != nil {
-		if errors.Is(err, ErrOverloaded) {
-			rec.Shed = true
-			w.Header().Set("Retry-After", strconv.Itoa(RetryAfterSeconds))
-			fail(http.StatusTooManyRequests, err.Error())
-			return
-		}
-		fail(http.StatusServiceUnavailable, err.Error())
+	switch {
+	case errors.Is(err, ErrOverloaded):
+		rec.Shed = true
+		w.Header().Set("Retry-After", strconv.Itoa(RetryAfterSeconds))
+		fail(http.StatusTooManyRequests, err.Error())
+		return
+	case errors.Is(err, ErrClosed):
+		fail(http.StatusServiceUnavailable, err.Error()) // draining: retry elsewhere
+		return
+	case err != nil:
+		fail(http.StatusInternalServerError, err.Error()) // e.g. a panicked forward pass
 		return
 	}
 	rec.Status = http.StatusOK

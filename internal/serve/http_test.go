@@ -7,12 +7,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/obs"
+	"repro/internal/placer"
 	"repro/internal/stream"
 )
 
@@ -184,8 +186,9 @@ func TestHTTPShedResponse(t *testing.T) {
 
 // TestHTTPRejectsInvalidCluster pins cluster validation at the wire: a
 // cluster spec that resolves to non-positive capacities, a negative
-// scheduling overhead or a mismatched device_mips list answers 400
-// instead of a placement scored against a meaningless cluster.
+// scheduling overhead, a mismatched device_mips list or more devices than
+// the per-request cap answers 400 instead of a placement scored against a
+// meaningless (or memory-exhausting) cluster.
 func TestHTTPRejectsInvalidCluster(t *testing.T) {
 	s := gen.Small()
 	g := s.Generate().Test[0]
@@ -213,6 +216,9 @@ func TestHTTPRejectsInvalidCluster(t *testing.T) {
 		{"negative bandwidth", `{"bandwidth_mbps":-1000}`, http.StatusBadRequest},
 		{"negative overhead", `{"overhead_per_op":-0.5}`, http.StatusBadRequest},
 		{"negative devices", `{"devices":-2}`, http.StatusBadRequest},
+		{"devices at the cap", `{"devices":1024}`, http.StatusOK},
+		{"devices above the cap", `{"devices":1025}`, http.StatusBadRequest},
+		{"huge devices", `{"devices":2000000000}`, http.StatusBadRequest},
 	} {
 		body := `{"graph":` + string(spec.Graph) + `,"cluster":` + tc.cluster + `}`
 		resp, err := http.Post(srv.URL+"/allocate", "application/json", strings.NewReader(body))
@@ -225,4 +231,62 @@ func TestHTTPRejectsInvalidCluster(t *testing.T) {
 			t.Errorf("%s: status %d, want %d (%s)", tc.name, resp.StatusCode, tc.status, bytes.TrimSpace(msg))
 		}
 	}
+}
+
+// TestHTTPForwardPanicAnswers500 pins the failure mapping at the wire: a
+// forward pass that panics fails its request with 500 (not 503, which
+// tells clients to retry), logs it and counts it as an error, and the
+// batcher survives to serve the next request correctly.
+func TestHTTPForwardPanicAnswers500(t *testing.T) {
+	s := gen.Small()
+	g := s.Generate().Test[0]
+	reg := obs.NewRegistry()
+	model := core.New(core.DefaultConfig())
+	svc := newTestService(t, Options{Model: model, Registry: reg, CacheSize: -1})
+	var once sync.Once
+	svc.beforeForward = func(int) {
+		once.Do(func() { panic("injected forward failure") })
+	}
+
+	var logBuf bytes.Buffer
+	access := obs.NewJSONLWriter(json.NewEncoder(&logBuf))
+	srv := httptest.NewServer(NewHandler(svc, s.Cluster, "", reg, HandlerOpts{AccessLog: access}))
+	defer srv.Close()
+
+	post := func() (*http.Response, []byte) {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/allocate", "application/json", bytes.NewReader(testSpecBody(t, g)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		return resp, body
+	}
+
+	resp, body := post()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("panicked forward: status %d, want 500 (%s)", resp.StatusCode, bytes.TrimSpace(body))
+	}
+	var rec AccessRecord
+	if err := json.Unmarshal(bytes.TrimSpace(logBuf.Bytes()), &rec); err != nil {
+		t.Fatalf("want exactly one access record: %v\n%s", err, logBuf.String())
+	}
+	if rec.Status != http.StatusInternalServerError || rec.Err == "" {
+		t.Fatalf("panic access record malformed: %+v", rec)
+	}
+	if n := reg.Counter("serve_errors_total").Value(); n != 1 {
+		t.Fatalf("serve_errors_total = %d, want 1", n)
+	}
+
+	resp, body = post()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("request after the panic: status %d (%s)", resp.StatusCode, bytes.TrimSpace(body))
+	}
+	var got AllocateResponse
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatal(err)
+	}
+	want := (&core.Pipeline{Model: model, Placer: placer.Metis{Seed: 1}}).Allocate(g, s.Cluster)
+	samePlacement(t, "after panic", want.Placement.Assign, got.Assign)
 }

@@ -2,12 +2,11 @@
 // inference service answering "stream graph spec → placement" at high QPS
 // over the trained coarsening model.
 //
-// The hot path never builds an autodiff tape. Each request's features run
-// through the tape-free forward pass (core.Model.InferProbsInto over the
-// fused tensor kernels, scratch from the size-classed arena), which is
-// bit-identical to the training-path forward — so a served placement
-// equals the offline Pipeline.Allocate placement for the same model, and
-// that equality is pinned by tests.
+// Each request's features run through the model's one forward pass —
+// the EdgeProbs tape that training records, on a pooled binder bound to
+// the pinned parameter snapshot (core.Model.ProbsInto) — so a served
+// placement equals the offline Pipeline.Allocate placement for the same
+// parameters by construction; tests pin it end to end.
 //
 // Three mechanisms carry the throughput:
 //
@@ -488,9 +487,6 @@ func (s *Service) runBatch(batch []*pending) {
 			s.tracer.EmitArgs("queue-wait", laneBatcher, p.enq, wait, args)
 		}
 	}
-	if s.beforeForward != nil {
-		s.beforeForward(len(batch))
-	}
 	defer func() {
 		if r := recover(); r != nil {
 			err := fmt.Errorf("serve: forward pass panicked: %v", r)
@@ -502,6 +498,9 @@ func (s *Service) runBatch(batch []*pending) {
 			}
 		}
 	}()
+	if s.beforeForward != nil {
+		s.beforeForward(len(batch))
+	}
 	// Group by version in arrival order (versions change rarely; a batch
 	// straddling a reload splits into one pass per snapshot). Grouping
 	// works on a scratch copy so the recover path above still sees every
@@ -524,7 +523,7 @@ func (s *Service) runBatch(batch []*pending) {
 }
 
 // forwardGroup computes merge probabilities for every request in one
-// stacked tape-free forward pass and releases the waiters.
+// stacked forward pass on the group's snapshot and releases the waiters.
 func (s *Service) forwardGroup(group []*pending) {
 	snap := group[0].ver.snap
 	if len(group) == 1 {
@@ -535,7 +534,7 @@ func (s *Service) forwardGroup(group []*pending) {
 		if s.tracer != nil {
 			fwdT0 = time.Now()
 		}
-		s.model.InferProbsInto(snap, p.f, p.probs)
+		s.model.ProbsInto(snap, p.f, p.probs)
 		s.emitSpan("forward", laneBatcher, fwdT0, p.traceID)
 		p.deliver()
 		return
@@ -579,7 +578,7 @@ func (s *Service) forwardGroup(group []*pending) {
 		s.tracer.EmitArgs("batch-assembly", laneBatcher, asmT0, fwdT0.Sub(asmT0),
 			map[string]string{"batch": fmt.Sprint(len(group))})
 	}
-	s.model.InferProbsInto(snap, stacked, all)
+	s.model.ProbsInto(snap, stacked, all)
 	if s.tracer != nil {
 		// One measured forward pass, attributed to every rider so a
 		// single trace id finds its request's span.

@@ -1,9 +1,7 @@
 // csr.go holds the CSR-native segment kernels: variants of SegmentMean /
 // ScatterAddRows that take a prebuilt bucket structure (offsets + member
 // row ids, as produced by stream.Graph.Adjacency or bucketByKey) instead
-// of re-bucketing a segment-id vector on every call, plus the fused
-// gather-add-tanh-mean kernel the zero-tape inference path uses so the
-// E×M message matrix is never materialized.
+// of re-bucketing a segment-id vector on every call.
 //
 // Determinism contract (see kernels.go): members inside one bucket must be
 // ascending, matching the order bucketByKey produces. Each bucket then
@@ -13,7 +11,6 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/parallel"
 )
@@ -102,61 +99,4 @@ func ScatterAddRowsCSR(dst, src *Matrix, offs []int32, members []int) {
 		return
 	}
 	parallel.RunChunks(dst.Rows, parallel.DefaultWorkers(), rowRange)
-}
-
-// GatherAddTanhSegMeanCSRInto fuses one whole GNN message hop for the
-// inference path: dst.Row(s) is the mean over bucket-s members e of
-// tanh(p.Row(idx[e]) + add.Row(e)), add nil to skip the additive term,
-// and zero for an empty bucket. p holds the node rows already projected
-// by the message weight (see GatherAddTanhInto). Each message is folded
-// into its bucket's row as soon as it is computed, so the E×M message
-// matrix never exists — at a million edges that is the difference
-// between O(N·M) and O(E·M) live memory. Per-message arithmetic matches
-// GatherAddTanhInto and the bucket accumulation matches
-// SegmentMeanCSRInto, so the result is bit-identical to the unfused pair.
-func GatherAddTanhSegMeanCSRInto(p *Matrix, idx []int, add *Matrix, offs []int32, members []int, dst *Matrix) *Matrix {
-	segments := len(offs) - 1
-	n := p.Cols
-	mustShape("gather-add-tanh-mean-csr dst", dst, segments, n)
-	if add != nil {
-		mustShape("gather-add-tanh-mean-csr add", add, len(idx), n)
-	}
-	checkGather(idx, p.Rows)
-	checkCSR("gather-add-tanh-mean-csr", offs, members, len(idx))
-	segRange := func(lo, hi int) {
-		for s := lo; s < hi; s++ {
-			orow := dst.Row(s)
-			for j := range orow {
-				orow[j] = 0
-			}
-			mlo, mhi := offs[s], offs[s+1]
-			if mlo == mhi {
-				continue
-			}
-			for _, e := range members[mlo:mhi] {
-				r := idx[e]
-				prow := p.Data[r*n : (r+1)*n]
-				if add != nil {
-					arow := add.Data[e*n : (e+1)*n]
-					for j, v := range prow {
-						orow[j] += math.Tanh(v + arow[j])
-					}
-				} else {
-					for j, v := range prow {
-						orow[j] += math.Tanh(v)
-					}
-				}
-			}
-			inv := 1 / float64(mhi-mlo)
-			for j := range orow {
-				orow[j] *= inv
-			}
-		}
-	}
-	if len(members)*n < parallelThreshold {
-		segRange(0, segments)
-		return dst
-	}
-	parallel.RunChunks(segments, parallel.DefaultWorkers(), segRange)
-	return dst
 }

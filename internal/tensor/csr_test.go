@@ -95,13 +95,12 @@ func TestScatterAddRowsCSRBitIdenticalToPar(t *testing.T) {
 }
 
 // TestGatherSegMeanCSRBitIdenticalToUnfused pins the gather-add-tanh
-// kernels, fed the node projection MatMulInto(h, b), against the per-edge
-// GatherMatMulAddTanhInto → SegmentMeanCSRInto pair they replace: the
-// unfused GatherAddTanhInto row for row, and the fused mean per bucket,
-// empty buckets and never-gathered nodes included. The node projection
-// runs on both the unpacked and the cache-blocked packed product path
-// (K > kcPanel spans two panels), since MatMulInto picks the latter for
-// wide weights.
+// kernel, fed the node projection MatMulInto(h, b), against the per-edge
+// GatherMatMulAddTanhInto it replaces, row for row, and the CSR mean over
+// its messages against the mean of the per-edge messages, empty buckets
+// and never-gathered nodes included. The node projection runs on both the
+// unpacked and the cache-blocked packed product path (K > kcPanel spans
+// two panels), since MatMulInto picks the latter for wide weights.
 func TestGatherSegMeanCSRBitIdenticalToUnfused(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	defer setPack(packMinElems)
@@ -139,9 +138,9 @@ func TestGatherSegMeanCSRBitIdenticalToUnfused(t *testing.T) {
 				for _, procs := range []int{1, runtime.NumCPU()} {
 					runtime.GOMAXPROCS(procs)
 					proj := MatMulInto(h, b, New(sh.nodes, sh.m))
-					mustBitEqual(t, "GatherAddTanhInto", GatherAddTanhInto(proj, idx, am, New(sh.edges, sh.m)), msg)
-					got := GatherAddTanhSegMeanCSRInto(proj, idx, am, offs, members, New(sh.segments, sh.m))
-					mustBitEqual(t, "GatherAddTanhSegMeanCSRInto", got, want)
+					got := GatherAddTanhInto(proj, idx, am, New(sh.edges, sh.m))
+					mustBitEqual(t, "GatherAddTanhInto", got, msg)
+					mustBitEqual(t, "SegmentMeanCSRInto", SegmentMeanCSRInto(got, offs, members, New(sh.segments, sh.m)), want)
 				}
 			}
 		}
