@@ -5,7 +5,7 @@ BENCH_OUT ?= BENCH_2
 # committed baseline it compares against, and the per-metric threshold in
 # percent (applies to ns/op, allocs/op and — for benchmarks with MxKxN dims
 # in the name — GFLOP/s; min-of-count filters noise).
-BENCH_FILTER ?= 'BenchmarkGNNEncode|BenchmarkMatMul$$|BenchmarkMetisPartition|BenchmarkCoarsenAllocate|BenchmarkSimulate$$|BenchmarkTrainEpoch|BenchmarkServe'
+BENCH_FILTER ?= 'BenchmarkGNNEncode|BenchmarkMatMul$$|BenchmarkMetisPartition|BenchmarkCoarsenAllocate|BenchmarkAllocateRanked|BenchmarkSimulate$$|BenchmarkTrainEpoch|BenchmarkServe'
 BENCH_BASELINE ?= BENCH_BASELINE.json
 BENCH_THRESHOLD ?= 10
 

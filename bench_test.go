@@ -343,6 +343,24 @@ func BenchmarkCoarsenAllocate(b *testing.B) {
 	}
 }
 
+// BenchmarkAllocateRanked times the rank sweep alone — collapse, coarse
+// graph, Metis, expand and reward for each candidate coarsening — on
+// BenchmarkCoarsenAllocate's graph, with the forward pass's merge
+// probabilities computed before the timer starts.
+func BenchmarkAllocateRanked(b *testing.B) {
+	c := sim.DefaultCluster(10, 1500)
+	cfg := gen.DefaultConfig(400, 500, 10_000, c)
+	g := gen.Generate(cfg, rand.New(rand.NewSource(5)))
+	model := core.New(core.DefaultConfig())
+	pipe := &core.Pipeline{Model: model, Placer: placer.Metis{Seed: 1}}
+	probs := model.Probs(g, c)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pipe.AllocateRanked(g, c, probs)
+	}
+}
+
 func BenchmarkGraphGeneration(b *testing.B) {
 	c := sim.DefaultCluster(10, 1500)
 	cfg := gen.DefaultConfig(400, 500, 10_000, c)

@@ -12,8 +12,9 @@
 package core
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/autodiff"
@@ -261,21 +262,11 @@ func (pl *Pipeline) Allocate(g *stream.Graph, c sim.Cluster) Allocation {
 // allocation wins. Target sizes are multiples of the device count, the
 // same knob Metis exposes as its coarsening scale.
 func (pl *Pipeline) AllocateRanked(g *stream.Graph, c sim.Cluster, score []float64) Allocation {
+	// Every candidate's coarse graph and reward reads g's demands: pin
+	// them once rather than re-propagating rates per candidate.
+	g = g.PinDemands()
 	n := g.NumNodes()
-	type pe struct {
-		ei int
-		p  float64
-	}
-	order := make([]pe, len(score))
-	for i, p := range score {
-		order[i] = pe{i, p}
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if order[a].p != order[b].p {
-			return order[a].p > order[b].p
-		}
-		return order[a].ei < order[b].ei
-	})
+	order := rankEdges(score)
 	// Candidate super-node counts: light coarsenings as fractions of n
 	// (where most of the benefit typically lies) plus heavy coarsenings as
 	// multiples of the device count.
@@ -316,10 +307,10 @@ func (pl *Pipeline) AllocateRanked(g *stream.Graph, c sim.Cluster, score []float
 	comps := n
 	var best Allocation
 	bestR := -1.0
+	// AllocateDecision keeps no reference to d, so every candidate reads
+	// the one decision vector the loop below grows.
 	evalSnapshot := func() {
-		snap := make(Decision, len(d))
-		copy(snap, d)
-		a := pl.AllocateDecision(g, c, snap)
+		a := pl.AllocateDecision(g, c, d)
 		if r := sim.Reward(g, a.Placement, c); r > bestR {
 			best, bestR = a, r
 		}
@@ -331,11 +322,11 @@ func (pl *Pipeline) AllocateRanked(g *stream.Graph, c sim.Cluster, score []float
 		ti++
 	}
 	for ti < len(targets) && next < len(order) {
-		e := g.Edges[order[next].ei]
+		e := g.Edges[order[next]]
 		ru, rv := find(e.Src), find(e.Dst)
 		if ru != rv {
 			parent[ru] = rv
-			d[order[next].ei] = true
+			d[order[next]] = true
 			comps--
 			for ti < len(targets) && comps <= targets[ti] {
 				evalSnapshot()
@@ -370,20 +361,7 @@ func (mo *Model) CoarsenTo(g *stream.Graph, c sim.Cluster, target int) Decision 
 // skipped. It is the ranking half of CoarsenTo with the model factored
 // out, which lets the multilevel driver reuse one forward pass's scores.
 func CoarsenToRanked(g *stream.Graph, target int, score []float64) Decision {
-	type pe struct {
-		ei int
-		p  float64
-	}
-	order := make([]pe, len(score))
-	for i, p := range score {
-		order[i] = pe{i, p}
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if order[a].p != order[b].p {
-			return order[a].p > order[b].p
-		}
-		return order[a].ei < order[b].ei
-	})
+	order := rankEdges(score)
 	d := make(Decision, len(score))
 	// Collapse greedily while tracking component count via union-find.
 	parent := make([]int, g.NumNodes())
@@ -399,19 +377,38 @@ func CoarsenToRanked(g *stream.Graph, target int, score []float64) Decision {
 		return x
 	}
 	comps := g.NumNodes()
-	for _, o := range order {
+	for _, ei := range order {
 		if comps <= target {
 			break
 		}
-		e := g.Edges[o.ei]
+		e := g.Edges[ei]
 		ru, rv := find(e.Src), find(e.Dst)
 		if ru != rv {
 			parent[ru] = rv
-			d[o.ei] = true
+			d[ei] = true
 			comps--
 		}
 	}
 	return d
+}
+
+// rankEdges returns the edge ids by descending score, edge id ascending
+// on ties. The keys are unique, so any correct sort gives this order.
+func rankEdges(score []float64) []int32 {
+	order := make([]int32, len(score))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		if score[a] != score[b] {
+			if score[a] > score[b] {
+				return -1
+			}
+			return 1
+		}
+		return cmp.Compare(a, b)
+	})
+	return order
 }
 
 // CoarsenOnly implements the "Coarsen-only" ablation (Table II): collapse

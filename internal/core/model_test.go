@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -185,6 +186,78 @@ func TestAllocateRankedRespectsRanking(t *testing.T) {
 		e := g.Edges[3]
 		if a.Coarse.Super[e.Src] != a.Coarse.Super[e.Dst] {
 			t.Fatal("top-ranked edge not collapsed in a coarsened winner")
+		}
+	}
+}
+
+// recordingPlacer wraps a placer and keeps every coarse graph it is
+// handed, with the placement it returned.
+type recordingPlacer struct {
+	inner  placer.Placer
+	graphs []*stream.Graph
+	places []*stream.Placement
+}
+
+func (r *recordingPlacer) Place(g *stream.Graph, c sim.Cluster) *stream.Placement {
+	p := r.inner.Place(g, c)
+	r.graphs = append(r.graphs, g)
+	r.places = append(r.places, p)
+	return p
+}
+
+func (r *recordingPlacer) Name() string { return "recording-" + r.inner.Name() }
+
+// TestAllocateRankedReturnsBestScoredCandidate pins the sweep's contract:
+// rebuilding every candidate the placer saw (CoarsenToRanked at its
+// super-node count → CollapseEdges → ExpandPlacement → sim.Reward), the
+// result is the first candidate that reaches the maximum reward, since the
+// sweep keeps only strict improvements. Each graph also runs on a cluster
+// roomy enough that every candidate scores 1, where only the first may win.
+func TestAllocateRankedReturnsBestScoredCandidate(t *testing.T) {
+	model := New(DefaultConfig())
+	for _, s := range []gen.Setting{gen.Small(), gen.Medium(), gen.Large(), gen.Excess()} {
+		g := gen.Generate(s.Config, rand.New(rand.NewSource(17)))
+		probs := model.Probs(g, s.Cluster)
+		roomy := s.Cluster
+		roomy.MIPS *= 1e9
+		roomy.Bandwidth *= 1e9
+		for _, tc := range []struct {
+			inner placer.Placer
+			c     sim.Cluster
+			name  string
+		}{
+			{placer.Metis{Seed: 1}, s.Cluster, "metis"},
+			{placer.RoundRobin{}, s.Cluster, "round-robin"},
+			{placer.RoundRobin{}, roomy, "round-robin-roomy"},
+		} {
+			label := s.Name + "/" + tc.name
+			rec := &recordingPlacer{inner: tc.inner}
+			a := (&Pipeline{Model: model, Placer: rec}).AllocateRanked(g, tc.c, probs)
+			best, bestR := -1, math.Inf(-1)
+			var bestP *stream.Placement
+			for i, cg := range rec.graphs {
+				cm := stream.CollapseEdges(g, CoarsenToRanked(g, cg.NumNodes(), probs))
+				if cm.NumSuper != cg.NumNodes() {
+					t.Fatalf("%s: candidate %d rebuilt %d super-nodes, the placer saw %d", label, i, cm.NumSuper, cg.NumNodes())
+				}
+				p := stream.ExpandPlacement(cm, rec.places[i])
+				if r := sim.Reward(g, p, tc.c); r > bestR {
+					best, bestR, bestP = i, r, p
+				}
+			}
+			if best < 0 {
+				t.Fatalf("%s: the sweep placed no candidate", label)
+			}
+			if a.CoarseGraph != rec.graphs[best] {
+				got := slices.Index(rec.graphs, a.CoarseGraph)
+				t.Fatalf("%s: sweep returned candidate %d of %d, want %d (reward %v)", label, got, len(rec.graphs), best, bestR)
+			}
+			if !slices.Equal(a.Placement.Assign, bestP.Assign) {
+				t.Fatalf("%s: placement differs from the rebuilt best candidate's", label)
+			}
+			if r := sim.Reward(g, a.Placement, tc.c); math.Float64bits(r) != math.Float64bits(bestR) {
+				t.Fatalf("%s: reward %v, rebuilt best %v", label, r, bestR)
+			}
 		}
 	}
 }

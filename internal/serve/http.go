@@ -109,6 +109,13 @@ func (gs *GraphSpec) BuildGraph() (*stream.Graph, error) {
 // cluster is operator input and is not capped.
 const maxRequestDevices = 1024
 
+// maxRequestBytes caps an /allocate body; a larger one answers 413 before
+// it is decoded into memory. Encoded compactly, the gen presets' graphs
+// measure 18–76 KB (medium), 82–201 KB (large) and 0.24–1.3 MB (xlarge,
+// 1,000–2,000 operators, the largest the daemon serves); 4 MiB leaves
+// about 3× headroom over the largest for names and whitespace.
+const maxRequestBytes = 4 << 20
+
 // BuildCluster resolves the spec against a default cluster and validates
 // the result (sim.Cluster.Validate). A device count above
 // maxRequestDevices is rejected.
@@ -231,7 +238,8 @@ func withTraceID(next http.Handler) http.Handler {
 }
 
 // handleAllocate is POST /allocate: decode, validate, serve, respond —
-// writing one access-log record whatever the outcome. Shed requests get
+// writing one access-log record whatever the outcome. A body over
+// maxRequestBytes gets 413 and an invalid spec 400. Shed requests get
 // 429 + Retry-After so well-behaved clients back off; a draining service
 // answers 503, and any other service failure 500.
 func handleAllocate(w http.ResponseWriter, r *http.Request, s *Service, defCluster sim.Cluster, accessLog *obs.JSONLWriter) {
@@ -256,9 +264,14 @@ func handleAllocate(w http.ResponseWriter, r *http.Request, s *Service, defClust
 		return
 	}
 	var req AllocateRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			fail(http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", maxRequestBytes))
+			return
+		}
 		fail(http.StatusBadRequest, "bad request: "+err.Error())
 		return
 	}

@@ -233,6 +233,83 @@ func TestHTTPRejectsInvalidCluster(t *testing.T) {
 	}
 }
 
+// TestHTTPRejectsHostileGraph pins graph and body limits at the wire:
+// finite features whose steady-state demands overflow answer 400 instead
+// of a placement scored against infinite loads, and a body over
+// maxRequestBytes answers 413. Each refusal writes one access record with
+// its status and leaves serve_errors_total alone.
+func TestHTTPRejectsHostileGraph(t *testing.T) {
+	s := gen.Medium()
+	g := s.Generate().Test[0]
+	reg := obs.NewRegistry()
+	svc := newTestService(t, Options{Registry: reg})
+	var logBuf bytes.Buffer
+	access := obs.NewJSONLWriter(json.NewEncoder(&logBuf))
+	srv := httptest.NewServer(NewHandler(svc, s.Cluster, "", reg, HandlerOpts{AccessLog: access}))
+	defer srv.Close()
+
+	valid := testSpecBody(t, g)
+	mutate := func(mut func(gs *GraphSpec)) []byte {
+		var req AllocateRequest
+		if err := json.Unmarshal(valid, &req); err != nil {
+			t.Fatal(err)
+		}
+		mut(&req.Graph)
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	// padTo prefixes the valid body with whitespace up to n bytes, so the
+	// JSON value ends on the body's last byte.
+	padTo := func(n int) []byte {
+		return append(bytes.Repeat([]byte(" "), n-len(valid)), valid...)
+	}
+	for _, tc := range []struct {
+		name   string
+		body   []byte
+		status int
+	}{
+		{"valid graph", valid, http.StatusOK},
+		{"every edge payload 1e308", mutate(func(gs *GraphSpec) {
+			for i := range gs.Edges {
+				gs.Edges[i].Payload = 1e308
+			}
+		}), http.StatusBadRequest},
+		{"one IPT 1e308", mutate(func(gs *GraphSpec) { gs.Nodes[0].IPT = 1e308 }), http.StatusBadRequest},
+		{"every selectivity 1e300", mutate(func(gs *GraphSpec) {
+			for i := range gs.Nodes {
+				gs.Nodes[i].Selectivity = 1e300
+			}
+		}), http.StatusBadRequest},
+		{"body at the cap", padTo(maxRequestBytes), http.StatusOK},
+		{"body one byte over the cap", padTo(maxRequestBytes + 1), http.StatusRequestEntityTooLarge},
+	} {
+		logBuf.Reset()
+		resp, err := http.Post(srv.URL+"/allocate", "application/json", bytes.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.status {
+			t.Errorf("%s: status %d, want %d (%s)", tc.name, resp.StatusCode, tc.status, bytes.TrimSpace(msg))
+			continue
+		}
+		var rec AccessRecord
+		if err := json.Unmarshal(bytes.TrimSpace(logBuf.Bytes()), &rec); err != nil {
+			t.Fatalf("%s: want exactly one access record: %v\n%s", tc.name, err, logBuf.String())
+		}
+		if rec.Status != tc.status || (tc.status != http.StatusOK && rec.Err == "") {
+			t.Errorf("%s: access record %+v", tc.name, rec)
+		}
+	}
+	if n := reg.Counter("serve_errors_total").Value(); n != 0 {
+		t.Fatalf("serve_errors_total = %d, want 0", n)
+	}
+}
+
 // TestHTTPForwardPanicAnswers500 pins the failure mapping at the wire: a
 // forward pass that panics fails its request with 500 (not 503, which
 // tells clients to retry), logs it and counts it as an error, and the

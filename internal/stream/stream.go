@@ -303,9 +303,11 @@ func (g *Graph) PseudoTopoOrder() []int {
 }
 
 // Validate checks structural invariants: acyclicity, in-range edges,
-// finite non-negative features with positive rates, and (weak)
-// connectivity. NaN fails every comparison, so each check is written to
-// accept only the valid range rather than to reject the invalid one.
+// finite non-negative features with positive rates, (weak) connectivity,
+// and finite steady-state demands — finite features can still overflow
+// to ±Inf (or NaN, as 0 × Inf) while rates propagate. NaN fails every
+// comparison, so each check is written to accept only the valid range
+// rather than to reject the invalid one.
 func (g *Graph) Validate() error {
 	if len(g.Nodes) == 0 {
 		return fmt.Errorf("stream: empty graph")
@@ -330,11 +332,23 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("stream: edge %d payload %g is not finite and non-negative", i, e.Payload)
 		}
 	}
-	if _, err := g.TopoOrder(); err != nil {
+	order, err := g.TopoOrder()
+	if err != nil {
 		return err
 	}
 	if len(g.Nodes) > 1 && !g.weaklyConnected() {
 		return fmt.Errorf("stream: graph is not weakly connected")
+	}
+	rates := g.ratesAlong(order)
+	for v, l := range g.loadFrom(rates) {
+		if !nonNegFinite(l) {
+			return fmt.Errorf("stream: node %d steady-state load %g is not finite", v, l)
+		}
+	}
+	for ei, t := range g.trafficFrom(rates) {
+		if !nonNegFinite(t) {
+			return fmt.Errorf("stream: edge %d steady-state traffic %g is not finite", ei, t)
+		}
 	}
 	return nil
 }
@@ -376,6 +390,11 @@ func (g *Graph) SteadyRates() []float64 {
 	if err != nil {
 		panic("stream: SteadyRates on cyclic graph: " + err.Error())
 	}
+	return g.ratesAlong(order)
+}
+
+// ratesAlong propagates the steady-state rates along a topological order.
+func (g *Graph) ratesAlong(order []int) []float64 {
 	g.ensureAdj()
 	in := make([]float64, len(g.Nodes))
 	out := make([]float64, len(g.Nodes))
@@ -399,7 +418,10 @@ func (g *Graph) NodeLoad() []float64 {
 	if g.loadOverride != nil {
 		return g.loadOverride
 	}
-	rates := g.SteadyRates()
+	return g.loadFrom(g.SteadyRates())
+}
+
+func (g *Graph) loadFrom(rates []float64) []float64 {
 	g.ensureAdj()
 	load := make([]float64, len(g.Nodes))
 	for v := range g.Nodes {
@@ -423,12 +445,34 @@ func (g *Graph) EdgeTraffic() []float64 {
 	if g.trafficOverride != nil {
 		return g.trafficOverride
 	}
-	rates := g.SteadyRates()
+	return g.trafficFrom(g.SteadyRates())
+}
+
+func (g *Graph) trafficFrom(rates []float64) []float64 {
 	tr := make([]float64, len(g.Edges))
 	for ei, e := range g.Edges {
 		tr[ei] = e.Payload * rates[e.Src]
 	}
 	return tr
+}
+
+// PinDemands returns a view of the graph whose NodeLoad and EdgeTraffic
+// return demands computed here, once, from a single rate propagation —
+// the same values an unpinned call computes — so a caller that reads them
+// many times (the rank sweep's coarse graphs and rewards) stops
+// re-propagating. Nodes, Edges and the CSR cache are shared, as in
+// ScaleSourceRate. A graph whose demands are already fixed (a coarse
+// graph) is returned as is.
+func (g *Graph) PinDemands() *Graph {
+	if g.loadOverride != nil {
+		return g
+	}
+	g.ensureAdj()
+	pg := &Graph{Nodes: g.Nodes, Edges: g.Edges, SourceRate: g.SourceRate}
+	pg.outOff, pg.inOff, pg.outAdj, pg.inAdj = g.outOff, g.inOff, g.outAdj, g.inAdj
+	rates := g.SteadyRates()
+	pg.loadOverride, pg.trafficOverride = g.loadFrom(rates), g.trafficFrom(rates)
+	return pg
 }
 
 // TotalLoad returns the summed CPU demand in instructions/second.
@@ -512,16 +556,14 @@ func coarseFromUF(g *Graph, uf *unionFind) *CoarseMap {
 	n := len(g.Nodes)
 	super := make([]int, n)
 	next := 0
-	rootID := make(map[int]int, n)
+	rootID := make([]int32, n) // root → super-node id + 1; 0 = not yet numbered
 	for v := 0; v < n; v++ {
 		r := uf.find(v)
-		id, ok := rootID[r]
-		if !ok {
-			id = next
+		if rootID[r] == 0 {
 			next++
-			rootID[r] = id
+			rootID[r] = int32(next)
 		}
-		super[v] = id
+		super[v] = int(rootID[r]) - 1
 	}
 	return &CoarseMap{Super: super, NumSuper: next}
 }
@@ -559,49 +601,89 @@ func (cm *CoarseMap) CompressionRatio() float64 {
 // steady-state traffic as payload at rate SourceRate. This preserves both
 // total CPU demand per super-node and total traffic per super-edge, which
 // is what the partitioner and simulator consume.
+//
+// Super-edges are ordered by (source, destination) super-node, and each
+// one's traffic is summed over its original edges in ascending edge id.
+// Super-nodes are unnamed.
 func CoarseGraph(g *Graph, cm *CoarseMap) *Graph {
 	load := g.NodeLoad()
 	traffic := g.EdgeTraffic()
-	cg := NewGraph(g.SourceRate)
-	superLoad := make([]float64, cm.NumSuper)
+	ns := cm.NumSuper
+	superLoad := make([]float64, ns)
 	for v, s := range cm.Super {
 		superLoad[s] += load[v]
-		_ = v
 	}
-	for s := 0; s < cm.NumSuper; s++ {
-		cg.AddNode(Node{
-			IPT:         superLoad[s] / g.SourceRate,
-			Payload:     0, // set via explicit edge payloads below
-			Selectivity: 1,
-			Name:        fmt.Sprintf("s%d", s),
-		})
+	nodes := make([]Node, ns)
+	for s, l := range superLoad {
+		nodes[s] = Node{IPT: l / g.SourceRate, Selectivity: 1}
 	}
-	// Aggregate inter-super traffic; key = src*NumSuper+dst.
-	agg := make(map[int]float64)
+
+	// Cross edges in (source, destination) super-node order: two stable
+	// counting-sort passes, by destination and then by source, keep
+	// ascending edge id inside each pair, the order the sums below need.
+	cross := make([]int32, 0, len(g.Edges))
 	for ei, e := range g.Edges {
-		su, sv := cm.Super[e.Src], cm.Super[e.Dst]
-		if su == sv {
-			continue
+		if cm.Super[e.Src] != cm.Super[e.Dst] {
+			cross = append(cross, int32(ei))
 		}
-		agg[su*cm.NumSuper+sv] += traffic[ei]
 	}
-	keys := make([]int, 0, len(agg))
-	for k := range agg {
-		keys = append(keys, k)
+	byDst := make([]int32, len(cross))
+	count := make([]int32, ns+1)
+	sortBySuper(byDst, cross, count, g.Edges, cm.Super, false)
+	sortBySuper(cross, byDst, count, g.Edges, cm.Super, true)
+
+	pairKey := func(ei int32) int {
+		e := g.Edges[ei]
+		return cm.Super[e.Src]*ns + cm.Super[e.Dst]
 	}
-	sort.Ints(keys)
-	superTraffic := make([]float64, 0, len(keys))
-	for _, k := range keys {
-		su, sv := k/cm.NumSuper, k%cm.NumSuper
+	pairs := 0
+	for i := range cross {
+		if i == 0 || pairKey(cross[i]) != pairKey(cross[i-1]) {
+			pairs++
+		}
+	}
+	edges := make([]Edge, 0, pairs)
+	superTraffic := make([]float64, 0, pairs)
+	for i := 0; i < len(cross); {
+		k := pairKey(cross[i])
+		agg := 0.0
+		for ; i < len(cross) && pairKey(cross[i]) == k; i++ {
+			agg += traffic[cross[i]]
+		}
 		// Super edges carry the aggregate traffic: payload × SourceRate =
 		// aggregate bits/s, with the super graph treated as rate-SourceRate.
-		cg.AddEdge(su, sv, agg[k]/g.SourceRate)
-		superTraffic = append(superTraffic, agg[k])
+		edges = append(edges, Edge{Src: k / ns, Dst: k % ns, Payload: agg / g.SourceRate})
+		superTraffic = append(superTraffic, agg)
 	}
+	cg := &Graph{Nodes: nodes, Edges: edges, SourceRate: g.SourceRate}
 	// Collapsing DAG edges can create cycles among super-nodes, so demands
 	// are pinned to their exact aggregates rather than re-propagated.
 	cg.SetDemandOverrides(superLoad, superTraffic)
 	return cg
+}
+
+// sortBySuper stably counting-sorts the edge ids in src into dst by the
+// super-node of each edge's source (bySrc) or destination, using count
+// (length NumSuper+1) as scratch.
+func sortBySuper(dst, src, count []int32, edges []Edge, super []int, bySrc bool) {
+	key := func(ei int32) int {
+		if bySrc {
+			return super[edges[ei].Src]
+		}
+		return super[edges[ei].Dst]
+	}
+	clear(count)
+	for _, ei := range src {
+		count[key(ei)+1]++
+	}
+	for i := 1; i < len(count); i++ {
+		count[i] += count[i-1]
+	}
+	for _, ei := range src {
+		k := key(ei)
+		dst[count[k]] = ei
+		count[k]++
+	}
 }
 
 // ExpandPlacement maps a placement of the coarse graph back onto the

@@ -1,8 +1,10 @@
 package stream
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -70,7 +72,8 @@ func TestValidateRejectsBadFeatures(t *testing.T) {
 
 // TestValidateRejectsNonFiniteFeatures pins that NaN and ±Inf fail
 // validation in every numeric field, not only out-of-range finite values
-// (NaN passes a plain "< 0" check).
+// (NaN passes a plain "< 0" check), and so do finite features whose
+// steady-state loads or traffic overflow.
 func TestValidateRejectsNonFiniteFeatures(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	for name, mut := range map[string]func(g *Graph){
@@ -88,6 +91,18 @@ func TestValidateRejectsNonFiniteFeatures(t *testing.T) {
 		"edge payload NaN":  func(g *Graph) { g.Edges[0].Payload = nan },
 		"edge payload +Inf": func(g *Graph) { g.Edges[0].Payload = inf },
 		"edge payload -Inf": func(g *Graph) { g.Edges[0].Payload = -inf },
+		// Finite features whose steady-state demands overflow to +Inf.
+		"every edge payload 1e308": func(g *Graph) {
+			for i := range g.Edges {
+				g.Edges[i].Payload = 1e308
+			}
+		},
+		"one IPT 1e308": func(g *Graph) { g.Nodes[1].IPT = 1e308 },
+		"every selectivity 1e300": func(g *Graph) {
+			for i := range g.Nodes {
+				g.Nodes[i].Selectivity = 1e300
+			}
+		},
 	} {
 		g := chain(3, 1000)
 		mut(g)
@@ -265,6 +280,51 @@ func TestCoarseGraphConservesLoadAndTraffic(t *testing.T) {
 	if math.Abs(got-want) > 1e-6 {
 		t.Fatalf("traffic %g != %g", got, want)
 	}
+}
+
+// CoarseGraphMapReference is the map-based CoarseGraph, kept as the
+// reference TestCoarseGraphMatchesMapReference compares CoarseGraph
+// against bit for bit: super-edge traffic summed in a map keyed by
+// (source, destination) super-node, keys sorted, nodes named. It is
+// exported because that test needs the gen package and so lives in
+// package stream_test (coarse_test.go).
+func CoarseGraphMapReference(g *Graph, cm *CoarseMap) *Graph {
+	load := g.NodeLoad()
+	traffic := g.EdgeTraffic()
+	cg := NewGraph(g.SourceRate)
+	superLoad := make([]float64, cm.NumSuper)
+	for v, s := range cm.Super {
+		superLoad[s] += load[v]
+	}
+	for s := 0; s < cm.NumSuper; s++ {
+		cg.AddNode(Node{
+			IPT:         superLoad[s] / g.SourceRate,
+			Payload:     0,
+			Selectivity: 1,
+			Name:        fmt.Sprintf("s%d", s),
+		})
+	}
+	agg := make(map[int]float64)
+	for ei, e := range g.Edges {
+		su, sv := cm.Super[e.Src], cm.Super[e.Dst]
+		if su == sv {
+			continue
+		}
+		agg[su*cm.NumSuper+sv] += traffic[ei]
+	}
+	keys := make([]int, 0, len(agg))
+	for k := range agg {
+		keys = append(keys, k)
+	}
+	sort.Ints(keys)
+	superTraffic := make([]float64, 0, len(keys))
+	for _, k := range keys {
+		su, sv := k/cm.NumSuper, k%cm.NumSuper
+		cg.AddEdge(su, sv, agg[k]/g.SourceRate)
+		superTraffic = append(superTraffic, agg[k])
+	}
+	cg.SetDemandOverrides(superLoad, superTraffic)
+	return cg
 }
 
 func TestExpandPlacement(t *testing.T) {
