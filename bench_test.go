@@ -343,6 +343,35 @@ func BenchmarkCoarsenAllocate(b *testing.B) {
 	}
 }
 
+// BenchmarkCoarsenAllocateMixed is BenchmarkCoarsenAllocate over eight
+// Large graphs of distinct sizes, one allocation of each per op, as a
+// serving or training loop meets them. The other gated benchmarks reuse
+// one graph, so every tape buffer finds a pooled buffer of its exact
+// size; here each pass follows one over a graph of another size, so B/op
+// shows how well the tensor arena recycles buffers across sizes.
+func BenchmarkCoarsenAllocateMixed(b *testing.B) {
+	c := sim.DefaultCluster(10, 1500)
+	graphs := gen.GenerateSet(gen.DefaultConfig(400, 500, 10_000, c), 8, 5)
+	sizes := map[int]bool{}
+	for _, g := range graphs {
+		sizes[g.NumNodes()] = true
+	}
+	if len(sizes) != len(graphs) {
+		b.Fatalf("%d distinct sizes among %d graphs", len(sizes), len(graphs))
+	}
+	pipe := &core.Pipeline{Model: core.New(core.DefaultConfig()), Placer: placer.Metis{Seed: 1}}
+	for _, g := range graphs {
+		pipe.Allocate(g, c) // fill the tensor arena and forward-tape pool
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, g := range graphs {
+			pipe.Allocate(g, c)
+		}
+	}
+}
+
 // BenchmarkAllocateRanked times the rank sweep alone — collapse, coarse
 // graph, Metis, expand and reward for each candidate coarsening — on
 // BenchmarkCoarsenAllocate's graph, with the forward pass's merge

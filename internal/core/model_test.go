@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -257,6 +258,55 @@ func TestAllocateRankedReturnsBestScoredCandidate(t *testing.T) {
 			}
 			if r := sim.Reward(g, a.Placement, tc.c); math.Float64bits(r) != math.Float64bits(bestR) {
 				t.Fatalf("%s: reward %v, rebuilt best %v", label, r, bestR)
+			}
+		}
+	}
+}
+
+// randomPlacer assigns every operator to a uniformly random device.
+type randomPlacer struct{ rng *rand.Rand }
+
+func (r randomPlacer) Place(g *stream.Graph, c sim.Cluster) *stream.Placement {
+	p := stream.NewPlacement(g.NumNodes(), c.Devices)
+	for v := range p.Assign {
+		p.Assign[v] = r.rng.Intn(c.Devices)
+	}
+	return p
+}
+
+func (randomPlacer) Name() string { return "random" }
+
+// TestCollapseExpandProperties checks two properties of the paper's model
+// on Small, Medium and Large graphs with random decision vectors, from no
+// edge collapsed to every edge, under random, round-robin and Metis
+// placements of the coarse graph: CollapseEdges∘ExpandPlacement puts both
+// endpoints of every collapsed edge on one device, and sim.Reward of the
+// expanded placement is finite and in [0,1].
+func TestCollapseExpandProperties(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, s := range []gen.Setting{gen.Small(), gen.Medium(), gen.Large()} {
+		for gi, g := range gen.GenerateSet(s.Config, 3, 29) {
+			for _, pl := range []placer.Placer{randomPlacer{rng}, placer.RoundRobin{}, placer.Metis{Seed: 1}} {
+				for _, frac := range []float64{0, 0.1, 0.5, 0.9, 1} {
+					label := fmt.Sprintf("%s graph %d, %s, collapse fraction %g", s.Name, gi, pl.Name(), frac)
+					d := make(Decision, len(g.Edges))
+					for e := range d {
+						d[e] = rng.Float64() < frac
+					}
+					a := (&Pipeline{Placer: pl}).AllocateDecision(g, s.Cluster, d)
+					if err := a.Placement.Validate(g); err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					for e, ed := range g.Edges {
+						if d[e] && a.Placement.Assign[ed.Src] != a.Placement.Assign[ed.Dst] {
+							t.Fatalf("%s: collapsed edge %d (%d→%d) split over devices %d and %d", label,
+								e, ed.Src, ed.Dst, a.Placement.Assign[ed.Src], a.Placement.Assign[ed.Dst])
+						}
+					}
+					if r := sim.Reward(g, a.Placement, s.Cluster); math.IsNaN(r) || r < 0 || r > 1 {
+						t.Fatalf("%s: reward %v outside [0,1]", label, r)
+					}
+				}
 			}
 		}
 	}

@@ -1,6 +1,9 @@
 package metis
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"testing"
@@ -302,5 +305,50 @@ func TestPartitionRBReasonableCut(t *testing.T) {
 	}
 	if Cut(g, rb) >= Cut(g, rr) {
 		t.Fatalf("bisection cut %.3g no better than round robin %.3g", Cut(g, rb), Cut(g, rr))
+	}
+}
+
+// TestPartitionGolden pins the exact output of Partition, PartitionRB and
+// CoarsenHEM on fixed graphs of 30–500 operators. The behavioural tests
+// above accept any valid, balanced, low-cut answer, so a reordered
+// refinement pass or a changed tie-break would pass them all; this hash
+// fails on any change to a single assignment. Update it only with a
+// change that argues for the new partitions on quality.
+func TestPartitionGolden(t *testing.T) {
+	const want = "7738d635ac72cdf6f04686130b382f8d4af7ee15f2ba4f104596a412867396e7"
+	h := sha256.New()
+	put := func(xs ...int) {
+		var b [8]byte
+		for _, x := range xs {
+			binary.LittleEndian.PutUint64(b[:], uint64(x))
+			h.Write(b[:])
+		}
+	}
+	for i, size := range [][2]int{{30, 40}, {60, 100}, {150, 250}, {400, 500}} {
+		g := testGraph(int64(31+i), size[0], size[1])
+		for _, k := range []int{2, 3, 5, 10, 17} {
+			// Heterogeneous shares: part p gets a share ∝ p+1.
+			fr := make([]float64, k)
+			for p := range fr {
+				fr[p] = float64(2*(p+1)) / float64(k*(k+1))
+			}
+			for _, opts := range []Options{
+				{Parts: k, Seed: 1},
+				{Parts: k, Seed: 2, TargetFractions: fr},
+			} {
+				p := Partition(g, opts)
+				put(p.Devices)
+				put(p.Assign...)
+			}
+			p := PartitionRB(g, Options{Parts: k, Seed: 1})
+			put(p.Devices)
+			put(p.Assign...)
+		}
+		cm := CoarsenHEM(g, g.NumNodes()/4, 1)
+		put(cm.NumSuper)
+		put(cm.Super...)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("Metis outputs changed: sha256 %s, want %s", got, want)
 	}
 }

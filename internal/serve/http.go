@@ -78,13 +78,21 @@ type AllocateResponse struct {
 }
 
 // BuildGraph converts the spec into a validated stream graph with at
-// least one edge (a single-operator "graph" has nothing to coarsen).
+// least one edge (a single-operator "graph" has nothing to coarsen). A
+// spec over maxRequestNodes operators or maxRequestEdges edges is
+// rejected before anything is built.
 func (gs *GraphSpec) BuildGraph() (*stream.Graph, error) {
 	if len(gs.Nodes) == 0 {
 		return nil, fmt.Errorf("graph has no nodes")
 	}
 	if len(gs.Edges) == 0 {
 		return nil, fmt.Errorf("graph has no edges")
+	}
+	if len(gs.Nodes) > maxRequestNodes {
+		return nil, fmt.Errorf("%d operators exceed the per-request limit %d", len(gs.Nodes), maxRequestNodes)
+	}
+	if len(gs.Edges) > maxRequestEdges {
+		return nil, fmt.Errorf("%d edges exceed the per-request limit %d", len(gs.Edges), maxRequestEdges)
 	}
 	g := stream.NewGraph(gs.SourceRate)
 	for _, n := range gs.Nodes {
@@ -108,6 +116,18 @@ func (gs *GraphSpec) BuildGraph() (*stream.Graph, error) {
 // 1024 is 16× the largest preset cluster. The daemon's own default
 // cluster is operator input and is not capped.
 const maxRequestDevices = 1024
+
+// maxRequestNodes and maxRequestEdges cap a request's graph. A 4 MiB
+// body fits 10⁵ minimal operators; encoding that many alone takes about
+// half a second (BenchmarkGNNEncode/huge), before a 16-candidate sweep
+// over all of them, and leaves buffers parked in the tensor arena's
+// largest classes. Over 600 draws (60 seeds × 10) the xlarge preset, the
+// largest the daemon serves, measured at most 1,999 operators and 20,566
+// edges, so the caps leave about 4× and 3× headroom.
+const (
+	maxRequestNodes = 8192
+	maxRequestEdges = 65536
+)
 
 // maxRequestBytes caps an /allocate body; a larger one answers 413 before
 // it is decoded into memory. Encoded compactly, the gen presets' graphs

@@ -235,9 +235,10 @@ func TestHTTPRejectsInvalidCluster(t *testing.T) {
 
 // TestHTTPRejectsHostileGraph pins graph and body limits at the wire:
 // finite features whose steady-state demands overflow answer 400 instead
-// of a placement scored against infinite loads, and a body over
-// maxRequestBytes answers 413. Each refusal writes one access record with
-// its status and leaves serve_errors_total alone.
+// of a placement scored against infinite loads, a graph one operator or
+// one edge over maxRequestNodes or maxRequestEdges answers 400, and a
+// body over maxRequestBytes answers 413. Each refusal writes one access
+// record with its status and leaves serve_errors_total alone.
 func TestHTTPRejectsHostileGraph(t *testing.T) {
 	s := gen.Medium()
 	g := s.Generate().Test[0]
@@ -285,6 +286,19 @@ func TestHTTPRejectsHostileGraph(t *testing.T) {
 		}), http.StatusBadRequest},
 		{"body at the cap", padTo(maxRequestBytes), http.StatusOK},
 		{"body one byte over the cap", padTo(maxRequestBytes + 1), http.StatusRequestEntityTooLarge},
+		{"one operator over the cap", mutate(func(gs *GraphSpec) {
+			// Each added operator hangs off operator 0, so without the cap
+			// the graph would be a valid, connected DAG.
+			for len(gs.Nodes) <= maxRequestNodes {
+				gs.Edges = append(gs.Edges, EdgeSpec{Src: 0, Dst: len(gs.Nodes)})
+				gs.Nodes = append(gs.Nodes, gs.Nodes[0])
+			}
+		}), http.StatusBadRequest},
+		{"one edge over the cap", mutate(func(gs *GraphSpec) {
+			for len(gs.Edges) <= maxRequestEdges {
+				gs.Edges = append(gs.Edges, gs.Edges[0])
+			}
+		}), http.StatusBadRequest},
 	} {
 		logBuf.Reset()
 		resp, err := http.Post(srv.URL+"/allocate", "application/json", bytes.NewReader(tc.body))

@@ -68,28 +68,119 @@ func TestArenaOutstandingBuffersDontAlias(t *testing.T) {
 	Put(b)
 }
 
+func TestArenaClassArithmetic(t *testing.T) {
+	prevIdx, prevSize := 0, 0
+	for n := 1; n <= 1<<16; n++ {
+		idx, size := classUp(n)
+		if size < n || (n > 8 && float64(size) >= 1.25*float64(n)) {
+			t.Fatalf("classUp(%d) size %d: want n ≤ size < 1.25·n", n, size)
+		}
+		// Indices are dense and monotone: n either stays in the previous
+		// class or opens the next index.
+		if size == prevSize && idx != prevIdx || size != prevSize && idx != prevIdx+1 {
+			t.Fatalf("classUp(%d) = index %d size %d after index %d size %d", n, idx, size, prevIdx, prevSize)
+		}
+		prevIdx, prevSize = idx, size
+		// A class size maps to itself in both directions; any other
+		// capacity files under the class below, the largest it covers.
+		if i, sz := classUp(size); i != idx || sz != size || classDown(size) != idx {
+			t.Fatalf("class size %d maps to classUp index %d size %d, classDown %d; want index %d", size, i, sz, classDown(size), idx)
+		}
+		if size != n && classDown(n) != idx-1 {
+			t.Fatalf("classDown(%d) = %d, want %d", n, classDown(n), idx-1)
+		}
+	}
+	// The largest ints stay inside the table.
+	if idx, _ := classUp(math.MaxInt >> 3); idx >= numClasses {
+		t.Fatalf("classUp index %d, table has %d", idx, numClasses)
+	}
+	if d := classDown(math.MaxInt); d >= numClasses {
+		t.Fatalf("classDown(MaxInt) = %d, table has %d", d, numClasses)
+	}
+}
+
+// TestArenaReusesAcrossSizes pins the point of size classes: a buffer
+// returned after Get(1000) serves a Get(900) of the same class, resliced
+// to exactly 900 elements. sync.Pool may drop any Put (it does so at
+// random under -race), so the test retries until one reuse is seen.
+func TestArenaReusesAcrossSizes(t *testing.T) {
+	for try := 0; try < 100; try++ {
+		a := Get(1000, 1)
+		first := &a.Data[0]
+		Put(a)
+		b := Get(900, 1)
+		if b.Rows != 900 || b.Cols != 1 || len(b.Data) != 900 {
+			t.Fatalf("Get(900,1) = %dx%d len %d", b.Rows, b.Cols, len(b.Data))
+		}
+		reused := &b.Data[0] == first
+		Put(b)
+		if reused {
+			return
+		}
+	}
+	t.Fatal("a Get(900) never reused the buffer a Get(1000) returned")
+}
+
+// TestArenaFilesByCapacity pins Put's filing rule on a matrix the arena
+// did not make: New(1, 9) has capacity 9, between the classes of size 8
+// and 10, so it goes to class 8. It may serve a Get(1, 8) but never a
+// Get(1, 10), which would reach past its capacity.
+func TestArenaFilesByCapacity(t *testing.T) {
+	for try := 0; try < 100; try++ {
+		m := New(1, 9)
+		Put(m)
+		big := Get(1, 10)
+		if &big.Data[0] == &m.Data[0] {
+			t.Fatal("a 9-element matrix served Get(1, 10)")
+		}
+		small := Get(1, 8)
+		reused := &small.Data[0] == &m.Data[0]
+		Put(big)
+		Put(small)
+		if reused {
+			return
+		}
+	}
+	t.Fatal("a Get(1, 8) never reused a returned 9-element matrix")
+}
+
 // TestArenaConcurrentGetPut hammers the arena from parallel workers; under
 // -race this verifies pooled buffers are never handed to two goroutines at
-// once.
+// once. The mixed case draws sizes that share classes, so buffers also
+// move between sizes while workers race, and every Get must come back
+// exactly rows×cols long.
 func TestArenaConcurrentGetPut(t *testing.T) {
-	var bad atomic.Int64
-	parallel.ForEach(64, 0, func(w int) {
-		for iter := 0; iter < 200; iter++ {
-			m := Get(8, 8)
-			val := float64(w*1000 + iter)
-			for i := range m.Data {
-				m.Data[i] = val
-			}
-			for i := range m.Data {
-				if m.Data[i] != val {
+	for _, tc := range []struct {
+		name  string
+		shape func(rng *rand.Rand) (rows, cols int)
+	}{
+		{"one size", func(*rand.Rand) (int, int) { return 8, 8 }},
+		{"mixed sizes", func(rng *rand.Rand) (int, int) { return 1 + rng.Intn(40), 1 + rng.Intn(40) }},
+	} {
+		var bad atomic.Int64
+		parallel.ForEach(64, 0, func(w int) {
+			rng := rand.New(rand.NewSource(int64(w)))
+			for iter := 0; iter < 200; iter++ {
+				rows, cols := tc.shape(rng)
+				m := Get(rows, cols)
+				if m.Rows != rows || m.Cols != cols || len(m.Data) != rows*cols {
 					bad.Add(1)
 				}
+				val := float64(w*1000 + iter)
+				for i := range m.Data {
+					m.Data[i] = val
+				}
+				for i := range m.Data {
+					if m.Data[i] != val {
+						bad.Add(1)
+					}
+				}
+				Put(m)
 			}
-			Put(m)
+		})
+		if n := bad.Load(); n != 0 {
+			t.Fatalf("%s: %d elements clobbered or misshapen while a buffer was owned", tc.name, n)
 		}
-	})
-	if n := bad.Load(); n != 0 {
-		t.Fatalf("%d elements clobbered while a buffer was owned", n)
 	}
 }
 
@@ -181,19 +272,51 @@ func TestIntoKernelsMatchReference(t *testing.T) {
 func TestIntoKernelsSafeOnDirtyArenaMemory(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := New(6, 6)
-	b := New(6, 6)
+	b := New(6, 7)
 	a.RandUniform(rng, 1)
 	b.RandUniform(rng, 1)
-	// Poison a pooled buffer, return it, and reuse it as a destination:
-	// every Into kernel must fully define dst.
-	dirty := Get(6, 6)
-	for i := range dirty.Data {
-		dirty.Data[i] = 1e300
+	want := refMatMul(a, b)
+	for _, tc := range []struct {
+		name       string
+		rows, cols int // shape of the poisoned buffer
+	}{
+		{"same size", 6, 7},
+		// 48 and 42 elements share the class of size 48, so the 6×7 Get
+		// sees the first 42 poisoned elements and 6 more of slack.
+		{"larger buffer of the same class", 6, 8},
+	} {
+		// Poison a pooled buffer over its whole capacity, return it, and
+		// reuse it as a destination: every Into kernel must fully define
+		// dst, and the slack beyond rows×cols must stay out of reach.
+		// sync.Pool may drop the Put, so retry until the buffer comes back.
+		var dst *Matrix
+		for try := 0; try < 100 && dst == nil; try++ {
+			dirty := Get(tc.rows, tc.cols)
+			full := dirty.Data[:cap(dirty.Data)]
+			for i := range full {
+				full[i] = 1e300
+			}
+			Put(dirty)
+			if m := Get(6, 7); &m.Data[0] == &full[0] {
+				dst = m
+			} else {
+				Put(m)
+			}
+		}
+		if dst == nil {
+			t.Fatalf("%s: the poisoned buffer never came back", tc.name)
+		}
+		if len(dst.Data) != 42 {
+			t.Fatalf("%s: Get(6,7) len %d, want 42", tc.name, len(dst.Data))
+		}
+		mustEqual(t, "MatMulInto on dirty dst, "+tc.name, MatMulInto(a, b, dst), want)
+		for i, v := range dst.Data[42:cap(dst.Data)] {
+			if v != 1e300 {
+				t.Fatalf("%s: kernel wrote slack element %d", tc.name, 42+i)
+			}
+		}
+		Put(dst)
 	}
-	Put(dirty)
-	dst := Get(6, 6)
-	mustEqual(t, "MatMulInto on dirty dst", MatMulInto(a, b, dst), refMatMul(a, b))
-	Put(dst)
 }
 
 func TestElementwiseIntoAliasing(t *testing.T) {
