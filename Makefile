@@ -24,8 +24,12 @@ build:
 test: build
 	$(GO) test ./...
 
+# The second vet type-checks the portable build, which has no assembly
+# (internal/tensor/simd_other.go), so it keeps compiling; the amd64 vet
+# checks the assembly's frame offsets against its Go declarations.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 # Formatting gate: fail when any tracked Go file is not gofmt-clean.
 fmt:

@@ -228,9 +228,6 @@ func TestActivationIntoKernels(t *testing.T) {
 	sig := SigmoidInto(a, New(7, 13))
 	relu := ReLUInto(a, New(7, 13))
 	for i, x := range a.Data {
-		if tanh.Data[i] != math.Tanh(x) {
-			t.Fatalf("TanhInto[%d]", i)
-		}
 		if want := 1 / (1 + math.Exp(-x)); sig.Data[i] != want {
 			t.Fatalf("SigmoidInto[%d]", i)
 		}
@@ -258,32 +255,55 @@ func TestActivationIntoKernels(t *testing.T) {
 		}
 	}
 
-	// Aliasing: in-place activation must match the out-of-place result.
-	alias := a.Clone()
-	TanhInto(alias, alias)
-	for i := range alias.Data {
-		if alias.Data[i] != tanh.Data[i] {
-			t.Fatalf("TanhInto aliased[%d]", i)
+	// TanhInto is math.Tanh bit for bit at every length 0–67, out of place
+	// and aliased (dst == src), on values that reach all three branches.
+	for n := 0; n <= 67; n++ {
+		x := New(1, n)
+		for i := range x.Data {
+			x.Data[i] = rng.NormFloat64() * []float64{0.3, 3, 30}[i%3]
+		}
+		out := TanhInto(x, New(1, n))
+		in := x.Clone()
+		TanhInto(in, in)
+		for i, v := range x.Data {
+			want := math.Float64bits(math.Tanh(v))
+			if math.Float64bits(out.Data[i]) != want || math.Float64bits(in.Data[i]) != want {
+				t.Fatalf("TanhInto(n=%d)[%d] = %#016x (aliased %#016x), math.Tanh %#016x", n, i,
+					math.Float64bits(out.Data[i]), math.Float64bits(in.Data[i]), want)
+			}
 		}
 	}
+}
+
+// dotRef is Dot's specified order: four lanes over the multiple-of-4
+// prefix, reduced as (s0+s1)+(s2+s3), then the remainder in order.
+func dotRef(x, y []float64) float64 {
+	var lane [4]float64
+	k := 0
+	for ; k+4 <= len(x); k += 4 {
+		for l := range lane {
+			lane[l] += x[k+l] * y[k+l]
+		}
+	}
+	s := (lane[0] + lane[1]) + (lane[2] + lane[3])
+	for ; k < len(x); k++ {
+		s += x[k] * y[k]
+	}
+	return s
 }
 
 // TestMicroKernels covers Dot / Axpy / ColSumsInto on remainder lengths.
 func TestMicroKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 63, 100} {
+	for n := 0; n <= 67; n++ {
 		x := make([]float64, n)
 		y := make([]float64, n)
 		for i := range x {
 			x[i] = rng.NormFloat64()
 			y[i] = rng.NormFloat64()
 		}
-		var want float64
-		for i := range x {
-			want += x[i] * y[i]
-		}
-		if got := Dot(x, y); math.Abs(got-want) > 1e-12*(1+math.Abs(want)) {
-			t.Fatalf("Dot(n=%d) = %g, want %g", n, got, want)
+		if got, want := Dot(x, y), dotRef(x, y); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Dot(n=%d) = %#016x, want %#016x", n, math.Float64bits(got), math.Float64bits(want))
 		}
 		y2 := append([]float64(nil), y...)
 		Axpy(0.5, x, y2)
