@@ -5,7 +5,7 @@ BENCH_OUT ?= BENCH_2
 # committed baseline it compares against, and the per-metric threshold in
 # percent (applies to ns/op, allocs/op and — for benchmarks with MxKxN dims
 # in the name — GFLOP/s; min-of-count filters noise).
-BENCH_FILTER ?= 'BenchmarkGNNEncode|BenchmarkMatMul$$|BenchmarkMetisPartition|BenchmarkCoarsenAllocate$$|BenchmarkCoarsenAllocateMixed|BenchmarkAllocateRanked|BenchmarkSimulate$$|BenchmarkTrainEpoch|BenchmarkServe'
+BENCH_FILTER ?= 'BenchmarkGNNEncode|BenchmarkMatMul$$|BenchmarkMetisPartition|BenchmarkMetisAdversarial|BenchmarkAllocateMultilevel|BenchmarkCoarsenAllocate$$|BenchmarkCoarsenAllocateMixed|BenchmarkAllocateRanked|BenchmarkSimulate$$|BenchmarkTrainEpoch|BenchmarkServe'
 BENCH_BASELINE ?= BENCH_BASELINE.json
 BENCH_THRESHOLD ?= 10
 
@@ -47,11 +47,11 @@ race:
 # controllers or a data race in the re-allocation loop fails loudly. Then
 # the tests that reach the shared forward-pass binder pool or the tensor
 # arena from several goroutines (offline passes, served snapshot passes,
-# the batcher, mixed-size arena traffic), ten times each, so a pool race
-# or a poisoned binder fails loudly too.
+# the batcher, mixed-size arena traffic, Metis's pooled CSR scratch), ten
+# times each, so a pool race or a poisoned binder fails loudly too.
 chaos:
 	$(GO) test -race -count=2 ./internal/runtime/ ./internal/realloc/ ./internal/resilience/
-	$(GO) test -race -count=10 -run 'TestProbsIntoConcurrent|TestProbsIntoAfterPanic|TestConcurrentAllocateRace|TestBatchedMatchesSolo|TestArenaConcurrentGetPut' ./internal/core/ ./internal/serve/ ./internal/tensor/
+	$(GO) test -race -count=10 -run 'TestProbsIntoConcurrent|TestProbsIntoAfterPanic|TestConcurrentAllocateRace|TestBatchedMatchesSolo|TestArenaConcurrentGetPut|TestPartitionConcurrentMatchesSerial' ./internal/core/ ./internal/serve/ ./internal/tensor/ ./internal/metis/
 
 # One iteration of every benchmark: catches benchmarks that panic or
 # regress into non-termination without paying for a full measurement run.

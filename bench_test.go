@@ -390,6 +390,53 @@ func BenchmarkAllocateRanked(b *testing.B) {
 	}
 }
 
+// BenchmarkMetisAdversarial partitions a 4,000-leaf star, whose edges
+// arrive in ascending leaf order, and its twin with the order reversed.
+// Heavy-edge matching removes one node per level from a star, and a hub
+// whose neighbors arrive in descending order is the worst input for a
+// per-node insertion sort, so this times the stall rule and the
+// counting-sort CSR build.
+func BenchmarkMetisAdversarial(b *testing.B) {
+	for _, name := range []string{"star-4000", "reverse-star-4000"} {
+		g := stream.NewGraph(1000)
+		for i := 0; i <= 4000; i++ {
+			g.AddNode(stream.Node{IPT: 100, Payload: 10, Selectivity: 1})
+		}
+		for i := 1; i <= 4000; i++ {
+			v := i
+			if name == "reverse-star-4000" {
+				v = 4001 - i
+			}
+			g.AddEdge(0, v, 0)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				metis.Partition(g, metis.Options{Parts: 10, Seed: 1})
+			}
+		})
+	}
+}
+
+// BenchmarkAllocateMultilevel runs the multilevel driver on one
+// 12,500-operator layered Huge-setting graph: a forward pass and
+// contraction per level, the rank sweep on the leaf, and boundary
+// refinement on the way back up, where contraction hubs appear.
+func BenchmarkAllocateMultilevel(b *testing.B) {
+	s := gen.Huge()
+	cfg := s.Config
+	cfg.MinNodes, cfg.MaxNodes = 12_500, 12_500
+	g := gen.Generate(cfg, rand.New(rand.NewSource(1)))
+	pipe := &core.Pipeline{Model: core.New(core.DefaultConfig()), Placer: placer.Metis{Seed: 1}}
+	mcfg := core.DefaultMultilevelConfig()
+	pipe.AllocateMultilevel(g, s.Cluster, mcfg) // fill the tensor arena and forward-tape pool
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pipe.AllocateMultilevel(g, s.Cluster, mcfg)
+	}
+}
+
 func BenchmarkGraphGeneration(b *testing.B) {
 	c := sim.DefaultCluster(10, 1500)
 	cfg := gen.DefaultConfig(400, 500, 10_000, c)

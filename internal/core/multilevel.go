@@ -14,9 +14,15 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/stream"
 )
+
+// obsRefineEdgeVisits counts the incident edges refineBoundary walks while
+// applying trial moves, added once per call: the work measure of the
+// refinement, independent of wall-clock noise.
+var obsRefineEdgeVisits = obs.Default.Counter("multilevel_refine_edge_visits_total")
 
 // MultilevelConfig bounds the recursion.
 type MultilevelConfig struct {
@@ -83,11 +89,22 @@ func (pl *Pipeline) AllocateMultilevel(g *stream.Graph, c sim.Cluster, cfg Multi
 // refineBoundary sweeps the cut edges of p — highest merge score first,
 // edge id breaking ties — and greedily moves one endpoint onto the other's
 // device whenever that strictly improves (worst device utilization, total
-// cross traffic) lexicographically. Device loads are maintained
-// incrementally (O(deg) per attempted move), so a pass is O(cut·deg +
-// cut·devices), never a full re-simulation. The score ordering makes the
-// model's opinion the refinement priority: edges it most wanted merged are
-// pulled onto one device first.
+// cross traffic) lexicographically. The score ordering makes the model's
+// opinion the refinement priority: edges it most wanted merged are pulled
+// onto one device first. Device loads are maintained incrementally, never
+// re-simulated.
+//
+// A trial costs O(devices) when its destination's CPU quotient after the
+// move, (cpu[to]+load[v])/capacity, already exceeds the current worst
+// utilization: worst() would compute that same quotient, so the move could
+// only be rejected, and it is skipped before any tally changes. Any other
+// trial applies the move, O(deg(v)), and a rejected one restores the saved
+// tallies rather than replaying the inverse move, so skipped and rejected
+// trials leave identical state and no rounding residue. A pass is therefore
+// O(cut·devices + Σ deg(v)) over the trials that pass the pre-check. That
+// bounds contraction hubs, whose load rarely fits under the current worst,
+// but a high-degree super-node light enough to fit on every device still
+// walks its edges on each trial: O(cut·deg) per pass.
 func refineBoundary(g *stream.Graph, c sim.Cluster, p *stream.Placement, score []float64, passes int) int {
 	if passes <= 0 || g.NumEdges() == 0 {
 		return 0
@@ -96,9 +113,11 @@ func refineBoundary(g *stream.Graph, c sim.Cluster, p *stream.Placement, score [
 	traffic := g.EdgeTraffic()
 	adj := g.Adjacency()
 
-	cpu := make([]float64, p.Devices)
-	egress := make([]float64, p.Devices)
-	ingress := make([]float64, p.Devices)
+	// One backing array for the per-device tallies, so a trial saves and
+	// restores them with one copy each.
+	d := p.Devices
+	tallies, saved := make([]float64, 3*d), make([]float64, 3*d)
+	cpu, egress, ingress := tallies[:d], tallies[d:2*d], tallies[2*d:]
 	for v, dev := range p.Assign {
 		cpu[dev] += load[v]
 	}
@@ -125,11 +144,14 @@ func refineBoundary(g *stream.Graph, c sim.Cluster, p *stream.Placement, score [
 		return w
 	}
 	// move relocates v to device `to`, updating the incremental tallies.
+	var visits uint64
 	move := func(v, to int) {
 		from := p.Assign[v]
 		cpu[from] -= load[v]
 		cpu[to] += load[v]
-		for _, ei := range adj.Out(v) {
+		out, in := adj.Out(v), adj.In(v)
+		visits += uint64(len(out) + len(in))
+		for _, ei := range out {
 			dw := p.Assign[g.Edges[ei].Dst]
 			if dw != from {
 				egress[from] -= traffic[ei]
@@ -142,7 +164,7 @@ func refineBoundary(g *stream.Graph, c sim.Cluster, p *stream.Placement, score [
 				cross += traffic[ei]
 			}
 		}
-		for _, ei := range adj.In(v) {
+		for _, ei := range in {
 			du := p.Assign[g.Edges[ei].Src]
 			if du != from {
 				egress[du] -= traffic[ei]
@@ -186,7 +208,11 @@ func refineBoundary(g *stream.Graph, c sim.Cluster, p *stream.Placement, score [
 			// lexicographic win, revert otherwise.
 			for _, try := range [2][2]int{{e.Src, p.Assign[e.Dst]}, {e.Dst, p.Assign[e.Src]}} {
 				v, to := try[0], try[1]
+				if (cpu[to]+load[v])/c.CapacityOf(to) > curW {
+					continue // worst() after the move would exceed curW
+				}
 				from := p.Assign[v]
+				copy(saved, tallies)
 				move(v, to)
 				w := worst()
 				if w < curW || (w == curW && cross < curX) {
@@ -194,12 +220,15 @@ func refineBoundary(g *stream.Graph, c sim.Cluster, p *stream.Placement, score [
 					improved = true
 					break
 				}
-				move(v, from)
+				copy(tallies, saved) // exact revert, no inverse-move residue
+				cross = curX
+				p.Assign[v] = from
 			}
 		}
 		if !improved {
 			break
 		}
 	}
+	obsRefineEdgeVisits.Add(visits)
 	return moved
 }

@@ -15,6 +15,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -101,56 +102,68 @@ func (g *wgraph) totalWeight() float64 {
 
 // buildWGraph assembles a CSR wgraph from undirected edge triples
 // (eu[i], ev[i], ew[i]). Self-loops are dropped and parallel edges
-// merged; each node's neighbor list ends up sorted ascending. The input
-// slices are not retained (nw is).
+// merged, their weights summed in input order; each node's neighbor list
+// ends up sorted ascending. The input slices are not retained (nw is).
+//
+// Edge i yields two half-edges, 2i (owner eu[i], neighbor ev[i]) and
+// 2i+1 (owner ev[i], neighbor eu[i]). Two stable counting sorts, by
+// neighbor and then by owner, leave each owner's run ordered by neighbor
+// with ties in input order — the order a per-node stable sort gives — in
+// O(n+E), also for a hub whose edges arrive in descending order.
 func buildWGraph(nw []float64, eu, ev []int32, ew []float64) *wgraph {
 	n := len(nw)
-	// Degree count (both directions), then prefix-sum into offsets.
-	cnt := make([]int32, n+1)
+	// A node owns as many half-edges as it is the neighbor of, so one
+	// degree count, prefix-summed, gives the bucket starts of both sorts.
+	off := make([]int32, n+1)
 	for i := range eu {
 		if eu[i] != ev[i] {
-			cnt[eu[i]+1]++
-			cnt[ev[i]+1]++
+			off[eu[i]+1]++
+			off[ev[i]+1]++
 		}
 	}
 	for v := 0; v < n; v++ {
-		cnt[v+1] += cnt[v]
+		off[v+1] += off[v]
 	}
-	total := cnt[n]
-	nbr := make([]int32, total)
-	w := make([]float64, total)
-	cur := make([]int32, n)
-	copy(cur, cnt[:n])
+	total := off[n]
+	sp := scratchPool.Get().(*[]int32)
+	if cap(*sp) < n+int(total) {
+		*sp = make([]int32, n+int(total))
+	}
+	cur, byNbr := (*sp)[:n], (*sp)[n:n+int(total)]
+	copy(cur, off)
 	for i := range eu {
 		u, v := eu[i], ev[i]
 		if u == v {
 			continue
 		}
-		nbr[cur[u]], w[cur[u]] = v, ew[i]
-		cur[u]++
-		nbr[cur[v]], w[cur[v]] = u, ew[i]
+		byNbr[cur[v]] = int32(2 * i)
 		cur[v]++
+		byNbr[cur[u]] = int32(2*i + 1)
+		cur[u]++
 	}
-	// Per-node: stable insertion sort by neighbor id (degrees are small;
-	// stability keeps duplicate-merge summation order deterministic),
-	// then compact parallel edges in place. The write cursor wp never
-	// overtakes the read cursor, so compaction is safe in one pass.
-	off := make([]int32, n+1)
-	var wp int32
-	var start int32
-	for v := 0; v < n; v++ {
-		end := cnt[v+1]
-		for i := start + 1; i < end; i++ {
-			nv, wv := nbr[i], w[i]
-			j := i
-			for j > start && nbr[j-1] > nv {
-				nbr[j], w[j] = nbr[j-1], w[j-1]
-				j--
+	copy(cur, off)
+	nbr := make([]int32, total)
+	w := make([]float64, total)
+	for x := int32(0); x < int32(n); x++ {
+		for _, h := range byNbr[off[x]:off[x+1]] {
+			i := h >> 1
+			o := eu[i]
+			if h&1 != 0 {
+				o = ev[i]
 			}
-			nbr[j], w[j] = nv, wv
+			nbr[cur[o]], w[cur[o]] = x, ew[i]
+			cur[o]++
 		}
+	}
+	scratchPool.Put(sp)
+	// Merge parallel edges, now adjacent, and turn the bucket starts into
+	// the merged offsets, both in place: the write cursor wp never passes
+	// the read cursor, and off[v+1] is read before it is rewritten.
+	var wp int32
+	for v := 0; v < n; v++ {
+		lo, hi := off[v], off[v+1]
 		off[v] = wp
-		for i := start; i < end; i++ {
+		for i := lo; i < hi; i++ {
 			if wp > off[v] && nbr[wp-1] == nbr[i] {
 				w[wp-1] += w[i]
 			} else {
@@ -158,11 +171,14 @@ func buildWGraph(nw []float64, eu, ev []int32, ew []float64) *wgraph {
 				wp++
 			}
 		}
-		start = end
 	}
 	off[n] = wp
 	return &wgraph{nw: nw, off: off, nbr: nbr[:wp], w: w[:wp]}
 }
+
+// scratchPool recycles buildWGraph's int32 work space, the bucket
+// cursors and the neighbor-sorted half-edge ids, which no call keeps.
+var scratchPool = sync.Pool{New: func() any { return new([]int32) }}
 
 // fromStream converts a stream graph into the undirected weighted form.
 func fromStream(g *stream.Graph) *wgraph {
@@ -202,6 +218,11 @@ func partitionWGraph(wg *wgraph, opts Options) []int {
 	}
 	levels := []level{{g: wg}}
 	cur := wg
+	// A level that removes fewer than 1 in stallDiv nodes is kept but ends
+	// coarsening, as in reference METIS. Heavy-edge matching shrinks a
+	// star by one node per level, so coarsening one down to CoarsenTo
+	// would take O(n) levels, each of them refined.
+	const stallDiv = 20
 	for cur.n() > opts.CoarsenTo {
 		coarse, m := heavyEdgeMatch(cur, rng)
 		if coarse.n() >= cur.n() { // no progress; stop
@@ -209,7 +230,11 @@ func partitionWGraph(wg *wgraph, opts Options) []int {
 		}
 		levels[len(levels)-1].map_ = m
 		levels = append(levels, level{g: coarse})
+		stalled := stallDiv*(cur.n()-coarse.n()) < cur.n()
 		cur = coarse
+		if stalled {
+			break
+		}
 	}
 	// Initial partition of the coarsest graph.
 	part := initialPartition(cur, opts, rng)

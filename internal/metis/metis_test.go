@@ -4,8 +4,12 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -351,4 +355,250 @@ func TestPartitionGolden(t *testing.T) {
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Fatalf("Metis outputs changed: sha256 %s, want %s", got, want)
 	}
+}
+
+// buildWGraphInsertion is the builder buildWGraph replaced: half-edges
+// bucketed by owner in input order, then each run stable-insertion-sorted
+// by neighbor, O(d²) at a hub whose edges arrive in descending order. It
+// defines the order, and so the summation order of parallel edges, that
+// the counting sorts must reproduce.
+func buildWGraphInsertion(nw []float64, eu, ev []int32, ew []float64) *wgraph {
+	n := len(nw)
+	cnt := make([]int32, n+1)
+	for i := range eu {
+		if eu[i] != ev[i] {
+			cnt[eu[i]+1]++
+			cnt[ev[i]+1]++
+		}
+	}
+	for v := 0; v < n; v++ {
+		cnt[v+1] += cnt[v]
+	}
+	nbr := make([]int32, cnt[n])
+	w := make([]float64, cnt[n])
+	cur := append([]int32(nil), cnt[:n]...)
+	for i := range eu {
+		u, v := eu[i], ev[i]
+		if u == v {
+			continue
+		}
+		nbr[cur[u]], w[cur[u]] = v, ew[i]
+		cur[u]++
+		nbr[cur[v]], w[cur[v]] = u, ew[i]
+		cur[v]++
+	}
+	off := make([]int32, n+1)
+	var wp, start int32
+	for v := 0; v < n; v++ {
+		end := cnt[v+1]
+		for i := start + 1; i < end; i++ {
+			nv, wv := nbr[i], w[i]
+			j := i
+			for j > start && nbr[j-1] > nv {
+				nbr[j], w[j] = nbr[j-1], w[j-1]
+				j--
+			}
+			nbr[j], w[j] = nv, wv
+		}
+		off[v] = wp
+		for i := start; i < end; i++ {
+			if wp > off[v] && nbr[wp-1] == nbr[i] {
+				w[wp-1] += w[i]
+			} else {
+				nbr[wp], w[wp] = nbr[i], w[i]
+				wp++
+			}
+		}
+		start = end
+	}
+	off[n] = wp
+	return &wgraph{nw: nw, off: off, nbr: nbr[:wp], w: w[:wp]}
+}
+
+// TestBuildWGraphMatchesInsertionSort compares the counting-sort builder
+// with the insertion-sort reference, Float64bits on the merged weights, on
+// random multigraphs with self-loops and parallel edges in both
+// directions, and on a hub whose edges arrive in descending order. The
+// weights span 2^±30, so a changed summation order changes bits.
+func TestBuildWGraphMatchesInsertionSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	weight := func() float64 { return (rng.Float64() - 0.25) * math.Ldexp(1, rng.Intn(61)-30) }
+	type input struct {
+		name   string
+		n      int
+		eu, ev []int32
+		ew     []float64
+	}
+	var inputs []input
+	for _, n := range []int{0, 1, 2, 7, 50, 300} {
+		in := input{name: fmt.Sprintf("random-%d", n), n: n}
+		if n > 0 {
+			for i := 0; i < 4*n; i++ {
+				u, v := int32(rng.Intn(n)), int32(rng.Intn(n))
+				switch rng.Intn(6) {
+				case 0: // self-loop
+					v = u
+				case 1: // parallel edge, reversed
+					in.eu, in.ev, in.ew = append(in.eu, v), append(in.ev, u), append(in.ew, weight())
+				case 2: // parallel edge, same direction
+					in.eu, in.ev, in.ew = append(in.eu, u), append(in.ev, v), append(in.ew, weight())
+				}
+				in.eu, in.ev, in.ew = append(in.eu, u), append(in.ev, v), append(in.ew, weight())
+			}
+		}
+		inputs = append(inputs, in)
+	}
+	hub := input{name: "reverse-hub", n: 2000}
+	for rep := 0; rep < 3; rep++ {
+		for v := int32(hub.n - 1); v > 0; v-- {
+			u, x := int32(0), v
+			if rep == 1 {
+				u, x = x, u
+			}
+			hub.eu, hub.ev, hub.ew = append(hub.eu, u), append(hub.ev, x), append(hub.ew, weight())
+		}
+	}
+	inputs = append(inputs, hub)
+
+	for _, in := range inputs {
+		nw := make([]float64, in.n)
+		for v := range nw {
+			nw[v] = rng.Float64()
+		}
+		want := buildWGraphInsertion(nw, in.eu, in.ev, in.ew)
+		got := buildWGraph(nw, in.eu, in.ev, in.ew)
+		if !slices.Equal(got.off, want.off) || !slices.Equal(got.nbr, want.nbr) {
+			t.Fatalf("%s: adjacency differs from the insertion-sort builder", in.name)
+		}
+		for i := range want.w {
+			if math.Float64bits(got.w[i]) != math.Float64bits(want.w[i]) {
+				t.Fatalf("%s: merged weight %d = %v, insertion-sort builder %v", in.name, i, got.w[i], want.w[i])
+			}
+		}
+	}
+}
+
+// reverseStar is operator 0 feeding `leaves` operators, its edges added
+// in descending leaf order.
+func reverseStar(leaves int) *stream.Graph {
+	g := stream.NewGraph(1000)
+	for i := 0; i <= leaves; i++ {
+		g.AddNode(stream.Node{IPT: 100, Payload: 10, Selectivity: 1})
+	}
+	for v := leaves; v > 0; v-- {
+		g.AddEdge(0, v, 0)
+	}
+	return g
+}
+
+type namedGraph struct {
+	name string
+	g    *stream.Graph
+}
+
+// adversarialGraphs returns the shapes on which heavy-edge matching
+// stalls or neighbor lists arrive out of order: a Medium graph with 500,
+// 2,000 and 4,000 leaves hung off operator 0, a bare 4,000-leaf star
+// whose edges arrive in descending order, a hub with four parallel edges
+// to each of 1,000 leaves, a 4,000-operator chain and K_{64,64}.
+func adversarialGraphs() []namedGraph {
+	var out []namedGraph
+	add := func(name string, g *stream.Graph) { out = append(out, namedGraph{name, g}) }
+	node := stream.Node{IPT: 100, Payload: 10, Selectivity: 1}
+	for _, leaves := range []int{500, 2000, 4000} {
+		g := testGraph(41, 100, 200)
+		for i := 0; i < leaves; i++ {
+			g.AddEdge(0, g.AddNode(node), 0)
+		}
+		add(fmt.Sprintf("medium+star-%d", leaves), g)
+	}
+	add("reverse-star-4000", reverseStar(4000))
+
+	hub := stream.NewGraph(1000)
+	for i := 0; i <= 1000; i++ {
+		hub.AddNode(node)
+	}
+	for rep := 0; rep < 4; rep++ {
+		for v := 1000; v > 0; v-- {
+			hub.AddEdge(0, v, 0)
+		}
+	}
+	add("parallel-hub-1000x4", hub)
+
+	chain := stream.NewGraph(1000)
+	for i := 0; i < 4000; i++ {
+		chain.AddNode(node)
+		if i > 0 {
+			chain.AddEdge(i-1, i, 0)
+		}
+	}
+	add("chain-4000", chain)
+
+	kmm := stream.NewGraph(1000)
+	for i := 0; i < 128; i++ {
+		kmm.AddNode(node)
+	}
+	for u := 0; u < 64; u++ {
+		for v := 64; v < 128; v++ {
+			kmm.AddEdge(u, v, 0)
+		}
+	}
+	add("K64,64", kmm)
+	return out
+}
+
+// TestPartitionWorkBoundedOnAdversarialShapes bounds the FM refinement
+// passes of one Partition call on adversarial shapes, read from
+// metis_refine_passes_total: at most 8 (RefinePasses) per level, with
+// levels logarithmic in n. Without the stall rule heavy-edge matching
+// shrinks a star by one node per level and the 4,000-leaf shapes take
+// tens of thousands of passes.
+func TestPartitionWorkBoundedOnAdversarialShapes(t *testing.T) {
+	for _, tc := range adversarialGraphs() {
+		n := tc.g.NumNodes()
+		bound := uint64(8 * (bits.Len(uint(n)) + 1))
+		for _, k := range []int{2, 10} {
+			before := obsRefinePasses.Value()
+			p := Partition(tc.g, Options{Parts: k, Seed: 1})
+			passes := obsRefinePasses.Value() - before
+			if err := p.Validate(tc.g); err != nil {
+				t.Fatalf("%s k=%d: %v", tc.name, k, err)
+			}
+			t.Logf("%s k=%d: %d nodes, %d refine passes", tc.name, k, n, passes)
+			if passes > bound {
+				t.Errorf("%s k=%d: %d refine passes on %d nodes, want ≤ %d", tc.name, k, passes, n, bound)
+			}
+		}
+	}
+}
+
+// TestPartitionConcurrentMatchesSerial partitions graphs of different
+// sizes from several goroutines at once, so buildWGraph's pooled scratch
+// passes between calls of different sizes, and requires the serial
+// answers. Run it under -race (make chaos).
+func TestPartitionConcurrentMatchesSerial(t *testing.T) {
+	var graphs []*stream.Graph
+	for i, size := range [][2]int{{20, 30}, {100, 200}, {400, 500}} {
+		graphs = append(graphs, testGraph(int64(51+i), size[0], size[1]))
+	}
+	graphs = append(graphs, reverseStar(4000))
+	want := make([][]int, len(graphs))
+	for i, g := range graphs {
+		want[i] = Partition(g, Options{Parts: 5, Seed: 1}).Assign
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < 3*len(graphs); r++ {
+				i := (w + r) % len(graphs)
+				if got := Partition(graphs[i], Options{Parts: 5, Seed: 1}).Assign; !slices.Equal(got, want[i]) {
+					t.Errorf("worker %d: graph %d partitioned differently than serially", w, i)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
