@@ -15,7 +15,7 @@ BENCH_THRESHOLD ?= 10
 # size the previous tests left behind.
 BENCH_MEMLIMIT ?= 2GiB
 
-.PHONY: build test check race vet fmt lint bench bench-smoke bench-gate bench-baseline bench-huge bench-kernels benchdiff curve chaos serve-smoke serve-bench perfbench-smoke
+.PHONY: build test check race vet fmt lint loc bench bench-smoke bench-gate bench-baseline bench-huge bench-kernels benchdiff curve chaos serve-smoke serve-bench perfbench-smoke
 
 build:
 	$(GO) build ./...
@@ -39,6 +39,12 @@ fmt:
 # Static gate: formatting + vet in one target.
 lint: fmt vet
 
+# Line counts of the tracked Go outside perfbench/: non-test code (the
+# figure each change reports in CHANGES.md), then tests.
+loc:
+	@echo "non-test Go lines: $$(git ls-files '*.go' ':!:*_test.go' ':!:perfbench/*' | xargs cat | wc -l)"
+	@echo "test Go lines:     $$(git ls-files '*_test.go' ':!:perfbench/*' | xargs cat | wc -l)"
+
 race:
 	$(GO) test -race ./...
 
@@ -48,10 +54,13 @@ race:
 # the tests that reach the shared forward-pass binder pool or the tensor
 # arena from several goroutines (offline passes, served snapshot passes,
 # the batcher, mixed-size arena traffic, Metis's pooled CSR scratch), ten
-# times each, so a pool race or a poisoned binder fails loudly too.
+# times each, so a pool race or a poisoned binder fails loudly too. Last,
+# one REINFORCE step of identical samples on four scorers, twenty times:
+# its cache split must not depend on how the scorers interleave.
 chaos:
 	$(GO) test -race -count=2 ./internal/runtime/ ./internal/realloc/ ./internal/resilience/
 	$(GO) test -race -count=10 -run 'TestProbsIntoConcurrent|TestProbsIntoAfterPanic|TestConcurrentAllocateRace|TestBatchedMatchesSolo|TestArenaConcurrentGetPut|TestPartitionConcurrentMatchesSerial' ./internal/core/ ./internal/serve/ ./internal/tensor/ ./internal/metis/
+	$(GO) test -race -count=20 -run 'TestStepScoresEachDistinctDecisionOnce' ./internal/rl/
 
 # One iteration of every benchmark: catches benchmarks that panic or
 # regress into non-termination without paying for a full measurement run.

@@ -148,32 +148,6 @@ func BenchmarkFig3Qualitative(b *testing.B) {
 	}
 }
 
-// Ablation bench: linear-fluid vs iterative simulator modes (DESIGN.md §5).
-
-func BenchmarkSimulatorModes(b *testing.B) {
-	c := sim.DefaultCluster(10, 1000)
-	cfg := gen.DefaultConfig(100, 200, 10_000, c)
-	g := gen.Generate(cfg, rand.New(rand.NewSource(1)))
-	p := metis.Partition(g, metis.Options{Parts: c.Devices, Seed: 1})
-	p.Devices = c.Devices
-	b.Run("fluid", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := sim.Simulate(g, p, c); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("iterative", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := sim.SimulateIterative(g, p, c); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // Micro-benchmarks for the substrates.
 
 // matMulShapes is shared by the allocating and destination-passing MatMul
@@ -646,24 +620,4 @@ func BenchmarkServe(b *testing.B) {
 			})
 		})
 	}
-}
-
-// BenchmarkPartitionerAblation compares direct k-way partitioning against
-// recursive bisection as the pipeline's partitioning stage.
-func BenchmarkPartitionerAblation(b *testing.B) {
-	c := sim.DefaultCluster(10, 1500)
-	cfg := gen.DefaultConfig(400, 500, 10_000, c)
-	g := gen.Generate(cfg, rand.New(rand.NewSource(11)))
-	b.Run("kway", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			metis.Partition(g, metis.Options{Parts: 10, Seed: int64(i)})
-		}
-	})
-	b.Run("recursive-bisection", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			metis.PartitionRB(g, metis.Options{Parts: 10, Seed: int64(i)})
-		}
-	})
 }

@@ -43,9 +43,6 @@ type Node struct {
 // Reset, so copy it if it must live longer.
 func (n *Node) Grad() *tensor.Matrix { return n.grad }
 
-// RequiresGrad reports whether gradients flow into this node.
-func (n *Node) RequiresGrad() bool { return n.reqG }
-
 // AddGradInto accumulates this node's gradient into dst (which must match
 // the node's shape) and reports whether a gradient was present. dst is
 // caller-owned: unlike Grad's return value it survives the next Reset or
@@ -473,33 +470,6 @@ func (t *Tape) Mean(a *Node) *Node {
 	return t.Scale(t.Sum(a), 1/n)
 }
 
-// MeanRows records column-wise mean over rows, producing a 1×cols vector.
-func (t *Tape) MeanRows(a *Node) *Node {
-	rows := a.Value.Rows
-	v := tensor.GetZeroed(1, a.Value.Cols)
-	for i := 0; i < rows; i++ {
-		row := a.Value.Row(i)
-		for j, x := range row {
-			v.Data[j] += x
-		}
-	}
-	inv := 1 / float64(rows)
-	for j := range v.Data {
-		v.Data[j] *= inv
-	}
-	return t.pushOwned(v, a.reqG, func(g *tensor.Matrix) {
-		d := tensor.Get(rows, a.Value.Cols)
-		for i := 0; i < rows; i++ {
-			drow := d.Row(i)
-			for j, gv := range g.Data {
-				drow[j] = gv * inv
-			}
-		}
-		a.accum(d)
-		tensor.Put(d)
-	})
-}
-
 // LogSoftmaxRows records a numerically stable row-wise log-softmax.
 func (t *Tape) LogSoftmaxRows(a *Node) *Node {
 	rows, cols := a.Value.Rows, a.Value.Cols
@@ -558,36 +528,5 @@ func (t *Tape) PickCols(a *Node, idx []int) *Node {
 		}
 		a.accum(d)
 		tensor.Put(d)
-	})
-}
-
-// ConcatRows records vertical concatenation of equal-width matrices.
-func (t *Tape) ConcatRows(ns ...*Node) *Node {
-	cols := ns[0].Value.Cols
-	rows := 0
-	req := false
-	for _, n := range ns {
-		if n.Value.Cols != cols {
-			panic("autodiff: concat-rows column mismatch")
-		}
-		rows += n.Value.Rows
-		req = req || n.reqG
-	}
-	v := t.newVal(rows, cols)
-	off := 0
-	for _, n := range ns {
-		copy(v.Data[off:off+len(n.Value.Data)], n.Value.Data)
-		off += len(n.Value.Data)
-	}
-	return t.pushOwned(v, req, func(g *tensor.Matrix) {
-		off := 0
-		for _, n := range ns {
-			sz := len(n.Value.Data)
-			if n.reqG {
-				// accum copies, so a borrowed view of g is safe here.
-				n.accum(tensor.FromSlice(n.Value.Rows, cols, g.Data[off:off+sz]))
-			}
-			off += sz
-		}
 	})
 }

@@ -126,10 +126,6 @@ func TestGradStructural(t *testing.T) {
 	checkGrad(t, "transpose", a, func(tp *Tape, x *Node) *Node {
 		return tp.Sum(tp.Tanh(tp.Transpose(x)))
 	})
-	c := randMat(rng, 2, 3)
-	checkGrad(t, "concat-rows", a, func(tp *Tape, x *Node) *Node {
-		return tp.Sum(tp.Tanh(tp.ConcatRows(x, tp.Const(c))))
-	})
 }
 
 func TestGradRowOps(t *testing.T) {
@@ -141,9 +137,6 @@ func TestGradRowOps(t *testing.T) {
 	})
 	checkGrad(t, "add-row-vector-bias", bias, func(tp *Tape, x *Node) *Node {
 		return tp.Sum(tp.Tanh(tp.AddRowVector(tp.Const(a), x)))
-	})
-	checkGrad(t, "mean-rows", a, func(tp *Tape, x *Node) *Node {
-		return tp.Sum(tp.Tanh(tp.MeanRows(x)))
 	})
 	checkGrad(t, "mean", a, func(tp *Tape, x *Node) *Node { return tp.Mean(tp.Tanh(x)) })
 }
@@ -225,7 +218,7 @@ func TestConstReceivesNoGrad(t *testing.T) {
 	if c.Grad() != nil {
 		t.Fatal("const node accumulated a gradient")
 	}
-	if c.RequiresGrad() {
+	if c.reqG {
 		t.Fatal("const node requires grad")
 	}
 }

@@ -146,11 +146,6 @@ func (h *Harness) rlConfig(pretrain, epochs int) rl.Config {
 	return cfg
 }
 
-// Metrics returns the registry all harness-driven instrumentation reports
-// into — the process-wide default, where the sim/metis/runtime/rl package
-// counters live. Callers can snapshot it or serve it via obs.Serve.
-func (h *Harness) Metrics() *obs.Registry { return obs.Default }
-
 // CoarsenModel returns the trained coarsening model for a named level,
 // training it (and its curriculum predecessors) on first use.
 //

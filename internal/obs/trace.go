@@ -7,7 +7,6 @@
 package obs
 
 import (
-	"context"
 	"encoding/json"
 	"io"
 	"os"
@@ -142,27 +141,4 @@ func (t *Tracer) WriteFile(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// tracerKey carries a Tracer in a context.
-type tracerKey struct{}
-
-// WithTracer returns a context carrying tr.
-func WithTracer(ctx context.Context, tr *Tracer) context.Context {
-	return context.WithValue(ctx, tracerKey{}, tr)
-}
-
-// TracerFrom extracts the context's tracer (nil when absent).
-func TracerFrom(ctx context.Context) *Tracer {
-	tr, _ := ctx.Value(tracerKey{}).(*Tracer)
-	return tr
-}
-
-// Start opens a span named name on the context's tracer (lane 0). When
-// the context carries no tracer the returned span is nil and End is a
-// no-op — the ergonomic form for code that already threads a context:
-//
-//	defer obs.Start(ctx, "simulate").End()
-func Start(ctx context.Context, name string) *Span {
-	return TracerFrom(ctx).StartSpan(name, 0)
 }

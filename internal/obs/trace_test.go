@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"os"
 	"strings"
@@ -101,24 +100,6 @@ func TestTracerConcurrentSpans(t *testing.T) {
 	wg.Wait()
 	if tr.Len() != workers*spans {
 		t.Fatalf("recorded %d spans, want %d", tr.Len(), workers*spans)
-	}
-}
-
-func TestContextTracer(t *testing.T) {
-	// No tracer in context: Start yields an inert span.
-	Start(context.Background(), "noop").End()
-
-	tr := NewTracer()
-	ctx := WithTracer(context.Background(), tr)
-	if TracerFrom(ctx) != tr {
-		t.Fatal("TracerFrom did not round-trip")
-	}
-	Start(ctx, "ctx-span").End()
-	if tr.Len() != 1 {
-		t.Fatalf("ctx span not recorded: %d events", tr.Len())
-	}
-	if ev := tr.Events()[0]; ev.Name != "ctx-span" || ev.TID != 0 {
-		t.Fatalf("unexpected event %+v", ev)
 	}
 }
 

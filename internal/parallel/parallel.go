@@ -7,7 +7,6 @@
 package parallel
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -92,25 +91,6 @@ func ForEachWorker(n, workers int, fn func(worker, i int)) {
 		}(w)
 	}
 	wg.Wait()
-}
-
-// ForEachErr runs fn(i) for i in [0, n) in parallel and returns the first
-// error encountered (by index order among failures is not guaranteed; the
-// lowest-index error wins when several occur). All indices are attempted.
-func ForEachErr(n, workers int, fn func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	errs := make([]error, n)
-	ForEach(n, workers, func(i int) {
-		errs[i] = fn(i)
-	})
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("task %d: %w", i, err)
-		}
-	}
-	return nil
 }
 
 // Map applies fn to each index and collects the results in order.
@@ -258,18 +238,4 @@ func ChunkRanges(n, parts int) [][2]int {
 		start += size
 	}
 	return out
-}
-
-// Reduce applies fn to each index in parallel and folds the results with
-// combine, which must be associative and commutative. zero is the identity.
-func Reduce[T any](n, workers int, zero T, fn func(i int) T, combine func(a, b T) T) T {
-	if n <= 0 {
-		return zero
-	}
-	vals := Map(n, workers, fn)
-	acc := zero
-	for _, v := range vals {
-		acc = combine(acc, v)
-	}
-	return acc
 }

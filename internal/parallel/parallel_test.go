@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -76,41 +75,12 @@ func TestForEachWorkerSerializesPerWorker(t *testing.T) {
 	}
 }
 
-func TestForEachErrReturnsLowestIndexError(t *testing.T) {
-	sentinel := errors.New("boom")
-	err := ForEachErr(10, 4, func(i int) error {
-		if i == 3 || i == 7 {
-			return sentinel
-		}
-		return nil
-	})
-	if err == nil || !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v", err)
-	}
-	if got := err.Error(); got != "task 3: boom" {
-		t.Fatalf("expected lowest-index error, got %q", got)
-	}
-}
-
-func TestForEachErrNil(t *testing.T) {
-	if err := ForEachErr(5, 2, func(int) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMapOrdering(t *testing.T) {
 	out := Map(100, 8, func(i int) int { return i * i })
 	for i, v := range out {
 		if v != i*i {
 			t.Fatalf("out[%d] = %d", i, v)
 		}
-	}
-}
-
-func TestReduce(t *testing.T) {
-	sum := Reduce(100, 4, 0, func(i int) int { return i }, func(a, b int) int { return a + b })
-	if sum != 4950 {
-		t.Fatalf("sum = %d", sum)
 	}
 }
 

@@ -87,19 +87,3 @@ func (SingleDevice) Place(g *stream.Graph, cluster sim.Cluster) *stream.Placemen
 
 // Name implements Placer.
 func (SingleDevice) Name() string { return "single-device" }
-
-// MetisRB partitions by recursive bisection instead of direct k-way
-// refinement — the algorithmic ablation of the partitioning stage.
-type MetisRB struct {
-	Seed int64
-}
-
-// Place implements Placer.
-func (m MetisRB) Place(g *stream.Graph, cluster sim.Cluster) *stream.Placement {
-	p := metis.PartitionRB(g, metis.Options{Parts: cluster.Devices, Seed: m.Seed})
-	p.Devices = cluster.Devices
-	return p
-}
-
-// Name implements Placer.
-func (MetisRB) Name() string { return "metis-rb" }

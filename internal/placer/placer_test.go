@@ -84,17 +84,6 @@ func TestMetisBeatsSingleDeviceWhenCPUBound(t *testing.T) {
 	}
 }
 
-func TestMetisRBValid(t *testing.T) {
-	g, c := testGraph(5)
-	p := MetisRB{Seed: 1}.Place(g, c)
-	if err := p.Validate(g); err != nil {
-		t.Fatal(err)
-	}
-	if p.Devices != c.Devices {
-		t.Fatal("devices")
-	}
-}
-
 func TestHillClimbNeverWorseThanMetis(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		g, c := testGraph(seed + 30)

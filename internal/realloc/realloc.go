@@ -242,9 +242,7 @@ func (l *Loop) Step(ctx context.Context, st sim.DriftState) (Action, error) {
 		return act, nil
 	}
 
-	sp := obs.Start(ctx, "realloc.replan")
 	adopted, escalation, rerr := l.replan(ctx, st, measured)
-	sp.End()
 	if rerr != nil {
 		if ctx.Err() != nil {
 			return Action{}, rerr

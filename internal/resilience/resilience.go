@@ -1,10 +1,10 @@
 // Package resilience hardens the repository's long-running training and
 // evaluation loops against the failures that otherwise discard hours of
 // simulator-scored REINFORCE work: a panic in one worker goroutine, a
-// transient error that a retry would absorb, or a stage that silently
-// hangs. It wraps the internal/parallel fan-out helpers with panic
-// isolation, provides retry-with-backoff and a deadline watchdog, and is
-// dependency-free like the packages it protects.
+// transient error that a retry would absorb. It wraps the
+// internal/parallel fan-out helpers with panic isolation, provides
+// retry-with-backoff, and is dependency-free like the packages it
+// protects.
 package resilience
 
 import (
@@ -110,12 +110,6 @@ type RetryConfig struct {
 	sleep func(time.Duration)
 }
 
-// DefaultRetry retries 4 times starting at 50 ms with full doubling and
-// 20% jitter.
-func DefaultRetry() RetryConfig {
-	return RetryConfig{Attempts: 4, BaseDelay: 50 * time.Millisecond, MaxDelay: 2 * time.Second, Jitter: 0.2}
-}
-
 var jitterMu sync.Mutex
 var jitterRNG = rand.New(rand.NewSource(1))
 
@@ -176,30 +170,4 @@ func Retry(ctx context.Context, cfg RetryConfig, op func() error) error {
 		}
 	}
 	return fmt.Errorf("resilience: %d attempts failed: %w", attempts, last)
-}
-
-// ErrWatchdogTimeout reports that a guarded operation overran its deadline.
-var ErrWatchdogTimeout = errors.New("resilience: watchdog deadline exceeded")
-
-// Watchdog runs op with a context cancelled after d and returns op's
-// error, or ErrWatchdogTimeout if op has not returned by the deadline. A
-// well-behaved op observes ctx and exits promptly; one that ignores it is
-// abandoned on its goroutine (its eventual result is discarded), so the
-// caller regains control either way. Panics inside op surface as errors.
-func Watchdog(ctx context.Context, d time.Duration, op func(ctx context.Context) error) error {
-	wctx, cancel := context.WithTimeout(ctx, d)
-	defer cancel()
-	done := make(chan error, 1)
-	go func() {
-		done <- protect(0, func() error { return op(wctx) })
-	}()
-	select {
-	case err := <-done:
-		return err
-	case <-wctx.Done():
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		return fmt.Errorf("%w (after %v)", ErrWatchdogTimeout, d)
-	}
 }

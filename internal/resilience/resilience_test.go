@@ -258,36 +258,3 @@ func TestRetryCancelAbortsBackoffSleep(t *testing.T) {
 		t.Errorf("op ran %d times; cancellation mid-sleep should stop after the first", calls)
 	}
 }
-
-func TestWatchdogPassesThroughResult(t *testing.T) {
-	if err := Watchdog(context.Background(), time.Second, func(context.Context) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	sentinel := errors.New("op failed")
-	err := Watchdog(context.Background(), time.Second, func(context.Context) error { return sentinel })
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("want sentinel, got %v", err)
-	}
-}
-
-func TestWatchdogTimesOut(t *testing.T) {
-	start := time.Now()
-	err := Watchdog(context.Background(), 20*time.Millisecond, func(ctx context.Context) error {
-		<-ctx.Done() // well-behaved op: exits on cancellation
-		return ctx.Err()
-	})
-	if !errors.Is(err, ErrWatchdogTimeout) {
-		t.Fatalf("want ErrWatchdogTimeout, got %v", err)
-	}
-	if time.Since(start) > 5*time.Second {
-		t.Error("watchdog did not return promptly")
-	}
-}
-
-func TestWatchdogRecoversPanic(t *testing.T) {
-	err := Watchdog(context.Background(), time.Second, func(context.Context) error { panic("guarded") })
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("want *PanicError, got %v", err)
-	}
-}

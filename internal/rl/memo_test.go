@@ -34,6 +34,38 @@ func TestScoreDecisionMemoizes(t *testing.T) {
 	}
 }
 
+// TestStepScoresEachDistinctDecisionOnce saturates the merge head so that
+// every on-policy sample is the same all-merge decision, then scores one
+// step on four inner workers. However the scorers interleave, the
+// pipeline must run once and every repeat must count as a cache hit, as
+// it does for a serial scorer.
+func TestStepScoresEachDistinctDecisionOnce(t *testing.T) {
+	ds, m, pipe := quickSetup(t, 1)
+	m.PS.Get("merge.head.l1.b").Value.Data[0] = 100 // sigmoid(100) == 1: every edge merges
+	cfg := DefaultConfig()
+	cfg.OnPolicySamples = 8
+	tr := NewTrainer(cfg, m, pipe)
+	tr.ensureReplicas(1, 1)
+	tr.snap.Capture()
+	res, err := tr.stepEntry(tr.reps[0], 1, 0, 0, ds.Train[0], ds.Cluster, tr.entryGrads[0], 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s, smp := range res.samples {
+		for _, merged := range smp.d {
+			if !merged {
+				t.Fatalf("sample %d has an unmerged edge; the head is not saturated", s)
+			}
+		}
+		if smp.reward != res.samples[0].reward {
+			t.Fatalf("sample %d reward %g, want %g", s, smp.reward, res.samples[0].reward)
+		}
+	}
+	if hits, misses := tr.Rewards.Stats(); hits != 7 || misses != 1 {
+		t.Fatalf("stats = %d hits, %d misses, want 7/1", hits, misses)
+	}
+}
+
 func TestNegativeRewardCacheSizeDisablesMemoization(t *testing.T) {
 	_, m, pipe := quickSetup(t, 1)
 	cfg := DefaultConfig()

@@ -146,7 +146,7 @@ func TestCurriculumResumeMatchesUninterrupted(t *testing.T) {
 
 	cfgA := resumeConfig()
 	trA := NewTrainer(cfgA, runs[0].m, runs[0].pipe)
-	if err := trA.Curriculum(mkLevels(runs[0].ds)); err != nil {
+	if err := trA.CurriculumCtx(context.Background(), mkLevels(runs[0].ds)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -170,7 +170,7 @@ func TestCurriculumResumeMatchesUninterrupted(t *testing.T) {
 	if err := trC.LoadCheckpoint(path); err != nil {
 		t.Fatal(err)
 	}
-	if err := trC.Curriculum(mkLevels(runs[2].ds)); err != nil {
+	if err := trC.CurriculumCtx(context.Background(), mkLevels(runs[2].ds)); err != nil {
 		t.Fatal(err)
 	}
 

@@ -447,15 +447,39 @@ func (t *Trainer) stepEntry(binder *nn.Binder, wid int, seq uint64, gi int, g *s
 	mark(phaseSample)
 	// Evaluate rewards (coarsen → partition → simulate), memoized on the
 	// exact decision bitset so a duplicate sample skips the pipeline
-	// entirely. A panic in one scorer surfaces here as an error; sibling
+	// entirely. Repeats within the step are grouped before the fan-out:
+	// concurrent scorers of one decision could otherwise all miss the
+	// cache and run the pipeline twice, and the hit/miss split would
+	// depend on timing. A repeat copies its first occurrence's reward,
+	// then looks its key up so the cache counts the hit a serial scorer
+	// would. A panic in one scorer surfaces here as an error; sibling
 	// samples are still scored. When several batch entries already run
 	// concurrently the scoring stays inside this worker (innerWorkers=1);
-	// a serial batch fans it out across the machine as before.
+	// a serial batch fans it out across the machine.
+	first := make([]int, n) // index of each sample's first occurrence
+	firstOf := make(map[string]int, n)
+	for s := range samples {
+		k := core.DecisionKey(gi, samples[s].d)
+		if _, seen := firstOf[k]; !seen {
+			firstOf[k] = s
+		}
+		first[s] = firstOf[k]
+	}
 	if err := resilience.ForEach(n, innerWorkers, func(s int) error {
-		samples[s].reward = t.scoreDecision(gi, g, cluster, samples[s].d)
+		if first[s] == s {
+			samples[s].reward = t.scoreDecision(gi, g, cluster, samples[s].d)
+		}
 		return nil
 	}); err != nil {
 		return stepResult{}, fmt.Errorf("rl: sample scoring on graph %d failed: %w", gi, err)
+	}
+	for s, j := range first {
+		if j != s {
+			samples[s].reward = samples[j].reward
+			if t.Rewards != nil {
+				t.Rewards.Get(core.DecisionKey(gi, samples[s].d))
+			}
+		}
 	}
 	mark(phaseSimulate)
 	res.samples = samples
@@ -951,15 +975,10 @@ type Level struct {
 	Epochs  int
 }
 
-// Curriculum trains the model through the levels in order, carrying
+// CurriculumCtx trains the model through the levels in order, carrying
 // parameters forward and resetting per-graph buffers between levels (the
 // paper's size-based curriculum: 100–200/10dev → 400–500/10dev →
-// 1–2K/20dev).
-func (t *Trainer) Curriculum(levels []Level) error {
-	return t.CurriculumCtx(context.Background(), levels)
-}
-
-// CurriculumCtx is Curriculum with cancellation and resume: it starts at
+// 1–2K/20dev). It honours cancellation and resumes: it starts at
 // Pos.Level (restored by LoadCheckpoint), finishes the level in flight
 // from its checkpointed epoch/step, and advances.
 func (t *Trainer) CurriculumCtx(ctx context.Context, levels []Level) error {

@@ -1,6 +1,7 @@
 package rl
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -145,7 +146,7 @@ func TestCurriculumRunsAllLevels(t *testing.T) {
 	cfg.PretrainEpochs = 1
 	cfg.Quiet = true
 	tr := NewTrainer(cfg, m, pipe)
-	tr.Curriculum([]Level{
+	tr.CurriculumCtx(context.Background(), []Level{
 		{Name: "level1", Graphs: ds.Train, Cluster: ds.Cluster, Epochs: 1},
 		{Name: "level2", Graphs: ds2.Train, Cluster: ds2.Cluster, Epochs: 2},
 	})

@@ -67,7 +67,6 @@ func FingerprintRequest(g *stream.Graph, c sim.Cluster) Fingerprint {
 	b = appendF64(b, c.MIPS)
 	b = appendF64(b, c.Bandwidth)
 	b = appendU64(b, uint64(c.Links))
-	b = appendF64(b, c.OverheadPerOp)
 	b = appendU64(b, uint64(len(c.DeviceMIPS)))
 	for _, m := range c.DeviceMIPS {
 		b = appendF64(b, m)

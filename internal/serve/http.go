@@ -56,7 +56,6 @@ type ClusterSpec struct {
 	MIPS          float64   `json:"mips,omitempty"`           // default 1.25e3 (paper)
 	BandwidthMbps float64   `json:"bandwidth_mbps,omitempty"` // default from service
 	Links         string    `json:"links,omitempty"`          // "nic" (default) or "pair"
-	OverheadPerOp float64   `json:"overhead_per_op,omitempty"`
 	DeviceMIPS    []float64 `json:"device_mips,omitempty"`
 }
 
@@ -165,9 +164,6 @@ func (cs *ClusterSpec) BuildCluster(def sim.Cluster) (sim.Cluster, error) {
 		c.Links = sim.PairLink
 	default:
 		return c, fmt.Errorf("unknown links model %q (want \"nic\" or \"pair\")", cs.Links)
-	}
-	if cs.OverheadPerOp != 0 {
-		c.OverheadPerOp = cs.OverheadPerOp
 	}
 	if cs.DeviceMIPS != nil {
 		c.DeviceMIPS = cs.DeviceMIPS

@@ -208,13 +208,13 @@ func TestHTTPRejectsInvalidCluster(t *testing.T) {
 		status        int
 	}{
 		{"default cluster", `null`, http.StatusOK},
-		{"valid heterogeneous", `{"devices":3,"device_mips":[1000,1250,1500],"overhead_per_op":0.01}`, http.StatusOK},
+		{"valid heterogeneous", `{"devices":3,"device_mips":[1000,1250,1500]}`, http.StatusOK},
 		{"negative mips", `{"mips":-1250}`, http.StatusBadRequest},
 		{"all-zero device mips", `{"devices":3,"device_mips":[0,0,0]}`, http.StatusBadRequest},
 		{"one negative device mips", `{"devices":2,"device_mips":[1250,-1]}`, http.StatusBadRequest},
 		{"device mips count", `{"devices":3,"device_mips":[1250,1250]}`, http.StatusBadRequest},
 		{"negative bandwidth", `{"bandwidth_mbps":-1000}`, http.StatusBadRequest},
-		{"negative overhead", `{"overhead_per_op":-0.5}`, http.StatusBadRequest},
+		{"removed overhead field", `{"overhead_per_op":0.01}`, http.StatusBadRequest},
 		{"negative devices", `{"devices":-2}`, http.StatusBadRequest},
 		{"devices at the cap", `{"devices":1024}`, http.StatusOK},
 		{"devices above the cap", `{"devices":1025}`, http.StatusBadRequest},

@@ -523,62 +523,54 @@ func (s *Service) runBatch(batch []*pending) {
 }
 
 // forwardGroup computes merge probabilities for every request in one
-// stacked forward pass on the group's snapshot and releases the waiters.
+// forward pass on the group's snapshot and releases the waiters. A group
+// of several requests is stacked block-diagonally: node and edge rows
+// concatenate, edge endpoints shift by each graph's node offset. All
+// forward kernels are row-local, so each graph's output rows are
+// bit-identical to a solo pass. A one-request group passes its own
+// features through uncopied.
 func (s *Service) forwardGroup(group []*pending) {
-	snap := group[0].ver.snap
-	if len(group) == 1 {
-		p := group[0]
-		p.probs = make([]float64, p.f.Edge.Rows)
-		p.batchSize = 1
-		fwdT0 := time.Time{}
-		if s.tracer != nil {
-			fwdT0 = time.Now()
-		}
-		s.model.ProbsInto(snap, p.f, p.probs)
-		s.emitSpan("forward", laneBatcher, fwdT0, p.traceID)
-		p.deliver()
-		return
-	}
-
-	// Stack the per-graph features block-diagonally: node and edge rows
-	// concatenate, edge endpoints shift by each graph's node offset. All
-	// forward kernels are row-local, so each graph's output rows are
-	// bit-identical to a solo pass.
-	asmT0 := time.Time{}
+	var asmT0, fwdT0 time.Time
 	if s.tracer != nil {
 		asmT0 = time.Now()
 	}
-	totalN, totalE := 0, 0
-	for _, p := range group {
-		totalN += p.f.Node.Rows
-		totalE += p.f.Edge.Rows
-	}
-	node := tensor.Get(totalN, gnn.NodeFeatureDim)
-	edge := tensor.Get(totalE, gnn.EdgeFeatureDim)
-	src := make([]int, 0, totalE)
-	dst := make([]int, 0, totalE)
-	nodeOff, edgeOff := 0, 0
-	for _, p := range group {
-		copy(node.Data[nodeOff*gnn.NodeFeatureDim:], p.f.Node.Data)
-		copy(edge.Data[edgeOff*gnn.EdgeFeatureDim:], p.f.Edge.Data)
-		for _, v := range p.f.Src {
-			src = append(src, v+nodeOff)
+	f := group[0].f
+	if len(group) > 1 {
+		totalN, totalE := 0, 0
+		for _, p := range group {
+			totalN += p.f.Node.Rows
+			totalE += p.f.Edge.Rows
 		}
-		for _, v := range p.f.Dst {
-			dst = append(dst, v+nodeOff)
+		node := tensor.Get(totalN, gnn.NodeFeatureDim)
+		edge := tensor.Get(totalE, gnn.EdgeFeatureDim)
+		defer tensor.Put(node)
+		defer tensor.Put(edge)
+		src := make([]int, 0, totalE)
+		dst := make([]int, 0, totalE)
+		nodeOff, edgeOff := 0, 0
+		for _, p := range group {
+			copy(node.Data[nodeOff*gnn.NodeFeatureDim:], p.f.Node.Data)
+			copy(edge.Data[edgeOff*gnn.EdgeFeatureDim:], p.f.Edge.Data)
+			for _, v := range p.f.Src {
+				src = append(src, v+nodeOff)
+			}
+			for _, v := range p.f.Dst {
+				dst = append(dst, v+nodeOff)
+			}
+			nodeOff += p.f.Node.Rows
+			edgeOff += p.f.Edge.Rows
 		}
-		nodeOff += p.f.Node.Rows
-		edgeOff += p.f.Edge.Rows
+		f = &gnn.Features{Node: node, Edge: edge, Src: src, Dst: dst}
 	}
-	stacked := &gnn.Features{Node: node, Edge: edge, Src: src, Dst: dst}
-	all := make([]float64, totalE)
-	var fwdT0 time.Time
+	all := make([]float64, f.Edge.Rows)
 	if s.tracer != nil {
 		fwdT0 = time.Now()
-		s.tracer.EmitArgs("batch-assembly", laneBatcher, asmT0, fwdT0.Sub(asmT0),
-			map[string]string{"batch": fmt.Sprint(len(group))})
+		if len(group) > 1 {
+			s.tracer.EmitArgs("batch-assembly", laneBatcher, asmT0, fwdT0.Sub(asmT0),
+				map[string]string{"batch": fmt.Sprint(len(group))})
+		}
 	}
-	s.model.ProbsInto(snap, stacked, all)
+	s.model.ProbsInto(group[0].ver.snap, f, all)
 	if s.tracer != nil {
 		// One measured forward pass, attributed to every rider so a
 		// single trace id finds its request's span.
@@ -591,8 +583,6 @@ func (s *Service) forwardGroup(group []*pending) {
 			s.tracer.EmitArgs("forward", laneBatcher, fwdT0, dur, args)
 		}
 	}
-	tensor.Put(node)
-	tensor.Put(edge)
 
 	off := 0
 	for _, p := range group {

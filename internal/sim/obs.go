@@ -8,10 +8,9 @@ package sim
 import "repro/internal/obs"
 
 var (
-	obsFluidRuns     = obs.Default.Counter("sim_fluid_runs_total")
-	obsIterativeRuns = obs.Default.Counter("sim_iterative_runs_total")
-	obsDESRuns       = obs.Default.Counter("sim_des_runs_total")
-	obsDESEvents     = obs.Default.Counter("sim_des_events_total")
+	obsFluidRuns = obs.Default.Counter("sim_fluid_runs_total")
+	obsDESRuns   = obs.Default.Counter("sim_des_runs_total")
+	obsDESEvents = obs.Default.Counter("sim_des_events_total")
 	// Per-quantum total tuples queued on the scheduled device — the DES
 	// backpressure signature. Bounds span one tuple to the default
 	// per-operator queue limit (2048).

@@ -10,13 +10,12 @@
 //     traffic (default, closer to a cloud VM) or as independent
 //     per-device-pair links.
 //
-// Two solvers are provided. The linear-fluid solver observes that all
-// steady-state rates scale linearly with the source rate, so the maximum
-// sustainable fraction is 1/max(1, worst utilization); it is exact for
-// proportional flows and is the default RL reward. The iterative solver
-// adds a per-operator scheduling-overhead model and resolves the coupled
-// constraints by fixed-point iteration; it is used for cross-validation
-// and for the simulator-mode ablation bench.
+// The linear-fluid solver observes that all steady-state rates scale
+// linearly with the source rate, so the maximum sustainable fraction is
+// 1/max(1, worst utilization); it is exact for proportional flows and is
+// the RL reward. The discrete-event simulator (des.go) and the concurrent
+// runtime (internal/runtime) validate it: eval.SimValidate, run as
+// `experiments -run simvalidate`.
 package sim
 
 import (
@@ -39,16 +38,14 @@ const (
 	PairLink
 )
 
-// Cluster describes the homogeneous computing environment (§V: 1.25e3 MIPS
-// devices; 1000 or 1500 Mbps links).
+// Cluster describes the computing environment: per-device instruction
+// capacity and link bandwidth (§V: 1.25e3 MIPS devices; 1000 or 1500
+// Mbps links). DeviceMIPS makes it heterogeneous.
 type Cluster struct {
 	Devices   int
 	MIPS      float64   // device capacity in millions of instructions per second
 	Bandwidth float64   // link capacity in bits per second
 	Links     LinkModel // capacity sharing model
-	// OverheadPerOp is the fraction of a device's CPU consumed per resident
-	// operator by scheduling overhead (iterative solver only).
-	OverheadPerOp float64
 	// DeviceMIPS optionally overrides MIPS per device (heterogeneous
 	// clusters — the paper's stated future-work extension). When non-nil
 	// its length must equal Devices.
@@ -83,12 +80,11 @@ func (c Cluster) Heterogeneous(mips []float64) Cluster {
 
 // Validate reports whether c describes a usable cluster: at least one
 // device, positive and finite MIPS, Bandwidth and per-device MIPS (one
-// entry per device when set), and a finite, non-negative OverheadPerOp.
-// The simulators divide by these capacities, so a zero, negative or NaN
-// one would turn every throughput into a meaningless 0, 1 or NaN.
+// entry per device when set). The simulators divide by these
+// capacities, so a zero, negative or NaN one would turn every throughput
+// into a meaningless 0, 1 or NaN.
 func (c Cluster) Validate() error {
 	positive := func(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
-	nonNegative := func(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 	if c.Devices <= 0 {
 		return fmt.Errorf("sim: cluster has %d devices", c.Devices)
 	}
@@ -97,9 +93,6 @@ func (c Cluster) Validate() error {
 	}
 	if !positive(c.Bandwidth) {
 		return fmt.Errorf("sim: cluster bandwidth %g is not positive and finite", c.Bandwidth)
-	}
-	if !nonNegative(c.OverheadPerOp) {
-		return fmt.Errorf("sim: cluster overhead per operator %g is not finite and non-negative", c.OverheadPerOp)
 	}
 	if c.DeviceMIPS != nil && len(c.DeviceMIPS) != c.Devices {
 		return fmt.Errorf("sim: %d device MIPS values for %d devices", len(c.DeviceMIPS), c.Devices)
@@ -116,11 +109,10 @@ func (c Cluster) Validate() error {
 // given device count and bandwidth in Mbps.
 func DefaultCluster(devices int, mbps float64) Cluster {
 	return Cluster{
-		Devices:       devices,
-		MIPS:          1.25e3,
-		Bandwidth:     mbps * 1e6,
-		Links:         NIC,
-		OverheadPerOp: 0.002,
+		Devices:   devices,
+		MIPS:      1.25e3,
+		Bandwidth: mbps * 1e6,
+		Links:     NIC,
 	}
 }
 
@@ -231,7 +223,10 @@ func Simulate(g *stream.Graph, p *stream.Placement, c Cluster) (Result, error) {
 			if u > netUtil[k[1]] {
 				netUtil[k[1]] = u
 			}
-			if u > worst {
+			// Map order is random: among equally saturated links the
+			// lowest source device binds, so BottleneckDevice is
+			// deterministic.
+			if u > worst || (u == worst && kind == BottleneckNetwork && k[0] < where) {
 				worst, kind, where = u, BottleneckNetwork, k[0]
 			}
 		}
@@ -247,99 +242,6 @@ func Simulate(g *stream.Graph, p *stream.Placement, c Cluster) (Result, error) {
 	for d := range devUtil {
 		devUtil[d] *= phi
 		netUtil[d] *= phi
-	}
-	return Result{
-		Throughput:       phi * g.SourceRate,
-		Relative:         phi,
-		DeviceUtil:       devUtil,
-		NetUtil:          netUtil,
-		Bottleneck:       kind,
-		BottleneckDevice: where,
-	}, nil
-}
-
-// SimulateIterative runs the fixed-point solver with per-operator
-// scheduling overhead: a device hosting k operators loses k×OverheadPerOp
-// of its instruction budget, and the sustainable fraction is resolved by
-// damped iteration (the overhead couples the constraint to the placement's
-// operator counts, not just loads).
-func SimulateIterative(g *stream.Graph, p *stream.Placement, c Cluster) (Result, error) {
-	if err := p.Validate(g); err != nil {
-		return Result{}, err
-	}
-	obsIterativeRuns.Inc()
-	load := g.NodeLoad()
-	traffic := g.EdgeTraffic()
-
-	cpu := make([]float64, c.Devices)
-	ops := make([]int, c.Devices)
-	for v, d := range p.Assign {
-		cpu[d] += load[v]
-		ops[d]++
-	}
-	egress := make([]float64, c.Devices)
-	ingress := make([]float64, c.Devices)
-	for ei, e := range g.Edges {
-		ds, dd := p.Assign[e.Src], p.Assign[e.Dst]
-		if ds == dd {
-			continue
-		}
-		egress[ds] += traffic[ei]
-		ingress[dd] += traffic[ei]
-	}
-
-	effCap := make([]float64, c.Devices)
-	for d := 0; d < c.Devices; d++ {
-		f := 1 - c.OverheadPerOp*float64(ops[d])
-		if f < 0.05 {
-			f = 0.05 // a device never drops below 5% useful capacity
-		}
-		effCap[d] = c.CapacityOf(d) * f
-	}
-
-	phi := 1.0
-	for iter := 0; iter < 100; iter++ {
-		worst := 0.0
-		for d := 0; d < c.Devices; d++ {
-			if u := phi * cpu[d] / effCap[d]; u > worst {
-				worst = u
-			}
-			var un float64
-			if c.Links == NIC {
-				un = phi * math.Max(egress[d], ingress[d]) / c.Bandwidth
-			} else {
-				un = phi * math.Max(egress[d], ingress[d]) / c.Bandwidth
-			}
-			if un > worst {
-				worst = un
-			}
-		}
-		if worst <= 1+1e-12 {
-			break
-		}
-		next := phi / worst
-		// Damping keeps convergence monotone in the presence of the
-		// capacity floor discontinuity.
-		phi = 0.5*phi + 0.5*next
-	}
-
-	devUtil := make([]float64, c.Devices)
-	netUtil := make([]float64, c.Devices)
-	kind := BottleneckNone
-	where := -1
-	worstU := 0.0
-	for d := 0; d < c.Devices; d++ {
-		devUtil[d] = phi * cpu[d] / effCap[d]
-		netUtil[d] = phi * math.Max(egress[d], ingress[d]) / c.Bandwidth
-		if devUtil[d] > worstU {
-			worstU, kind, where = devUtil[d], BottleneckCPU, d
-		}
-		if netUtil[d] > worstU {
-			worstU, kind, where = netUtil[d], BottleneckNetwork, d
-		}
-	}
-	if phi >= 1-1e-9 {
-		kind, where = BottleneckNone, -1
 	}
 	return Result{
 		Throughput:       phi * g.SourceRate,

@@ -125,50 +125,32 @@ func TestPairLinkVsNIC(t *testing.T) {
 	}
 }
 
+// TestPairLinkTieBindsLowestSource pins the PairLink bottleneck device
+// when several links saturate equally: the pair map is visited in random
+// order, and the re-allocation loop builds its replan region from
+// BottleneckDevice, so a tie must resolve to the lowest source device.
+func TestPairLinkTieBindsLowestSource(t *testing.T) {
+	g := pipelineGraph(4, 1000, 1, 2000) // every edge carries 2e6 bits/s
+	p := stream.NewPlacement(4, 4)
+	p.Assign = []int{0, 1, 2, 3} // pairs (0,1), (1,2), (2,3) tie at 2× bandwidth
+	c := Cluster{Devices: 4, MIPS: 1, Bandwidth: 1e6, Links: PairLink}
+	for i := 0; i < 200; i++ {
+		res, err := Simulate(g, p, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Bottleneck != BottleneckNetwork || res.BottleneckDevice != 0 || res.Relative != 0.5 {
+			t.Fatalf("call %d: %v at device %d, relative %g; want network at 0, 0.5",
+				i, res.Bottleneck, res.BottleneckDevice, res.Relative)
+		}
+	}
+}
+
 func TestSimulateRejectsInvalidPlacement(t *testing.T) {
 	g := pipelineGraph(2, 100, 1, 1)
 	p := stream.NewPlacement(2, 5)
 	if _, err := Simulate(g, p, smallCluster()); err == nil {
 		t.Fatal("placement with more devices than cluster accepted")
-	}
-}
-
-func TestIterativeMatchesFluidWithoutOverhead(t *testing.T) {
-	g := pipelineGraph(4, 1000, 400, 200)
-	p := stream.NewPlacement(4, 2)
-	p.Assign = []int{0, 0, 1, 1}
-	c := smallCluster()
-	c.OverheadPerOp = 0
-	fluid, err := Simulate(g, p, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	iter, err := SimulateIterative(g, p, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(fluid.Relative-iter.Relative) > 1e-6 {
-		t.Fatalf("fluid %g vs iterative %g", fluid.Relative, iter.Relative)
-	}
-}
-
-func TestIterativeOverheadPenalizesCrowding(t *testing.T) {
-	g := pipelineGraph(8, 1000, 125, 0.001) // exactly saturates one device
-	c := smallCluster()
-	c.OverheadPerOp = 0.05
-	crowded := stream.NewPlacement(8, 2)
-	spread := stream.NewPlacement(8, 2)
-	spread.Assign = []int{0, 0, 0, 0, 1, 1, 1, 1}
-	rc, err := SimulateIterative(g, crowded, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := SimulateIterative(g, spread, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.Relative <= rc.Relative {
-		t.Fatalf("spread %g should beat crowded %g under overhead", rs.Relative, rc.Relative)
 	}
 }
 
@@ -326,8 +308,7 @@ func TestHeterogeneousPanicsOnLengthMismatch(t *testing.T) {
 }
 
 // TestClusterValidate pins the cluster invariants: positive, finite
-// capacities (NaN and +Inf included), one MIPS entry per device, and a
-// finite non-negative scheduling overhead.
+// capacities (NaN and +Inf included) and one MIPS entry per device.
 func TestClusterValidate(t *testing.T) {
 	base := DefaultCluster(3, 1000)
 	if err := base.Validate(); err != nil {
@@ -345,9 +326,6 @@ func TestClusterValidate(t *testing.T) {
 		"zero bandwidth":       func(c *Cluster) { c.Bandwidth = 0 },
 		"NaN bandwidth":        func(c *Cluster) { c.Bandwidth = nan },
 		"infinite bandwidth":   func(c *Cluster) { c.Bandwidth = inf },
-		"negative overhead":    func(c *Cluster) { c.OverheadPerOp = -0.5 },
-		"NaN overhead":         func(c *Cluster) { c.OverheadPerOp = nan },
-		"infinite overhead":    func(c *Cluster) { c.OverheadPerOp = inf },
 		"device MIPS count":    func(c *Cluster) { c.DeviceMIPS = []float64{1250, 1250} },
 		"zero device MIPS":     func(c *Cluster) { c.DeviceMIPS = []float64{0, 0, 0} },
 		"NaN device MIPS":      func(c *Cluster) { c.DeviceMIPS = []float64{1250, nan, 1250} },

@@ -1,9 +1,6 @@
 package stream
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // GraphStats summarizes a stream graph's structure and demand profile —
 // used by the genstream CLI and dataset sanity checks.
@@ -79,22 +76,4 @@ func (s GraphStats) String() string {
 	return fmt.Sprintf("n=%d e=%d src=%d sink=%d depth=%d maxIn=%d maxOut=%d load=%.3g traffic=%.3g heaviestNode=%.1f%% heaviestEdge=%.1f%%",
 		s.Nodes, s.Edges, s.Sources, s.Sinks, s.Depth, s.MaxInDeg, s.MaxOutDeg,
 		s.TotalLoad, s.TotalTraffic, 100*s.HeaviestNodeFrac, 100*s.HeaviestEdgeFrac)
-}
-
-// DegreeHistogram returns sorted (degree, count) pairs for in+out degrees.
-func DegreeHistogram(g *Graph) [][2]int {
-	counts := map[int]int{}
-	for v := 0; v < g.NumNodes(); v++ {
-		counts[len(g.InEdges(v))+len(g.OutEdges(v))]++
-	}
-	degrees := make([]int, 0, len(counts))
-	for d := range counts {
-		degrees = append(degrees, d)
-	}
-	sort.Ints(degrees)
-	out := make([][2]int, 0, len(degrees))
-	for _, d := range degrees {
-		out = append(out, [2]int{d, counts[d]})
-	}
-	return out
 }

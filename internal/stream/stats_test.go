@@ -59,23 +59,3 @@ func TestStatsString(t *testing.T) {
 		t.Fatalf("stats string: %s", s)
 	}
 }
-
-func TestDegreeHistogram(t *testing.T) {
-	h := DegreeHistogram(statsGraph())
-	var total int
-	for _, pair := range h {
-		total += pair[1]
-		if pair[0] < 1 {
-			t.Fatal("isolated node in histogram")
-		}
-	}
-	if total != 5 {
-		t.Fatalf("histogram covers %d nodes", total)
-	}
-	// Sorted by degree ascending.
-	for i := 1; i < len(h); i++ {
-		if h[i][0] <= h[i-1][0] {
-			t.Fatal("histogram not sorted")
-		}
-	}
-}

@@ -348,31 +348,6 @@ func ConcatMatMulTanhInto(x *Matrix, lo, hi int, y, b, dst *Matrix) *Matrix {
 	return dst
 }
 
-// GatherMatMulInto computes gather(a, idx)·b into dst (len(idx)×b.Cols)
-// without materializing the gathered matrix: each source row is read in
-// place through the index indirection.
-func GatherMatMulInto(a *Matrix, idx []int, b, dst *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: gather-matmul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	mustShape("gather-matmul dst", dst, len(idx), b.Cols)
-	checkGather(idx, a.Rows)
-	n := b.Cols
-	rowRange := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			r := idx[i]
-			productRow(a.Data[r*a.Cols:(r+1)*a.Cols], b.Data, n, dst.Data[i*n:(i+1)*n])
-		}
-	}
-	work := len(idx) * a.Cols * b.Cols
-	if work < parallelThreshold {
-		rowRange(0, len(idx))
-		return dst
-	}
-	parallel.RunChunks(len(idx), parallel.DefaultWorkers(), rowRange)
-	return dst
-}
-
 // GatherMatMulAddTanhInto computes tanh(gather(a, idx)·b + add) into dst —
 // the fused forward step of one GNN message transform: gather reads rows
 // in place, the additive term (nil to skip) and the activation are applied

@@ -93,11 +93,6 @@ func MatMul(a, b *Matrix) *Matrix {
 	return MatMulInto(a, b, &Matrix{Rows: a.Rows, Cols: b.Cols, Data: make([]float64, a.Rows*b.Cols)})
 }
 
-// MatMulT1 returns aᵀ·b, i.e. (a.Cols × b.Cols). Used for weight gradients.
-func MatMulT1(a, b *Matrix) *Matrix {
-	return MatMulT1Into(a, b, &Matrix{Rows: a.Cols, Cols: b.Cols, Data: make([]float64, a.Cols*b.Cols)})
-}
-
 // MatMulT2 returns a·bᵀ, i.e. (a.Rows × b.Rows). Used for input gradients.
 func MatMulT2(a, b *Matrix) *Matrix {
 	return MatMulT2Into(a, b, &Matrix{Rows: a.Rows, Cols: b.Rows, Data: make([]float64, a.Rows*b.Rows)})
@@ -247,15 +242,6 @@ func (m *Matrix) MaxAbs() float64 {
 	return mx
 }
 
-// Norm2 returns the Frobenius norm.
-func (m *Matrix) Norm2() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
 // RandUniform fills m with uniform values in [-scale, scale).
 func (m *Matrix) RandUniform(rng *rand.Rand, scale float64) {
 	for i := range m.Data {
@@ -268,32 +254,6 @@ func (m *Matrix) RandUniform(rng *rand.Rand, scale float64) {
 func (m *Matrix) XavierInit(rng *rand.Rand, fanIn, fanOut int) {
 	scale := math.Sqrt(6 / float64(fanIn+fanOut))
 	m.RandUniform(rng, scale)
-}
-
-// SoftmaxRows applies a numerically stable softmax to each row.
-func SoftmaxRows(a *Matrix) *Matrix {
-	out := New(a.Rows, a.Cols)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		mx := math.Inf(-1)
-		for _, v := range arow {
-			if v > mx {
-				mx = v
-			}
-		}
-		var z float64
-		for j, v := range arow {
-			e := math.Exp(v - mx)
-			orow[j] = e
-			z += e
-		}
-		inv := 1 / z
-		for j := range orow {
-			orow[j] *= inv
-		}
-	}
-	return out
 }
 
 // Equal reports element-wise equality within tolerance eps.
