@@ -15,7 +15,7 @@ BENCH_THRESHOLD ?= 10
 # size the previous tests left behind.
 BENCH_MEMLIMIT ?= 2GiB
 
-.PHONY: build test check race vet fmt lint loc bench bench-smoke bench-gate bench-baseline bench-huge bench-kernels benchdiff curve chaos serve-smoke serve-bench perfbench-smoke
+.PHONY: build test check race vet fmt lint loc quality bench bench-smoke bench-gate bench-baseline bench-huge bench-kernels benchdiff curve chaos serve-smoke serve-bench perfbench-smoke
 
 build:
 	$(GO) build ./...
@@ -62,6 +62,16 @@ chaos:
 	$(GO) test -race -count=10 -run 'TestProbsIntoConcurrent|TestProbsIntoAfterPanic|TestConcurrentAllocateRace|TestBatchedMatchesSolo|TestArenaConcurrentGetPut|TestPartitionConcurrentMatchesSerial' ./internal/core/ ./internal/serve/ ./internal/tensor/ ./internal/metis/
 	$(GO) test -race -count=20 -run 'TestStepScoresEachDistinctDecisionOnce' ./internal/rl/
 
+# Quality gate: train and score the quick Table I, Fig. 5, Fig. 6, Fig. 8,
+# Table II and drift experiments (~20 s) and diff their tables against the
+# committed golden. The output is the same at any GOMAXPROCS, so a change
+# that keeps every placement and reward bit-identical passes untouched; one
+# that moves placements fails here and must re-record QUALITY_GOLDEN.txt
+# and say why. The timing line is dropped before the diff.
+quality:
+	$(GO) run ./cmd/experiments -run table1,fig5,fig6,fig8,table2,drift -budget quick -scale 0.4 -quiet > .quality.txt
+	grep -v '^completed ' .quality.txt | diff QUALITY_GOLDEN.txt -
+
 # One iteration of every benchmark: catches benchmarks that panic or
 # regress into non-termination without paying for a full measurement run.
 bench-smoke:
@@ -99,10 +109,10 @@ serve-bench:
 	$(GO) run ./cmd/benchjson -diff -threshold $(BENCH_THRESHOLD) $(BENCH_BASELINE) .bench_serve.json
 
 # Full pre-merge check: lint (formatting + vet) + race-detected tests +
-# chaos suites + benchmark smoke run + observability smoke + serving
-# smoke + benchmark-harness smoke + huge-graph scaling gate + regression
-# gate against the committed baseline.
-check: lint race chaos bench-smoke curve serve-smoke perfbench-smoke bench-huge bench-gate
+# chaos suites + quality gate + benchmark smoke run + observability smoke +
+# serving smoke + benchmark-harness smoke + huge-graph scaling gate +
+# regression gate against the committed baseline.
+check: lint race chaos quality bench-smoke curve serve-smoke perfbench-smoke bench-huge bench-gate
 
 # Regression gate: measure the stable micro set (min of -count=3) and fail
 # when any benchmark regressed more than BENCH_THRESHOLD percent in ns/op,

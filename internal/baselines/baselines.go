@@ -217,7 +217,7 @@ func (m *GraphEncDec) TrainOn(graphs []*stream.Graph, cluster sim.Cluster, cfg T
 			cfg.logf("baselines: %s pretrain epoch %d/%d", m.Name(), epoch+1, cfg.PretrainEpochs)
 		}
 	}
-	trainSequential(m.PS, graphs, cluster, cfg, m.Name(),
+	trainSequential(m.PS, nn.NewAdam(cfg.LR), graphs, cluster, cfg, m.Name(),
 		func(b *nn.Binder, g *stream.Graph, rng *rand.Rand) ([]int, *autodiff.Node) {
 			f := gnn.BuildFeatures(g, cluster)
 			h := m.Enc.Encode(b, f)
@@ -248,16 +248,17 @@ func expFast(x float64) float64 {
 }
 
 // trainSequential is the shared REINFORCE loop for models whose sampling
-// requires a fresh forward pass per sample (LSTM decoders).
+// requires a fresh forward pass per sample (LSTM decoders). It steps opt,
+// so a model can carry its pretraining optimizer state into REINFORCE.
 func trainSequential(
 	ps *nn.ParamSet,
+	opt *nn.Adam,
 	graphs []*stream.Graph,
 	cluster sim.Cluster,
 	cfg TrainConfig,
 	name string,
 	sampleOne func(b *nn.Binder, g *stream.Graph, rng *rand.Rand) ([]int, *autodiff.Node),
 ) {
-	opt := nn.NewAdam(cfg.LR)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		var meanR float64
@@ -567,7 +568,6 @@ func (m *Hierarchical) Place(g *stream.Graph, cluster sim.Cluster) *stream.Place
 // REINFORCE over group and device choices.
 func (m *Hierarchical) TrainOn(graphs []*stream.Graph, cluster sim.Cluster, cfg TrainConfig) {
 	opt := nn.NewAdam(cfg.LR)
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	if cfg.PretrainEpochs > 0 {
 		targets := metisTargets(graphs, cluster, cfg.Seed)
 		devTargets := make([]int, m.Groups)
@@ -600,62 +600,24 @@ func (m *Hierarchical) TrainOn(graphs []*stream.Graph, cluster sim.Cluster, cfg 
 			cfg.logf("baselines: hierarchical pretrain epoch %d/%d", epoch+1, cfg.PretrainEpochs)
 		}
 	}
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		var meanR float64
-		for _, g := range graphs {
+	trainSequential(m.PS, opt, graphs, cluster, cfg, m.Name(),
+		func(b *nn.Binder, g *stream.Graph, rng *rand.Rand) ([]int, *autodiff.Node) {
 			f := gnn.BuildFeatures(g, cluster)
-			n := g.NumNodes()
-			type sample struct {
-				binder *nn.Binder
-				lp     *autodiff.Node
-				assign []int
-				reward float64
+			glp := m.groupLogProbs(b, f)
+			groupOf := make([]int, g.NumNodes())
+			for v := range groupOf {
+				groupOf[v] = sampleLogProbs(rng, glp.Value.Row(v), m.Groups)
 			}
-			samples := make([]sample, cfg.Samples)
-			for s := range samples {
-				b := nn.NewBinder(autodiff.NewTape())
-				glp := m.groupLogProbs(b, f)
-				groupOf := make([]int, n)
-				for v := 0; v < n; v++ {
-					groupOf[v] = sampleLogProbs(rng, glp.Value.Row(v), m.Groups)
-				}
-				devOf, devLP := m.placeGroups(b, f, cluster, groupOf, func(_ int, lp []float64) int {
-					return sampleLogProbs(rng, lp, cluster.Devices)
-				})
-				groupLP := b.Tape.Sum(b.Tape.PickCols(glp, groupOf))
-				total := b.Tape.Add(groupLP, b.Tape.Sum(devLP))
-				assign := make([]int, n)
-				for v := 0; v < n; v++ {
-					assign[v] = devOf[groupOf[v]]
-				}
-				samples[s] = sample{binder: b, lp: total, assign: assign}
-			}
-			parallel.ForEach(len(samples), 0, func(s int) {
-				p := stream.NewPlacement(n, cluster.Devices)
-				copy(p.Assign, samples[s].assign)
-				samples[s].reward = sim.Reward(g, p, cluster)
+			devOf, devLP := m.placeGroups(b, f, cluster, groupOf, func(_ int, lp []float64) int {
+				return sampleLogProbs(rng, lp, cluster.Devices)
 			})
-			var base float64
-			for _, s := range samples {
-				base += s.reward
+			assign := make([]int, len(groupOf))
+			for v, gi := range groupOf {
+				assign[v] = devOf[gi]
 			}
-			base /= float64(len(samples))
-			meanR += base
-			m.PS.ZeroGrads()
-			for _, s := range samples {
-				adv := (s.reward - base) / float64(len(samples)*n)
-				if adv == 0 {
-					continue
-				}
-				seed := tensor.New(1, 1)
-				seed.Data[0] = -adv
-				s.binder.Tape.Backward(s.lp, seed)
-				s.binder.Collect()
-			}
-			opt.Step(m.PS)
-		}
-		cfg.logf("baselines: hierarchical epoch %d/%d mean reward %.4f", epoch+1, cfg.Epochs, meanR/float64(len(graphs)))
-	}
+			groupLP := b.Tape.Sum(b.Tape.PickCols(glp, groupOf))
+			return assign, b.Tape.Add(groupLP, b.Tape.Sum(devLP))
+		})
 }
 
 // ---------------------------------------------------------------------------

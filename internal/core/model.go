@@ -12,9 +12,7 @@
 package core
 
 import (
-	"cmp"
 	"math/rand"
-	"slices"
 	"sync"
 
 	"repro/internal/autodiff"
@@ -228,7 +226,12 @@ type Allocation struct {
 
 // AllocateDecision runs the pipeline with an explicit decision vector.
 func (pl *Pipeline) AllocateDecision(g *stream.Graph, c sim.Cluster, d Decision) Allocation {
-	cm := stream.CollapseEdges(g, d)
+	return pl.allocateMap(g, c, stream.CollapseEdges(g, d))
+}
+
+// allocateMap partitions the coarse graph of cm with the placer and
+// expands the placement back onto g.
+func (pl *Pipeline) allocateMap(g *stream.Graph, c sim.Cluster, cm *stream.CoarseMap) Allocation {
 	cg := stream.CoarseGraph(g, cm)
 	cp := pl.Placer.Place(cg, c)
 	return Allocation{
@@ -255,18 +258,19 @@ func (pl *Pipeline) Allocate(g *stream.Graph, c sim.Cluster) Allocation {
 	return pl.AllocateRanked(g, c, probs)
 }
 
-// AllocateRanked sweeps coarsening ratios along an edge ranking: edges are
-// collapsed in descending score order (skipping cycle-closing edges), and
-// each time the super-node count crosses the next target size the
-// corresponding decision snapshot is evaluated end-to-end. The best
-// allocation wins. Target sizes are multiples of the device count, the
-// same knob Metis exposes as its coarsening scale.
+// AllocateRanked sweeps coarsening ratios along an edge ranking: one
+// stream.Collapser walk collapses edges in descending score order
+// (skipping edges inside one super-node), and each time the super-node
+// count crosses the next target size the walk's current coarse map is
+// evaluated end-to-end. The best allocation wins. Target sizes are
+// multiples of the device count, the same knob Metis exposes as its
+// coarsening scale.
 func (pl *Pipeline) AllocateRanked(g *stream.Graph, c sim.Cluster, score []float64) Allocation {
 	// Every candidate's coarse graph and reward reads g's demands: pin
 	// them once rather than re-propagating rates per candidate.
 	g = g.PinDemands()
 	n := g.NumNodes()
-	order := rankEdges(score)
+	order := stream.RankEdges(score)
 	// Candidate super-node counts: light coarsenings as fractions of n
 	// (where most of the benefit typically lies) plus heavy coarsenings as
 	// multiples of the device count.
@@ -291,49 +295,28 @@ func (pl *Pipeline) AllocateRanked(g *stream.Graph, c sim.Cluster, score []float
 		}
 	}
 
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	d := make(Decision, len(score))
-	comps := n
+	// Each candidate is the walk's grouping when the super-node count
+	// first reaches its target.
+	walk := stream.NewCollapser(g)
 	var best Allocation
 	bestR := -1.0
-	// AllocateDecision keeps no reference to d, so every candidate reads
-	// the one decision vector the loop below grows.
-	evalSnapshot := func() {
-		a := pl.AllocateDecision(g, c, d)
-		if r := sim.Reward(g, a.Placement, c); r > bestR {
-			best, bestR = a, r
-		}
-	}
 	ti := 0
-	next := 0
-	for ti < len(targets) && comps <= targets[ti] {
-		evalSnapshot()
-		ti++
-	}
-	for ti < len(targets) && next < len(order) {
-		e := g.Edges[order[next]]
-		ru, rv := find(e.Src), find(e.Dst)
-		if ru != rv {
-			parent[ru] = rv
-			d[order[next]] = true
-			comps--
-			for ti < len(targets) && comps <= targets[ti] {
-				evalSnapshot()
-				ti++
+	evalReached := func() {
+		for ; ti < len(targets) && walk.NumSuper() <= targets[ti]; ti++ {
+			a := pl.allocateMap(g, c, walk.Map())
+			if r := sim.Reward(g, a.Placement, c); r > bestR {
+				best, bestR = a, r
 			}
 		}
-		next++
+	}
+	evalReached()
+	for _, ei := range order {
+		if ti == len(targets) {
+			break
+		}
+		if walk.Collapse(int(ei)) {
+			evalReached()
+		}
 	}
 	return best
 }
@@ -341,11 +324,6 @@ func (pl *Pipeline) AllocateRanked(g *stream.Graph, c sim.Cluster, score []float
 // AllocateGreedy runs pure threshold-0.5 inference (used by ablations).
 func (pl *Pipeline) AllocateGreedy(g *stream.Graph, c sim.Cluster) Allocation {
 	return pl.AllocateDecision(g, c, pl.Model.Greedy(g, c))
-}
-
-// Reward simulates an allocation and returns the relative throughput.
-func Reward(g *stream.Graph, a Allocation, c sim.Cluster) float64 {
-	return sim.Reward(g, a.Placement, c)
 }
 
 // CoarsenTo collapses edges by descending merge probability until at most
@@ -361,54 +339,20 @@ func (mo *Model) CoarsenTo(g *stream.Graph, c sim.Cluster, target int) Decision 
 // skipped. It is the ranking half of CoarsenTo with the model factored
 // out, which lets the multilevel driver reuse one forward pass's scores.
 func CoarsenToRanked(g *stream.Graph, target int, score []float64) Decision {
-	order := rankEdges(score)
-	d := make(Decision, len(score))
-	// Collapse greedily while tracking component count via union-find.
-	parent := make([]int, g.NumNodes())
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	comps := g.NumNodes()
-	for _, ei := range order {
-		if comps <= target {
-			break
-		}
-		e := g.Edges[ei]
-		ru, rv := find(e.Src), find(e.Dst)
-		if ru != rv {
-			parent[ru] = rv
-			d[ei] = true
-			comps--
-		}
-	}
-	return d
+	return collapseTo(g, target, stream.RankEdges(score)).Decision()
 }
 
-// rankEdges returns the edge ids by descending score, edge id ascending
-// on ties. The keys are unique, so any correct sort gives this order.
-func rankEdges(score []float64) []int32 {
-	order := make([]int32, len(score))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	slices.SortFunc(order, func(a, b int32) int {
-		if score[a] != score[b] {
-			if score[a] > score[b] {
-				return -1
-			}
-			return 1
+// collapseTo walks order, collapsing edges until at most target
+// super-nodes remain.
+func collapseTo(g *stream.Graph, target int, order []int32) *stream.Collapser {
+	walk := stream.NewCollapser(g)
+	for _, ei := range order {
+		if walk.NumSuper() <= target {
+			break
 		}
-		return cmp.Compare(a, b)
-	})
-	return order
+		walk.Collapse(int(ei))
+	}
+	return walk
 }
 
 // CoarsenOnly implements the "Coarsen-only" ablation (Table II): collapse
@@ -416,8 +360,7 @@ func rankEdges(score []float64) []int32 {
 // equals the device count, then give each super-node its own device. No
 // partitioning model is involved.
 func (mo *Model) CoarsenOnly(g *stream.Graph, c sim.Cluster) Allocation {
-	d := mo.CoarsenTo(g, c, c.Devices)
-	cm := stream.CollapseEdges(g, d)
+	cm := collapseTo(g, c.Devices, stream.RankEdges(mo.Probs(g, c))).Map()
 	cg := stream.CoarseGraph(g, cm)
 	cp := stream.NewPlacement(cm.NumSuper, c.Devices)
 	for s := 0; s < cm.NumSuper; s++ {

@@ -12,7 +12,6 @@ package core
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -71,8 +70,9 @@ func (pl *Pipeline) AllocateMultilevel(g *stream.Graph, c sim.Cluster, cfg Multi
 	if target < cfg.LeafSize {
 		target = cfg.LeafSize
 	}
-	d := CoarsenToRanked(g, target, probs)
-	cm := stream.CollapseEdges(g, d)
+	// One ranking serves the level's collapse walk and its refinement.
+	order := stream.RankEdges(probs)
+	cm := collapseTo(g, target, order).Map()
 	if cm.NumSuper >= g.NumNodes() {
 		// No edge could collapse (e.g. an edgeless graph): recursing would
 		// not terminate, so fall through to the flat pipeline.
@@ -82,17 +82,17 @@ func (pl *Pipeline) AllocateMultilevel(g *stream.Graph, c sim.Cluster, cfg Multi
 
 	coarse := pl.AllocateMultilevel(cg, c, cfg)
 	p := stream.ExpandPlacement(cm, coarse.Placement)
-	refineBoundary(g, c, p, probs, cfg.RefinePasses)
+	refineBoundary(g, c, p, order, cfg.RefinePasses)
 	return Allocation{Placement: p, Coarse: cm, CoarseGraph: cg}
 }
 
-// refineBoundary sweeps the cut edges of p — highest merge score first,
-// edge id breaking ties — and greedily moves one endpoint onto the other's
-// device whenever that strictly improves (worst device utilization, total
-// cross traffic) lexicographically. The score ordering makes the model's
-// opinion the refinement priority: edges it most wanted merged are pulled
-// onto one device first. Device loads are maintained incrementally, never
-// re-simulated.
+// refineBoundary sweeps the cut edges of p in the level's ranking order —
+// highest merge score first, edge id breaking ties — and greedily moves
+// one endpoint onto the other's device whenever that strictly improves
+// (worst device utilization, total cross traffic) lexicographically. The
+// score ordering makes the model's opinion the refinement priority: edges
+// it most wanted merged are pulled onto one device first. Device loads are
+// maintained incrementally, never re-simulated.
 //
 // A trial costs O(devices) when its destination's CPU quotient after the
 // move, (cpu[to]+load[v])/capacity, already exceeds the current worst
@@ -105,7 +105,7 @@ func (pl *Pipeline) AllocateMultilevel(g *stream.Graph, c sim.Cluster, cfg Multi
 // bounds contraction hubs, whose load rarely fits under the current worst,
 // but a high-degree super-node light enough to fit on every device still
 // walks its edges on each trial: O(cut·deg) per pass.
-func refineBoundary(g *stream.Graph, c sim.Cluster, p *stream.Placement, score []float64, passes int) int {
+func refineBoundary(g *stream.Graph, c sim.Cluster, p *stream.Placement, order []int32, passes int) int {
 	if passes <= 0 || g.NumEdges() == 0 {
 		return 0
 	}
@@ -180,25 +180,19 @@ func refineBoundary(g *stream.Graph, c sim.Cluster, p *stream.Placement, score [
 		p.Assign[v] = to
 	}
 
-	// Cut edges in model order, computed once: an edge that stops being cut
-	// mid-pass is skipped by the dev check when its turn comes.
-	order := make([]int, 0, len(score))
-	for ei, e := range g.Edges {
-		if p.Assign[e.Src] != p.Assign[e.Dst] {
-			order = append(order, ei)
+	// Cut edges in ranking order, computed once: an edge that stops being
+	// cut mid-pass is skipped by the dev check when its turn comes.
+	cut := make([]int32, 0, len(order))
+	for _, ei := range order {
+		if e := g.Edges[ei]; p.Assign[e.Src] != p.Assign[e.Dst] {
+			cut = append(cut, ei)
 		}
 	}
-	sort.Slice(order, func(a, b int) bool {
-		if score[order[a]] != score[order[b]] {
-			return score[order[a]] > score[order[b]]
-		}
-		return order[a] < order[b]
-	})
 
 	moved := 0
 	for pass := 0; pass < passes; pass++ {
 		improved := false
-		for _, ei := range order {
+		for _, ei := range cut {
 			e := g.Edges[ei]
 			if p.Assign[e.Src] == p.Assign[e.Dst] {
 				continue

@@ -54,7 +54,7 @@ func TestRefineBoundaryNeverWorsens(t *testing.T) {
 	for i := range score {
 		score[i] = float64(i) / 10
 	}
-	refineBoundary(g, c, p, score, 4)
+	refineBoundary(g, c, p, stream.RankEdges(score), 4)
 	if err := p.Validate(g); err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestRefineBoundaryDeterministic(t *testing.T) {
 	run := func() []int {
 		g, c, p := refineChain()
 		score := []float64{0.9, 0.1, 0.5, 0.5, 0.7}
-		refineBoundary(g, c, p, score, 3)
+		refineBoundary(g, c, p, stream.RankEdges(score), 3)
 		return p.Assign
 	}
 	a, b := run(), run()
@@ -336,7 +336,7 @@ func TestRefineBoundaryMatchesUnprunedReference(t *testing.T) {
 			want := tc.p.Clone()
 			wantMoved, _ := refineBoundaryRef(tc.g, tc.c, want, tc.score, passes)
 			got := tc.p.Clone()
-			gotMoved := refineBoundary(tc.g, tc.c, got, tc.score, passes)
+			gotMoved := refineBoundary(tc.g, tc.c, got, stream.RankEdges(tc.score), passes)
 			if gotMoved != wantMoved {
 				t.Fatalf("%s passes=%d: %d moves, reference %d", tc.name, passes, gotMoved, wantMoved)
 			}
@@ -364,7 +364,7 @@ func TestRefineBoundaryEdgeVisitsBounded(t *testing.T) {
 		score := randomScores(g, rng)
 		_, unpruned := refineBoundaryRef(g, c, p.Clone(), score, passes)
 		before := obsRefineEdgeVisits.Value()
-		refineBoundary(g, c, p, score, passes)
+		refineBoundary(g, c, p, stream.RankEdges(score), passes)
 		visits := obsRefineEdgeVisits.Value() - before
 		if visits > bound {
 			t.Errorf("placement %d: %d edge visits, want ≤ %d (unpruned: %d)", i, visits, bound, unpruned)

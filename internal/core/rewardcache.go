@@ -1,32 +1,17 @@
-// rewardcache.go memoizes simulated rewards behind the generic bounded LRU
-// in internal/cache. The REINFORCE loop repeatedly scores (graph, decision)
-// pairs through the full coarsen → partition → simulate pipeline; because
-// every stage is deterministic, identical pairs always produce the identical
-// reward, so re-simulating a decision the policy has already visited
-// (duplicate on-policy samples once probabilities saturate, Metis-guided
-// seeds resampled by a confident policy) is pure waste. The cache key is
-// exact — the graph id plus the packed decision bitset, not a hash — so a
-// hit can never alias a different decision and the training trajectory
-// stays bit-identical with memoization enabled.
+// rewardcache.go keys the trainer's reward memo. The REINFORCE loop
+// repeatedly scores (graph, decision) pairs through the full coarsen →
+// partition → simulate pipeline; because every stage is deterministic,
+// identical pairs always produce the identical reward, so re-simulating a
+// decision the policy has already visited (duplicate on-policy samples
+// once probabilities saturate, Metis-guided seeds resampled by a confident
+// policy) is pure waste. rl.Trainer memoizes rewards in the generic
+// bounded LRU of internal/cache under DecisionKey. The key is exact — the
+// graph id plus the packed decision bitset, not a hash — so a hit can
+// never alias a different decision and the training trajectory stays
+// bit-identical with memoization enabled.
 package core
 
-import (
-	"encoding/binary"
-
-	"repro/internal/cache"
-	"repro/internal/obs"
-)
-
-// RewardCache memoizes decision rewards with LRU eviction. It is safe for
-// concurrent use (sample scoring fans out across workers).
-type RewardCache struct {
-	lru *cache.LRU[string, float64]
-}
-
-// NewRewardCache returns a cache bounded to capacity entries (minimum 1).
-func NewRewardCache(capacity int) *RewardCache {
-	return &RewardCache{lru: cache.New[string, float64](capacity)}
-}
+import "encoding/binary"
 
 // DecisionKey packs (graph id, decision bitset) into an exact cache key:
 // the graph id and edge count as fixed-width prefixes, then one bit per
@@ -42,28 +27,3 @@ func DecisionKey(graph int, d Decision) string {
 	}
 	return string(buf)
 }
-
-// Instrument mirrors every hit and miss into the given obs counters so a
-// live /metrics scrape sees cache effectiveness without polling Stats().
-// Either counter may be nil (obs.Counter methods are nil-safe).
-func (c *RewardCache) Instrument(hits, misses *obs.Counter) {
-	c.lru.Instrument(hits, misses)
-}
-
-// Get returns the memoized reward for key and whether it was present,
-// marking the entry most-recently-used on a hit.
-func (c *RewardCache) Get(key string) (float64, bool) { return c.lru.Get(key) }
-
-// Put memoizes the reward for key, evicting the least-recently-used entry
-// when the cache is full.
-func (c *RewardCache) Put(key string, reward float64) { c.lru.Put(key, reward) }
-
-// Len returns the number of memoized entries.
-func (c *RewardCache) Len() int { return c.lru.Len() }
-
-// Stats returns the cumulative hit and miss counts.
-func (c *RewardCache) Stats() (hits, misses uint64) { return c.lru.Stats() }
-
-// Clear drops every entry (hit/miss counters are retained). Use when the
-// graph-id namespace changes meaning, e.g. between curriculum levels.
-func (c *RewardCache) Clear() { c.lru.Clear() }

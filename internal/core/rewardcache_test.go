@@ -3,27 +3,14 @@ package core
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/cache"
 )
 
-func TestRewardCacheHitReturnsIdenticalValue(t *testing.T) {
-	c := NewRewardCache(8)
-	key := DecisionKey(3, Decision{true, false, true})
-	if _, ok := c.Get(key); ok {
-		t.Fatal("unexpected hit on empty cache")
-	}
-	c.Put(key, 0.123456789)
-	got, ok := c.Get(key)
-	if !ok || got != 0.123456789 {
-		t.Fatalf("Get = %g, %v", got, ok)
-	}
-	hits, misses := c.Stats()
-	if hits != 1 || misses != 1 {
-		t.Fatalf("stats = %d hits, %d misses", hits, misses)
-	}
-}
-
+// The reward memo is rl.Trainer's cache.LRU keyed by DecisionKey; these
+// pin its eviction and Clear behaviour under those keys.
 func TestRewardCacheBoundedEviction(t *testing.T) {
-	c := NewRewardCache(4)
+	c := cache.New[string, float64](4)
 	for i := 0; i < 10; i++ {
 		c.Put(DecisionKey(i, Decision{true}), float64(i))
 	}
@@ -40,23 +27,6 @@ func TestRewardCacheBoundedEviction(t *testing.T) {
 		if v, ok := c.Get(DecisionKey(i, Decision{true})); !ok || v != float64(i) {
 			t.Fatalf("entry %d = %g, %v", i, v, ok)
 		}
-	}
-}
-
-func TestRewardCacheLRUOrder(t *testing.T) {
-	c := NewRewardCache(2)
-	ka := DecisionKey(0, Decision{true})
-	kb := DecisionKey(1, Decision{true})
-	kc := DecisionKey(2, Decision{true})
-	c.Put(ka, 1)
-	c.Put(kb, 2)
-	c.Get(ka)    // a becomes MRU
-	c.Put(kc, 3) // evicts b, the LRU
-	if _, ok := c.Get(kb); ok {
-		t.Fatal("LRU entry b survived eviction")
-	}
-	if _, ok := c.Get(ka); !ok {
-		t.Fatal("recently used entry a was evicted")
 	}
 }
 
@@ -85,7 +55,7 @@ func TestDecisionKeyExact(t *testing.T) {
 }
 
 func TestRewardCacheClearKeepsCounters(t *testing.T) {
-	c := NewRewardCache(8)
+	c := cache.New[string, float64](8)
 	k := DecisionKey(0, Decision{true})
 	c.Put(k, 1)
 	c.Get(k)
@@ -104,14 +74,5 @@ func TestRewardCacheClearKeepsCounters(t *testing.T) {
 	c.Put(k, 2)
 	if v, ok := c.Get(k); !ok || v != 2 {
 		t.Fatalf("post-Clear Get = %g, %v", v, ok)
-	}
-}
-
-func TestRewardCacheMinimumCapacity(t *testing.T) {
-	c := NewRewardCache(0)
-	c.Put(DecisionKey(0, Decision{true}), 1)
-	c.Put(DecisionKey(1, Decision{true}), 2)
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", c.Len())
 	}
 }

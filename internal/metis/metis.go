@@ -459,50 +459,18 @@ func Oracle(g *stream.Graph, cluster sim.Cluster, seed int64) (*stream.Placement
 }
 
 // InferCollapsedEdges converts a partition into edge-collapse decisions via
-// the paper's maximum-spanning-tree construction (§IV-C): within every
-// part, the maximum spanning forest over intra-part edges (by traffic) is
-// marked collapsed, so collapsing exactly reproduces the part's connected
-// components as super-nodes.
+// the paper's maximum-spanning-tree construction (§IV-C): one collapse walk
+// over the intra-part edges in descending traffic (Kruskal's order) marks
+// the maximum spanning forest of every part collapsed, so collapsing
+// exactly reproduces the part's connected components as super-nodes.
 func InferCollapsedEdges(g *stream.Graph, p *stream.Placement) []bool {
-	traffic := g.EdgeTraffic()
-	type cand struct {
-		ei int
-		w  float64
-	}
-	var cands []cand
-	for ei, e := range g.Edges {
-		if p.Assign[e.Src] == p.Assign[e.Dst] {
-			cands = append(cands, cand{ei, traffic[ei]})
+	walk := stream.NewCollapser(g)
+	for _, ei := range stream.RankEdges(g.EdgeTraffic()) {
+		if e := g.Edges[ei]; p.Assign[e.Src] == p.Assign[e.Dst] {
+			walk.Collapse(int(ei))
 		}
 	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].w != cands[b].w {
-			return cands[a].w > cands[b].w
-		}
-		return cands[a].ei < cands[b].ei
-	})
-	parent := make([]int, g.NumNodes())
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	collapse := make([]bool, g.NumEdges())
-	for _, c := range cands {
-		e := g.Edges[c.ei]
-		ru, rv := find(e.Src), find(e.Dst)
-		if ru != rv {
-			parent[ru] = rv
-			collapse[c.ei] = true
-		}
-	}
-	return collapse
+	return walk.Decision()
 }
 
 // CoarsenHEM exposes Metis's own coarsening step on a stream graph: it

@@ -22,10 +22,10 @@ type candidate struct {
 	moved    int
 }
 
-// candidates re-collapses the region at several granularities and
-// scores each resulting placement under st. The returned order is
-// deterministic.
-func (l *Loop) candidates(region map[int]bool, st sim.DriftState, probs []float64) []candidate {
+// candidates re-collapses the region at several granularities along the
+// edge ranking order and scores each resulting placement under st. The
+// returned order is deterministic.
+func (l *Loop) candidates(region map[int]bool, st sim.DriftState, order []int32) []candidate {
 	// Region operators, in index order for determinism.
 	var nodes []int
 	for v := 0; v < l.g.NumNodes(); v++ {
@@ -40,69 +40,32 @@ func (l *Loop) candidates(region map[int]bool, st sim.DriftState, probs []float6
 	for _, v := range nodes {
 		inRegion[v] = true
 	}
-	// Internal edges ranked by the scorer's merge probability, matching
-	// the pipeline's collapse ordering (ties by edge index).
-	type pe struct {
-		ei int
-		p  float64
-	}
-	var order []pe
-	for ei, e := range l.g.Edges {
-		if inRegion[e.Src] && inRegion[e.Dst] {
-			order = append(order, pe{ei, probs[ei]})
-		}
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if order[a].p != order[b].p {
-			return order[a].p > order[b].p
-		}
-		return order[a].ei < order[b].ei
-	})
-
 	up := st.NumUp(l.c.Devices)
 	targets := regionTargets(len(nodes), up)
 
-	// Incremental union-find collapse over region nodes, snapshotting the
-	// grouping each time the super-node count crosses the next target.
-	parent := make([]int, l.g.NumNodes())
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
+	// One collapse walk along the pipeline's ranking, restricted to
+	// region-internal edges, snapshotting the grouping each time the
+	// region's super-node count crosses the next target. Operators outside
+	// the region stay singletons.
+	walk := stream.NewCollapser(l.g)
+	outside := l.g.NumNodes() - len(nodes)
 	loads := l.g.NodeLoad()
 	var out []candidate
+	ti := 0
 	snapshot := func() {
-		if p := l.assignRegion(nodes, parent, loads, st); p != nil {
-			out = append(out, l.score(p, st))
+		for ; ti < len(targets) && walk.NumSuper()-outside <= targets[ti]; ti++ {
+			if p := l.assignRegion(nodes, inRegion, walk.Map(), loads, st); p != nil {
+				out = append(out, l.score(p, st))
+			}
 		}
 	}
-	comps := len(nodes)
-	ti := 0
-	for ti < len(targets) && comps <= targets[ti] {
-		snapshot()
-		ti++
-	}
-	for _, o := range order {
-		if ti >= len(targets) {
+	snapshot()
+	for _, ei := range order {
+		if ti == len(targets) {
 			break
 		}
-		e := l.g.Edges[o.ei]
-		ru, rv := find(e.Src), find(e.Dst)
-		if ru == rv {
-			continue
-		}
-		parent[ru] = rv
-		comps--
-		for ti < len(targets) && comps <= targets[ti] {
+		if e := l.g.Edges[ei]; inRegion[e.Src] && inRegion[e.Dst] && walk.Collapse(int(ei)) {
 			snapshot()
-			ti++
 		}
 	}
 	return out
@@ -149,36 +112,25 @@ func regionTargets(nRegion, upDevices int) []int {
 // out-of-region operators already impose. Lost devices keep a vanishing
 // capacity so they are never chosen. Ties break toward the lowest
 // device index. Returns nil when no device can host.
-func (l *Loop) assignRegion(nodes []int, parent []int, loads []float64, st sim.DriftState) *stream.Placement {
-	find := func(x int) int {
-		for parent[x] != x {
-			x = parent[x]
-		}
-		return x
-	}
-	// Group region nodes by union-find root, keyed by the smallest
-	// member for deterministic ordering.
-	groupOf := map[int][]int{}
-	for _, v := range nodes {
-		r := find(v)
-		groupOf[r] = append(groupOf[r], v)
-	}
+func (l *Loop) assignRegion(nodes []int, inRegion []bool, cm *stream.CoarseMap, loads []float64, st sim.DriftState) *stream.Placement {
+	// Group region nodes by super-node; nodes ascend, so each group's
+	// first member is its smallest, which breaks load ties.
 	type group struct {
 		lead    int
 		members []int
 		load    float64
 	}
 	var groups []group
-	for _, members := range groupOf {
-		gload := 0.0
-		lead := members[0]
-		for _, v := range members {
-			gload += loads[v]
-			if v < lead {
-				lead = v
-			}
+	at := make([]int, cm.NumSuper) // super-node → group index + 1
+	for _, v := range nodes {
+		s := cm.Super[v]
+		if at[s] == 0 {
+			groups = append(groups, group{lead: v})
+			at[s] = len(groups)
 		}
-		groups = append(groups, group{lead: lead, members: members, load: gload})
+		gr := &groups[at[s]-1]
+		gr.members = append(gr.members, v)
+		gr.load += loads[v]
 	}
 	sort.Slice(groups, func(a, b int) bool {
 		if groups[a].load != groups[b].load {
@@ -189,10 +141,6 @@ func (l *Loop) assignRegion(nodes []int, parent []int, loads []float64, st sim.D
 
 	dc := l.c.WithDrift(st)
 	devLoad := make([]float64, l.c.Devices)
-	inRegion := make([]bool, l.g.NumNodes())
-	for _, v := range nodes {
-		inRegion[v] = true
-	}
 	for v := 0; v < l.g.NumNodes(); v++ {
 		if !inRegion[v] {
 			devLoad[l.cur.Assign[v]] += loads[v] * st.RateFactor

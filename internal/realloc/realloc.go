@@ -326,14 +326,15 @@ func (l *Loop) pushWindow(rel float64) {
 // backoff and context handling; with BaseDelay 0 the schedule is pure
 // control flow and fully deterministic.
 func (l *Loop) replan(ctx context.Context, st sim.DriftState, measured sim.Result) (candidate, int, error) {
-	probs := l.scorer.Probs(l.g, l.c)
+	// Every escalation level collapses along the same ranking.
+	order := stream.RankEdges(l.scorer.Probs(l.g, l.c))
 	stay := l.utility(measured.Relative, 0)
 	var adopted candidate
 	level := -1
 	err := resilience.Retry(ctx, l.cfg.Retry, func() error {
 		level++
 		region := l.selectRegion(measured, st, level)
-		cands := l.candidates(region, st, probs)
+		cands := l.candidates(region, st, order)
 		best, ok := l.pickBest(cands, stay)
 		if !ok {
 			return ErrNoFeasible

@@ -30,6 +30,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/gnn"
 	"repro/internal/metis"
@@ -180,9 +181,10 @@ type Trainer struct {
 	// Divergences counts guard-triggered rollbacks.
 	Divergences int
 
-	// Rewards memoizes decision rewards across steps (nil when disabled).
-	// Hit/miss counters are exported via Rewards.Stats().
-	Rewards *core.RewardCache
+	// Rewards memoizes decision rewards across steps, keyed by
+	// core.DecisionKey (nil when disabled). Hit/miss counters are exported
+	// via Rewards.Stats().
+	Rewards *cache.LRU[string, float64]
 
 	// buffer holds the best historical samples per training-graph index.
 	buffer map[int][]scored
@@ -221,21 +223,21 @@ func NewTrainer(cfg Config, model *core.Model, pipe *core.Pipeline) *Trainer {
 		panic("rl: pipeline must wrap the trained model")
 	}
 	pcg := randv2.NewPCG(uint64(cfg.Seed), 0x9E3779B97F4A7C15)
-	var cache *core.RewardCache
+	var rewards *cache.LRU[string, float64]
 	if cfg.RewardCacheSize >= 0 {
 		size := cfg.RewardCacheSize
 		if size == 0 {
 			size = 4096
 		}
-		cache = core.NewRewardCache(size)
-		cache.Instrument(obsCacheHits, obsCacheMisses)
+		rewards = cache.New[string, float64](size)
+		rewards.Instrument(obsCacheHits, obsCacheMisses)
 	}
 	return &Trainer{
 		Cfg:      cfg,
 		Model:    model,
 		Pipeline: pipe,
 		Opt:      nn.NewAdam(cfg.LR),
-		Rewards:  cache,
+		Rewards:  rewards,
 		buffer:   make(map[int][]scored),
 		pcg:      pcg,
 		rng:      randv2.New(pcg),

@@ -336,7 +336,12 @@ func (g *Graph) Validate() error {
 	if err != nil {
 		return err
 	}
-	if len(g.Nodes) > 1 && !g.weaklyConnected() {
+	// Weakly connected: collapsing every edge leaves one super-node.
+	c := NewCollapser(g)
+	for ei := range g.Edges {
+		c.Collapse(ei)
+	}
+	if c.NumSuper() != 1 {
 		return fmt.Errorf("stream: graph is not weakly connected")
 	}
 	rates := g.ratesAlong(order)
@@ -356,31 +361,6 @@ func (g *Graph) Validate() error {
 func positiveFinite(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 func nonNegFinite(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
-
-func (g *Graph) weaklyConnected() bool {
-	n := len(g.Nodes)
-	adj := make([][]int, n)
-	for _, e := range g.Edges {
-		adj[e.Src] = append(adj[e.Src], e.Dst)
-		adj[e.Dst] = append(adj[e.Dst], e.Src)
-	}
-	seen := make([]bool, n)
-	stack := []int{0}
-	seen[0] = true
-	count := 1
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, w := range adj[v] {
-			if !seen[w] {
-				seen[w] = true
-				count++
-				stack = append(stack, w)
-			}
-		}
-	}
-	return count == n
-}
 
 // SteadyRates returns each node's steady-state output tuple rate assuming
 // no resource bottlenecks: sources emit SourceRate × selectivity, and each
@@ -536,38 +516,6 @@ type CoarseMap struct {
 	NumSuper int
 }
 
-// CollapseEdges builds the coarse map induced by merging the endpoints of
-// every edge whose index appears with decision true. Super-node ids are
-// compacted and ordered by the smallest original node they contain.
-func CollapseEdges(g *Graph, collapse []bool) *CoarseMap {
-	if len(collapse) != len(g.Edges) {
-		panic(fmt.Sprintf("stream: %d collapse decisions for %d edges", len(collapse), len(g.Edges)))
-	}
-	uf := newUnionFind(len(g.Nodes))
-	for ei, c := range collapse {
-		if c {
-			uf.union(g.Edges[ei].Src, g.Edges[ei].Dst)
-		}
-	}
-	return coarseFromUF(g, uf)
-}
-
-func coarseFromUF(g *Graph, uf *unionFind) *CoarseMap {
-	n := len(g.Nodes)
-	super := make([]int, n)
-	next := 0
-	rootID := make([]int32, n) // root → super-node id + 1; 0 = not yet numbered
-	for v := 0; v < n; v++ {
-		r := uf.find(v)
-		if rootID[r] == 0 {
-			next++
-			rootID[r] = int32(next)
-		}
-		super[v] = int(rootID[r]) - 1
-	}
-	return &CoarseMap{Super: super, NumSuper: next}
-}
-
 // Members returns, for each super-node, the sorted original node indices.
 func (cm *CoarseMap) Members() [][]int {
 	m := make([][]int, cm.NumSuper)
@@ -698,42 +646,6 @@ func ExpandPlacement(cm *CoarseMap, coarse *Placement) *Placement {
 		p.Assign[v] = coarse.Assign[s]
 	}
 	return p
-}
-
-// unionFind is a standard weighted quick-union with path halving.
-type unionFind struct {
-	parent []int
-	rank   []int
-}
-
-func newUnionFind(n int) *unionFind {
-	uf := &unionFind{parent: make([]int, n), rank: make([]int, n)}
-	for i := range uf.parent {
-		uf.parent[i] = i
-	}
-	return uf
-}
-
-func (uf *unionFind) find(x int) int {
-	for uf.parent[x] != x {
-		uf.parent[x] = uf.parent[uf.parent[x]]
-		x = uf.parent[x]
-	}
-	return x
-}
-
-func (uf *unionFind) union(a, b int) {
-	ra, rb := uf.find(a), uf.find(b)
-	if ra == rb {
-		return
-	}
-	if uf.rank[ra] < uf.rank[rb] {
-		ra, rb = rb, ra
-	}
-	uf.parent[rb] = ra
-	if uf.rank[ra] == uf.rank[rb] {
-		uf.rank[ra]++
-	}
 }
 
 // DOT renders the graph in Graphviz format; placement may be nil. Used by
