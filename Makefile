@@ -53,13 +53,14 @@ race:
 # controllers or a data race in the re-allocation loop fails loudly. Then
 # the tests that reach the shared forward-pass binder pool or the tensor
 # arena from several goroutines (offline passes, served snapshot passes,
-# the batcher, mixed-size arena traffic, Metis's pooled CSR scratch), ten
-# times each, so a pool race or a poisoned binder fails loudly too. Last,
-# one REINFORCE step of identical samples on four scorers, twenty times:
-# its cache split must not depend on how the scorers interleave.
+# concurrent cache misses, mixed-size arena traffic, Metis's pooled CSR
+# scratch), ten times each, so a pool race or a poisoned binder fails
+# loudly too. Last, one REINFORCE step of identical samples on four
+# scorers, twenty times: its cache split must not depend on how the
+# scorers interleave.
 chaos:
 	$(GO) test -race -count=2 ./internal/runtime/ ./internal/realloc/ ./internal/resilience/
-	$(GO) test -race -count=10 -run 'TestProbsIntoConcurrent|TestProbsIntoAfterPanic|TestConcurrentAllocateRace|TestBatchedMatchesSolo|TestArenaConcurrentGetPut|TestPartitionConcurrentMatchesSerial' ./internal/core/ ./internal/serve/ ./internal/tensor/ ./internal/metis/
+	$(GO) test -race -count=10 -run 'TestProbsIntoConcurrent|TestProbsIntoAfterPanic|TestConcurrentAllocateRace|TestConcurrentMatchesSerial|TestArenaConcurrentGetPut|TestPartitionConcurrentMatchesSerial' ./internal/core/ ./internal/serve/ ./internal/tensor/ ./internal/metis/
 	$(GO) test -race -count=20 -run 'TestStepScoresEachDistinctDecisionOnce' ./internal/rl/
 
 # Quality gate: train and score the quick Table I, Fig. 5, Fig. 6, Fig. 8,

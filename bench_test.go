@@ -546,13 +546,10 @@ func BenchmarkTrainEpoch(b *testing.B) {
 }
 
 // BenchmarkServe measures the allocation service end-to-end, in process
-// (no HTTP): the cold path (unique requests → batched snapshot-bound
-// forward pass + placement) and the cached path (repeat requests served straight
-// from the placement LRU), each under 1, 8, and 64 concurrent clients.
-// The single-client runs disable the coalescing window — with no second
-// client it is pure added latency — so they measure the bare request
-// path; the concurrent runs keep the default 200µs window so the batcher
-// actually stacks forward passes.
+// (no HTTP): the cold path (unique requests → snapshot-bound forward pass,
+// one at a time under the forward lock, + placement) and the cached path
+// (repeat requests served straight from the placement LRU), each under 1,
+// 8, and 64 concurrent clients.
 func BenchmarkServe(b *testing.B) {
 	s := gen.Small()
 	graphs := s.Generate().Test
@@ -579,12 +576,8 @@ func BenchmarkServe(b *testing.B) {
 	}
 
 	for _, clients := range []int{1, 8, 64} {
-		window := 200 * time.Microsecond
-		if clients == 1 {
-			window = -1
-		}
 		b.Run(fmt.Sprintf("cold-c%d", clients), func(b *testing.B) {
-			svc, err := serve.New(serve.Options{Model: model, BatchWindow: window, Registry: obs.NewRegistry()})
+			svc, err := serve.New(serve.Options{Model: model, Registry: obs.NewRegistry()})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -601,7 +594,7 @@ func BenchmarkServe(b *testing.B) {
 			})
 		})
 		b.Run(fmt.Sprintf("cached-c%d", clients), func(b *testing.B) {
-			svc, err := serve.New(serve.Options{Model: model, BatchWindow: window, Registry: obs.NewRegistry()})
+			svc, err := serve.New(serve.Options{Model: model, Registry: obs.NewRegistry()})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -1,9 +1,9 @@
 // Command allocserve is the allocation-as-a-service daemon: it loads a
 // checkpointed coarsening model and answers "stream graph spec →
-// placement" over HTTP/JSON at high QPS. The hot path is the batched
-// forward pass in internal/serve — the model's training forward, bound to
-// the served parameter snapshot; repeat requests hit a bounded placement
-// cache keyed by the canonical request fingerprint.
+// placement" over HTTP/JSON at high QPS. A cache miss runs its own forward
+// pass in internal/serve — the model's training forward, bound to the
+// served parameter snapshot, one pass at a time; repeat requests hit a
+// bounded placement cache keyed by the canonical request fingerprint.
 //
 // Usage:
 //
@@ -47,8 +47,6 @@ type serverConfig struct {
 	hidden      int
 	seed        int64
 	cacheSize   int
-	batchWindow time.Duration
-	maxBatch    int
 	maxInflight int
 	sloP99MS    float64
 	accessLog   string
@@ -94,12 +92,10 @@ func main() {
 		hidden      = flag.Int("hidden", 24, "GNN half-embedding width (must match the checkpoint)")
 		seed        = flag.Int64("seed", 1, "parameter seed when -model is empty")
 		cacheSize   = flag.Int("cache", 4096, "placement cache entries (<0 disables)")
-		batchWindow = flag.Duration("batch-window", 200*time.Microsecond, "coalescing window after the first request of a batch (0 disables)")
-		maxBatch    = flag.Int("max-batch", 16, "max requests per batched forward pass")
 		maxInflight = flag.Int("max-inflight", 0, "shed (429) once more than this many requests are in flight (0 = unbounded)")
 		sloP99      = flag.Float64("slo-p99-ms", 0, "serve-latency p99 objective in ms; breaching it latches shed mode with hysteresis (0 = off)")
 		accessLog   = flag.String("access-log", "", "append one JSONL access record per /allocate request to this file")
-		traceOut    = flag.String("trace-out", "", "write a Chrome trace-event JSON of serving spans (queue-wait, batch-assembly, forward, cache-probe) to this file")
+		traceOut    = flag.String("trace-out", "", "write a Chrome trace-event JSON of serving spans (cache-probe, queue-wait, forward) to this file")
 		pprofOn     = flag.Bool("pprof", false, "mount /debug/pprof/ (goroutine stacks and heap contents; opt-in)")
 		rtEvery     = flag.Duration("runtime-every", 5*time.Second, "Go runtime-stats sampling period (goroutines, heap, GC pauses; 0 disables)")
 		devices     = flag.Int("devices", 10, "default cluster size when a request omits its cluster")
@@ -124,8 +120,6 @@ func main() {
 		hidden:      *hidden,
 		seed:        *seed,
 		cacheSize:   *cacheSize,
-		batchWindow: *batchWindow,
-		maxBatch:    *maxBatch,
 		maxInflight: *maxInflight,
 		sloP99MS:    *sloP99,
 		accessLog:   *accessLog,
@@ -210,8 +204,6 @@ func startServer(cfg serverConfig) (*serve.Service, *obs.Server, *obsSinks, erro
 	svc, err := serve.New(serve.Options{
 		Model:       model,
 		CacheSize:   cfg.cacheSize,
-		BatchWindow: cfg.batchWindow,
-		MaxBatch:    cfg.maxBatch,
 		Registry:    cfg.reg,
 		Tracer:      sinks.tracer,
 		MaxInflight: cfg.maxInflight,

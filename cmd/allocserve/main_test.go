@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math/rand"
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -60,15 +62,13 @@ func TestAllocServeSmoke(t *testing.T) {
 	reg := obs.NewRegistry()
 	logPath := filepath.Join(t.TempDir(), "access.jsonl")
 	svc, srv, sinks, err := startServer(serverConfig{
-		listen:      "127.0.0.1:0",
-		hidden:      24,
-		seed:        1,
-		cacheSize:   1024,
-		batchWindow: 200 * time.Microsecond,
-		maxBatch:    16,
-		accessLog:   logPath,
-		cluster:     s.Cluster,
-		reg:         reg,
+		listen:    "127.0.0.1:0",
+		hidden:    24,
+		seed:      1,
+		cacheSize: 1024,
+		accessLog: logPath,
+		cluster:   s.Cluster,
+		reg:       reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -218,14 +218,20 @@ func TestAllocServeSmoke(t *testing.T) {
 }
 
 // TestAllocServeShedding drives the daemon wiring past its inflight
-// bound over real HTTP: with MaxInflight=1 and a wide batch window, a
-// parked request forces concurrent arrivals into 429 + Retry-After,
-// serve_shed_total advances, the parked request and a follow-up both
-// succeed, and the emitted Chrome trace carries the request's
-// queue-wait and forward child spans.
+// bound over real HTTP: with MaxInflight=1, a request for a graph near
+// the per-request operator cap stays in flight while concurrent arrivals
+// get 429 + Retry-After, serve_shed_total advances, the parked request
+// and a follow-up both succeed, and the emitted Chrome trace carries the
+// request's queue-wait and forward child spans.
 func TestAllocServeShedding(t *testing.T) {
 	s := gen.Small()
-	graphs := s.Generate().Test[:3]
+	graphs := s.Generate().Test[:2]
+	// 8,000 operators, under the 8,192 cap: encoding the graph and
+	// sweeping its ranked candidates keeps the first request in flight
+	// far longer than three shed round trips take.
+	cfg := gen.Huge().Config
+	cfg.MinNodes, cfg.MaxNodes = 8000, 8000
+	big := gen.Generate(cfg, rand.New(rand.NewSource(1)))
 
 	reg := obs.NewRegistry()
 	dir := t.TempDir()
@@ -236,10 +242,8 @@ func TestAllocServeShedding(t *testing.T) {
 		hidden: 24,
 		seed:   1,
 		// Cache off so every request takes the admission-gated forward
-		// path; the wide window parks the first request in the batcher.
+		// path.
 		cacheSize:   -1,
-		batchWindow: 750 * time.Millisecond,
-		maxBatch:    16,
 		maxInflight: 1,
 		accessLog:   logPath,
 		traceOut:    tracePath,
@@ -267,28 +271,41 @@ func TestAllocServeShedding(t *testing.T) {
 		return resp
 	}
 
-	// Park the first request inside the batch window.
+	// Park the first request in its allocation of the big graph.
+	bigBody, err := json.Marshal(serve.AllocateRequest{Graph: specFromGraph(big)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
 	wg.Add(1)
 	var parkedStatus int
+	var parkedErr error
 	go func() {
 		defer wg.Done()
-		resp := post(graphs[0])
+		resp, err := http.Post(base+"/allocate", "application/json", bytes.NewReader(bigBody))
+		if err != nil {
+			parkedErr = err
+			return
+		}
+		// The 8,000-operator placement spans several write buffers, so
+		// its headers reach the client before the handler has logged
+		// it; reading to the end waits for the handler to return.
+		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		parkedStatus = resp.StatusCode
 	}()
-	deadline := time.Now().Add(5 * time.Second)
+	deadline := time.Now().Add(10 * time.Second)
 	for reg.Gauge("serve_inflight").Value() < 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("parked request never showed up in serve_inflight")
 		}
-		time.Sleep(time.Millisecond)
+		runtime.Gosched()
 	}
 
 	// Concurrent arrivals are shed at admission.
 	sheds := 0
 	for i := 0; i < 3; i++ {
-		resp := post(graphs[1])
+		resp := post(graphs[0])
 		msg, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusTooManyRequests {
@@ -308,10 +325,13 @@ func TestAllocServeShedding(t *testing.T) {
 
 	// The parked request and a post-recovery request both succeed.
 	wg.Wait()
+	if parkedErr != nil {
+		t.Fatal(parkedErr)
+	}
 	if parkedStatus != http.StatusOK {
 		t.Fatalf("parked request: status %d, want 200", parkedStatus)
 	}
-	resp := post(graphs[2])
+	resp := post(graphs[1])
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-recovery request: status %d, want 200", resp.StatusCode)
@@ -353,8 +373,8 @@ func TestAllocServeShedding(t *testing.T) {
 			traced[ev.Name] = true
 		}
 	}
-	// cacheSize<0 means no cache-probe spans; the batcher-side child
-	// spans are the acceptance contract.
+	// cacheSize<0 means no cache-probe spans; the forward-lock wait and
+	// the forward pass are the acceptance contract.
 	for _, want := range []string{"queue-wait", "forward"} {
 		if spans[want] == 0 {
 			t.Fatalf("trace missing %q spans: %v", want, spans)

@@ -166,7 +166,7 @@ func (h *Harness) runDriftScenario(g *stream.Graph, cluster sim.Cluster, scorer 
 	fullCfg := realloc.DefaultConfig()
 	fullCfg.MaxRegionDevices = cluster.Devices // whole cluster from the first attempt
 	fullCfg.MoveCostWeight = 0                 // migration is treated as free
-	fullCfg.Retry.Attempts = 1
+	fullCfg.Escalations = 1
 
 	newLoop := func(cfg realloc.Config) *realloc.Loop {
 		l, err := realloc.New(g, cluster, scorer, initial, cfg)

@@ -27,7 +27,6 @@ import (
 	"sort"
 
 	"repro/internal/obs"
-	"repro/internal/resilience"
 	"repro/internal/sim"
 	"repro/internal/stream"
 )
@@ -54,12 +53,10 @@ type Config struct {
 	// MaxRegionDevices bounds the tight replan region; each escalation
 	// level doubles it until the region covers the whole cluster.
 	MaxRegionDevices int
-	// Retry drives the escalation schedule: attempt 0 re-collapses the
-	// tight region, attempt 1 a doubled region, the final attempt the
-	// whole graph. Leave BaseDelay 0 for deterministic (sleep-free)
-	// replanning; set it for wall-clock deployments that want backoff
-	// between escalations.
-	Retry resilience.RetryConfig
+	// Escalations is how many levels one replan may try: level 0
+	// re-collapses the tight region, each later level doubles it, and
+	// the last level covers the whole cluster (default 3).
+	Escalations int
 }
 
 // DefaultConfig returns the tuning used by the drift experiment.
@@ -70,7 +67,7 @@ func DefaultConfig() Config {
 		MoveCostWeight:   0.3,
 		MigrationWindow:  1.0,
 		MaxRegionDevices: 2,
-		Retry:            resilience.RetryConfig{Attempts: 3},
+		Escalations:      3,
 	}
 }
 
@@ -91,8 +88,8 @@ func (cfg Config) withDefaults() Config {
 	if cfg.MaxRegionDevices <= 0 {
 		cfg.MaxRegionDevices = d.MaxRegionDevices
 	}
-	if cfg.Retry.Attempts <= 0 {
-		cfg.Retry.Attempts = d.Retry.Attempts
+	if cfg.Escalations <= 0 {
+		cfg.Escalations = d.Escalations
 	}
 	return cfg
 }
@@ -321,31 +318,23 @@ func (l *Loop) pushWindow(rel float64) {
 	}
 }
 
-// replan searches for a migration with escalating scope. Escalation is
-// driven through resilience.Retry so wall-clock deployments inherit its
-// backoff and context handling; with BaseDelay 0 the schedule is pure
-// control flow and fully deterministic.
+// replan searches for a migration with escalating scope, one level at a
+// time until a candidate beats staying put. The context is checked
+// before each level; the search itself is deterministic.
 func (l *Loop) replan(ctx context.Context, st sim.DriftState, measured sim.Result) (candidate, int, error) {
 	// Every escalation level collapses along the same ranking.
 	order := stream.RankEdges(l.scorer.Probs(l.g, l.c))
 	stay := l.utility(measured.Relative, 0)
-	var adopted candidate
-	level := -1
-	err := resilience.Retry(ctx, l.cfg.Retry, func() error {
-		level++
-		region := l.selectRegion(measured, st, level)
-		cands := l.candidates(region, st, order)
-		best, ok := l.pickBest(cands, stay)
-		if !ok {
-			return ErrNoFeasible
+	for level := 0; level < l.cfg.Escalations; level++ {
+		if err := ctx.Err(); err != nil {
+			return candidate{}, -1, err
 		}
-		adopted = best
-		return nil
-	})
-	if err != nil {
-		return candidate{}, -1, err
+		region := l.selectRegion(measured, st, level)
+		if best, ok := l.pickBest(l.candidates(region, st, order), stay); ok {
+			return best, level, nil
+		}
 	}
-	return adopted, level, nil
+	return candidate{}, -1, ErrNoFeasible
 }
 
 // utility trades throughput against normalized migration cost.
@@ -382,7 +371,7 @@ func cloneState(st sim.DriftState) sim.DriftState {
 // covers the whole cluster.
 func (l *Loop) selectRegion(measured sim.Result, st sim.DriftState, level int) map[int]bool {
 	size := l.cfg.MaxRegionDevices << level
-	lastLevel := l.cfg.Retry.Attempts - 1
+	lastLevel := l.cfg.Escalations - 1
 	if level >= lastLevel || size >= l.c.Devices {
 		size = l.c.Devices
 	}

@@ -2,6 +2,7 @@ package realloc
 
 import (
 	"context"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -78,6 +79,32 @@ func TestLoopRecoversFromDeviceLoss(t *testing.T) {
 	}
 	if act.MoveCost <= 0 || act.Moved == 0 {
 		t.Errorf("a real migration must report its cost: %+v", act)
+	}
+}
+
+// TestStepCancelledReturnsCtxErr pins cancellation: a tick that
+// triggers a replan under a cancelled context returns the context's
+// error instead of latching degraded mode.
+func TestStepCancelledReturnsCtxErr(t *testing.T) {
+	c := sim.DefaultCluster(3, 1000)
+	g := pipelineGraph(c)
+	initial := &stream.Placement{Assign: []int{0, 0, 1, 1}, Devices: 3}
+	l, err := New(g, c, uniformScorer{}, initial, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	st := sim.NominalDrift(3)
+	st.Available[1] = false // stranded operators trigger the detector
+	if _, err := l.Step(ctx, st); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Step under a cancelled context: %v, want context.Canceled", err)
+	}
+	if l.Degraded() {
+		t.Fatal("a cancelled replan latched degraded mode")
+	}
+	if !reflect.DeepEqual(l.Placement().Assign, initial.Assign) {
+		t.Fatalf("a cancelled replan moved operators: %v", l.Placement().Assign)
 	}
 }
 

@@ -1,20 +1,14 @@
 // Package resilience hardens the repository's long-running training and
-// evaluation loops against the failures that otherwise discard hours of
-// simulator-scored REINFORCE work: a panic in one worker goroutine, a
-// transient error that a retry would absorb. It wraps the
-// internal/parallel fan-out helpers with panic isolation, provides
-// retry-with-backoff, and is dependency-free like the packages it
-// protects.
+// evaluation loops against the failure that otherwise discards hours of
+// simulator-scored REINFORCE work: a panic in one worker goroutine. It
+// wraps the internal/parallel fan-out helpers with panic isolation and is
+// dependency-free like the packages it protects.
 package resilience
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime/debug"
-	"sync"
-	"time"
 
 	"repro/internal/parallel"
 )
@@ -89,85 +83,4 @@ func protect(i int, fn func() error) (err error) {
 		}
 	}()
 	return fn()
-}
-
-// RetryConfig controls Retry.
-type RetryConfig struct {
-	// Attempts is the maximum number of calls (min 1).
-	Attempts int
-	// BaseDelay is the delay after the first failure; each subsequent
-	// delay doubles up to MaxDelay.
-	BaseDelay time.Duration
-	// MaxDelay caps every delay, jitter included (0 = no cap).
-	MaxDelay time.Duration
-	// Jitter in [0, 1] scales each delay by a uniform factor in
-	// [1, 1+Jitter], decorrelating retries across workers. Jitter only
-	// ever lengthens a delay: attempt n sleeps within
-	// [BaseDelay·2ⁿ, BaseDelay·(1+Jitter)·2ⁿ], capped at MaxDelay, so
-	// the configured base remains a hard lower bound on backoff.
-	Jitter float64
-	// sleep overrides the context-aware backoff sleep in tests.
-	sleep func(time.Duration)
-}
-
-var jitterMu sync.Mutex
-var jitterRNG = rand.New(rand.NewSource(1))
-
-func jitterFactor(j float64) float64 {
-	if j <= 0 {
-		return 1
-	}
-	jitterMu.Lock()
-	u := jitterRNG.Float64()
-	jitterMu.Unlock()
-	return 1 + j*u
-}
-
-// sleepCtx sleeps for d or until ctx is done, whichever comes first, so
-// a cancelled caller is not held hostage by a long backoff.
-func sleepCtx(ctx context.Context, d time.Duration) {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-ctx.Done():
-	}
-}
-
-// Retry calls op until it succeeds, Attempts are exhausted, or ctx is
-// done, sleeping an exponentially growing, jittered delay between calls.
-// Panics inside op are recovered and treated as failures. The final error
-// wraps the last failure (or the context error when cancelled).
-func Retry(ctx context.Context, cfg RetryConfig, op func() error) error {
-	attempts := cfg.Attempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	sleep := cfg.sleep
-	if sleep == nil {
-		sleep = func(d time.Duration) { sleepCtx(ctx, d) }
-	}
-	delay := cfg.BaseDelay
-	var last error
-	for a := 0; a < attempts; a++ {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("resilience: retry cancelled after %d attempts: %w", a, err)
-		}
-		last = protect(a, op)
-		if last == nil {
-			return nil
-		}
-		if a+1 < attempts && delay > 0 {
-			d := time.Duration(float64(delay) * jitterFactor(cfg.Jitter))
-			if cfg.MaxDelay > 0 && d > cfg.MaxDelay {
-				d = cfg.MaxDelay
-			}
-			sleep(d)
-			delay *= 2
-			if cfg.MaxDelay > 0 && delay > cfg.MaxDelay {
-				delay = cfg.MaxDelay
-			}
-		}
-	}
-	return fmt.Errorf("resilience: %d attempts failed: %w", attempts, last)
 }

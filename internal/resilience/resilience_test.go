@@ -1,13 +1,11 @@
 package resilience
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestForEachIsolatesPanicKeepsSiblingResults(t *testing.T) {
@@ -115,146 +113,5 @@ func TestMapNoError(t *testing.T) {
 	}
 	if len(out) != 4 || out[2] != "2" {
 		t.Errorf("bad output %v", out)
-	}
-}
-
-func TestRetryEventuallySucceeds(t *testing.T) {
-	var calls int32
-	var slept []time.Duration
-	cfg := RetryConfig{Attempts: 5, BaseDelay: 10 * time.Millisecond, MaxDelay: 25 * time.Millisecond,
-		sleep: func(d time.Duration) { slept = append(slept, d) }}
-	err := Retry(context.Background(), cfg, func() error {
-		if atomic.AddInt32(&calls, 1) < 3 {
-			return errors.New("transient")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 3 {
-		t.Errorf("calls = %d, want 3", calls)
-	}
-	if len(slept) != 2 {
-		t.Fatalf("slept %d times, want 2", len(slept))
-	}
-	if slept[1] < slept[0] {
-		t.Errorf("backoff should grow: %v", slept)
-	}
-}
-
-func TestRetryExhaustionWrapsLastError(t *testing.T) {
-	sentinel := errors.New("always fails")
-	cfg := RetryConfig{Attempts: 3, sleep: func(time.Duration) {}}
-	err := Retry(context.Background(), cfg, func() error { return sentinel })
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("want wrapped sentinel, got %v", err)
-	}
-}
-
-func TestRetryRecoversPanics(t *testing.T) {
-	cfg := RetryConfig{Attempts: 2, sleep: func(time.Duration) {}}
-	err := Retry(context.Background(), cfg, func() error { panic("retryable panic") })
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("want *PanicError, got %v", err)
-	}
-}
-
-func TestRetryStopsOnCancelledContext(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	var calls int
-	err := Retry(ctx, RetryConfig{Attempts: 5}, func() error { calls++; return errors.New("x") })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
-	}
-	if calls != 0 {
-		t.Errorf("op ran %d times under a dead context", calls)
-	}
-}
-
-func TestRetryJitterStaysInBounds(t *testing.T) {
-	// Jitter only lengthens delays: the factor lives in [1, 1+J], so the
-	// configured base delay stays a hard lower bound on backoff.
-	for i := 0; i < 1000; i++ {
-		f := jitterFactor(0.2)
-		if f < 1 || f > 1.2 {
-			t.Fatalf("jitter factor %f out of [1, 1.2]", f)
-		}
-	}
-	if jitterFactor(0) != 1 {
-		t.Error("zero jitter must be identity")
-	}
-}
-
-// TestRetryDelaysWithinBounds pins the documented backoff contract:
-// attempt n sleeps within [BaseDelay·2ⁿ, BaseDelay·(1+Jitter)·2ⁿ] and
-// never past MaxDelay, jitter included.
-func TestRetryDelaysWithinBounds(t *testing.T) {
-	const (
-		base   = 10 * time.Millisecond
-		maxDel = 35 * time.Millisecond
-		jitter = 0.5
-	)
-	var slept []time.Duration
-	cfg := RetryConfig{Attempts: 5, BaseDelay: base, MaxDelay: maxDel, Jitter: jitter,
-		sleep: func(d time.Duration) { slept = append(slept, d) }}
-	err := Retry(context.Background(), cfg, func() error { return errors.New("always") })
-	if err == nil {
-		t.Fatal("op never succeeds; Retry must report failure")
-	}
-	if len(slept) != 4 {
-		t.Fatalf("slept %d times, want 4", len(slept))
-	}
-	lo := base
-	for n, d := range slept {
-		hi := time.Duration(float64(lo) * (1 + jitter))
-		wantLo, wantHi := lo, hi
-		if wantLo > maxDel {
-			wantLo = maxDel
-		}
-		if wantHi > maxDel {
-			wantHi = maxDel
-		}
-		if d < wantLo || d > wantHi {
-			t.Errorf("attempt %d slept %v, want within [%v, %v]", n, d, wantLo, wantHi)
-		}
-		lo *= 2
-	}
-	// Once the un-jittered delay hits the cap, the sleep is exactly
-	// MaxDelay: jitter cannot push past it.
-	if slept[3] != maxDel {
-		t.Errorf("capped attempt slept %v, want exactly %v", slept[3], maxDel)
-	}
-}
-
-// TestRetryCancelAbortsBackoffSleep cancels the context while Retry is
-// inside a long backoff sleep: the call must return promptly with the
-// context error instead of serving out the full delay.
-func TestRetryCancelAbortsBackoffSleep(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var calls int32
-	done := make(chan error, 1)
-	go func() {
-		// No sleep hook: exercises the real context-aware backoff.
-		cfg := RetryConfig{Attempts: 3, BaseDelay: time.Minute}
-		done <- Retry(ctx, cfg, func() error {
-			atomic.AddInt32(&calls, 1)
-			return errors.New("transient")
-		})
-	}()
-	time.Sleep(20 * time.Millisecond) // let the first attempt fail and the sleep start
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("want context.Canceled, got %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Retry kept sleeping through cancellation")
-	}
-	if atomic.LoadInt32(&calls) != 1 {
-		t.Errorf("op ran %d times; cancellation mid-sleep should stop after the first", calls)
 	}
 }

@@ -94,11 +94,15 @@ func TestRunNetworkBottleneckThrottles(t *testing.T) {
 }
 
 func TestRunRankAgreesWithFluid(t *testing.T) {
-	// Three placements whose fluid rewards are clearly ordered must keep
-	// that order under real execution.
+	// Two placements whose fluid rewards are clearly ordered must keep
+	// that order under real execution. At payload 600 the five cut edges
+	// of the shredded placement make it network-bound (fluid 0.556),
+	// while the balanced one stays CPU-bound (0.833). The one-device
+	// placement (fluid 0.417) is not compared: its runtime reading lands
+	// on either side of shredded's from run to run.
 	g := stream.NewGraph(1000)
 	for i := 0; i < 6; i++ {
-		g.AddNode(stream.Node{IPT: 400, Payload: 400})
+		g.AddNode(stream.Node{IPT: 400, Payload: 600})
 	}
 	for i := 0; i+1 < 6; i++ {
 		g.AddEdge(i, i+1, 0)
@@ -109,7 +113,6 @@ func TestRunRankAgreesWithFluid(t *testing.T) {
 	balanced.Assign = []int{0, 0, 0, 1, 1, 1} // one cut edge
 	shredded := stream.NewPlacement(6, 2)
 	shredded.Assign = []int{0, 1, 0, 1, 0, 1} // five cut edges
-	single := stream.NewPlacement(6, 2)       // no cuts, one device
 
 	fluid := func(p *stream.Placement) float64 { return sim.Reward(g, p, c) }
 	real := func(p *stream.Placement) float64 {
@@ -119,15 +122,13 @@ func TestRunRankAgreesWithFluid(t *testing.T) {
 		}
 		return res.Relative
 	}
-	fb, fs, f1 := fluid(balanced), fluid(shredded), fluid(single)
-	rb, rs, r1 := real(balanced), real(shredded), real(single)
+	fb, fs := fluid(balanced), fluid(shredded)
 	if !(fb > fs) {
-		t.Skipf("fluid ordering unexpected: %g %g %g", fb, fs, f1)
+		t.Fatalf("fluid ordering: balanced %g vs shredded %g, want balanced higher", fb, fs)
 	}
-	if !(rb > rs) {
+	if rb, rs := real(balanced), real(shredded); !(rb > rs) {
 		t.Fatalf("runtime rank flip: balanced %.3f vs shredded %.3f (fluid %.3f vs %.3f)", rb, rs, fb, fs)
 	}
-	_ = r1
 }
 
 func TestRunRejectsInvalid(t *testing.T) {

@@ -1,5 +1,5 @@
 // admission.go is the SLO-driven load shedder. Two independent signals
-// deny a request before it can queue for a forward pass:
+// deny a request before it can wait for the forward lock:
 //
 //   - Inflight bound: when more than MaxInflight requests are inside
 //     Allocate, new arrivals are shed immediately. This is the hard
@@ -13,7 +13,7 @@
 //     checks, so the server does not flap at the boundary.
 //
 // Cache hits are never shed: they cost ~1µs and touch neither the
-// batcher nor the model, so serving them during overload strictly
+// forward lock nor the model, so serving them during overload strictly
 // reduces pressure. Shed requests surface as ErrOverloaded, which the
 // HTTP layer maps to 429 + Retry-After.
 package serve
@@ -40,9 +40,10 @@ const (
 	RetryAfterSeconds = 1
 )
 
-// admit decides whether a cache-missing request may enter the batcher
-// queue. Called with the request already counted in serve_inflight, so
-// the bound uses ">" — a lone request never sheds itself.
+// admit decides whether a cache-missing request may wait for the
+// forward lock. Called with the request already counted in
+// serve_inflight, so the bound uses ">" — a lone request never sheds
+// itself.
 func (s *Service) admit() error {
 	if s.maxInflight > 0 && int(s.inflight.Value()) > s.maxInflight {
 		s.shedTotal.Inc()

@@ -16,8 +16,8 @@ import (
 )
 
 // TestInflightShed pins the hard backpressure valve: with MaxInflight=1
-// and one request parked inside the batcher, concurrent arrivals are
-// shed with ErrOverloaded and counted, and a request after the load
+// and one request parked inside its forward pass, concurrent arrivals
+// are shed with ErrOverloaded and counted, and a request after the load
 // drops is served normally.
 func TestInflightShed(t *testing.T) {
 	s := gen.Small()
@@ -34,7 +34,7 @@ func TestInflightShed(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	svc.beforeForward = func(int) {
+	svc.beforeForward = func() {
 		once.Do(func() {
 			close(entered)
 			<-release
@@ -129,7 +129,7 @@ func TestSLOShedLatch(t *testing.T) {
 
 // TestServeQuantilesObserved pins that the registry's windowed
 // estimators see serving traffic: latency per request, queue wait per
-// batched forward.
+// forward pass.
 func TestServeQuantilesObserved(t *testing.T) {
 	s := gen.Small()
 	g := s.Generate().Test[0]

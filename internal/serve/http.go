@@ -8,8 +8,9 @@
 // Every response carries an X-Trace-Id header: adopted from the request
 // when the client sent a plausible one, minted otherwise. The id rides
 // the request context into the service, tagging the child spans the
-// batcher emits, and keys the JSONL access log — so one curl's journey
-// through validate → queue → batch → forward → respond is a single grep.
+// request emits, and keys the JSONL access log — so one curl's journey
+// through validate → cache probe → forward lock → forward → respond is a
+// single grep.
 package serve
 
 import (
@@ -73,7 +74,6 @@ type AllocateResponse struct {
 	RelativeThroughput float64 `json:"relative_throughput"`
 	Cached             bool    `json:"cached"`
 	ModelVersion       uint64  `json:"model_version"`
-	BatchSize          int     `json:"batch_size"`
 }
 
 // BuildGraph converts the spec into a validated stream graph with at
@@ -181,7 +181,6 @@ type AccessRecord struct {
 	Nodes        int     `json:"nodes"`
 	Edges        int     `json:"edges"`
 	Devices      int     `json:"devices"`
-	BatchSize    int     `json:"batch_size"`
 	Cached       bool    `json:"cached"`
 	Shed         bool    `json:"shed,omitempty"`
 	ModelVersion uint64  `json:"model_version,omitempty"`
@@ -198,16 +197,12 @@ type HandlerOpts struct {
 	Pprof bool
 }
 
-// Handler mounts the allocation API plus the observability endpoints:
-// POST /allocate, POST /reload, GET /healthz, GET /statusz, GET
-// /metrics, GET /debug/vars. reloadPath is the checkpoint /reload
-// re-reads ("" means re-snapshot the live parameters). reg should be
-// the registry the service reports into.
-func Handler(s *Service, defCluster sim.Cluster, reloadPath string, reg *obs.Registry) http.Handler {
-	return NewHandler(s, defCluster, reloadPath, reg, HandlerOpts{})
-}
-
-// NewHandler is Handler with options (access log, pprof).
+// NewHandler mounts the allocation API plus the observability
+// endpoints: POST /allocate, POST /reload, GET /healthz, GET /statusz,
+// GET /metrics, GET /debug/vars (and /debug/pprof/ with opts.Pprof).
+// reloadPath is the checkpoint /reload re-reads ("" means re-snapshot
+// the live parameters). reg should be the registry the service reports
+// into.
 func NewHandler(s *Service, defCluster sim.Cluster, reloadPath string, reg *obs.Registry, opts HandlerOpts) http.Handler {
 	mux := http.NewServeMux()
 	obsH := obs.NewHandler(reg, obs.HandlerOpts{Pprof: opts.Pprof})
@@ -320,7 +315,6 @@ func handleAllocate(w http.ResponseWriter, r *http.Request, s *Service, defClust
 		return
 	}
 	rec.Status = http.StatusOK
-	rec.BatchSize = res.BatchSize
 	rec.Cached = res.Cached
 	rec.ModelVersion = res.ModelVersion
 	if res.Fingerprint != (Fingerprint{}) {
@@ -334,7 +328,6 @@ func handleAllocate(w http.ResponseWriter, r *http.Request, s *Service, defClust
 		RelativeThroughput: res.Relative,
 		Cached:             res.Cached,
 		ModelVersion:       res.ModelVersion,
-		BatchSize:          res.BatchSize,
 	})
 }
 

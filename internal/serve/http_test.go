@@ -326,8 +326,8 @@ func TestHTTPRejectsHostileGraph(t *testing.T) {
 
 // TestHTTPForwardPanicAnswers500 pins the failure mapping at the wire: a
 // forward pass that panics fails its request with 500 (not 503, which
-// tells clients to retry), logs it and counts it as an error, and the
-// batcher survives to serve the next request correctly.
+// tells clients to retry), logs it and counts it as an error, and
+// releases the forward lock, so the next request is served correctly.
 func TestHTTPForwardPanicAnswers500(t *testing.T) {
 	s := gen.Small()
 	g := s.Generate().Test[0]
@@ -335,7 +335,7 @@ func TestHTTPForwardPanicAnswers500(t *testing.T) {
 	model := core.New(core.DefaultConfig())
 	svc := newTestService(t, Options{Model: model, Registry: reg, CacheSize: -1})
 	var once sync.Once
-	svc.beforeForward = func(int) {
+	svc.beforeForward = func() {
 		once.Do(func() { panic("injected forward failure") })
 	}
 

@@ -8,13 +8,12 @@
 // placement equals the offline Pipeline.Allocate placement for the same
 // parameters by construction; tests pin it end to end.
 //
-// Three mechanisms carry the throughput:
+// Three mechanisms shape the service:
 //
-//   - Batching: concurrent requests arriving within a small window are
-//     stacked into one block-diagonal forward pass. Every forward kernel
-//     is row-local (matmul rows, gathers, per-segment means over each
-//     node's own edges), so the batched rows are bit-identical to solo
-//     runs — batching is invisible in the outputs.
+//   - One forward pass at a time: each cache miss builds its features
+//     and runs its own pass on its own goroutine, under one mutex. The
+//     lock keeps the daemon at one tape's arena buffers; measured
+//     traffic gave a coalescing window nothing to stack (DESIGN.md §13).
 //   - Caching: a bounded generic LRU (internal/cache) keyed by the
 //     canonical request fingerprint returns repeat placements without
 //     touching the model. The cache is cleared on model reload.
@@ -40,7 +39,6 @@ import (
 	"repro/internal/placer"
 	"repro/internal/sim"
 	"repro/internal/stream"
-	"repro/internal/tensor"
 )
 
 // ErrClosed is returned by Allocate after Close.
@@ -58,17 +56,12 @@ type Options struct {
 	// CacheSize bounds the placement LRU (default 4096 entries; <0
 	// disables caching).
 	CacheSize int
-	// BatchWindow is how long the batcher waits for more requests after
-	// the first one arrives (default 200µs; <0 disables coalescing).
-	BatchWindow time.Duration
-	// MaxBatch caps one batched forward pass (default 16).
-	MaxBatch int
 	// Registry receives serve metrics (default obs.Default).
 	Registry *obs.Registry
 	// Tracer, when set, receives request-scoped child spans
-	// (cache-probe, queue-wait, batch-assembly, forward) tagged with
-	// each request's trace id. Nil disables span emission entirely —
-	// the hot path then takes no extra timestamps.
+	// (cache-probe, queue-wait, forward) tagged with each request's
+	// trace id. Nil disables span emission entirely — the hot path then
+	// takes no extra timestamps.
 	Tracer *obs.Tracer
 	// MaxInflight sheds cache-missing requests once more than this many
 	// requests are in flight (0 = unbounded).
@@ -100,9 +93,6 @@ type Result struct {
 	// ModelVersion identifies the snapshot that computed the placement
 	// (starts at 1, +1 per reload).
 	ModelVersion uint64
-	// BatchSize is the size of the forward batch this request rode in
-	// (0 for cache hits).
-	BatchSize int
 	// Fingerprint is the canonical request identity (zero when caching
 	// is disabled and no fingerprint was computed).
 	Fingerprint Fingerprint
@@ -112,25 +102,6 @@ type Result struct {
 type modelVersion struct {
 	id   uint64
 	snap *nn.Snapshot
-}
-
-// pending is one request waiting for its batched forward pass.
-type pending struct {
-	f         *gnn.Features
-	ver       *modelVersion
-	traceID   string    // request trace id ("" for programmatic callers)
-	enq       time.Time // when the request entered the batcher queue
-	probs     []float64
-	batchSize int
-	err       error
-	delivered bool // set by the batcher goroutine just before close(done)
-	done      chan struct{}
-}
-
-// deliver releases the waiting requester (batcher goroutine only).
-func (p *pending) deliver() {
-	p.delivered = true
-	close(p.done)
 }
 
 // Service is a concurrent allocation server over one model.
@@ -143,13 +114,10 @@ type Service struct {
 
 	cache *cache.LRU[Fingerprint, *Result]
 
-	window   time.Duration
-	maxBatch int
-	reqCh    chan *pending
-	closeMu  sync.RWMutex
-	closed   bool
-	wg       sync.WaitGroup
-	stopBG   chan struct{} // closed on Close; stops the QPS sampler and SLO checker
+	fwdMu  sync.Mutex // held across one forward pass
+	closed atomic.Bool
+	wg     sync.WaitGroup
+	stopBG chan struct{} // closed on Close; stops the QPS sampler and SLO checker
 
 	start  time.Time
 	tracer *obs.Tracer
@@ -162,10 +130,10 @@ type Service struct {
 	sloShed     atomic.Bool
 	belowStreak int
 
-	// beforeForward, when set (tests), runs before each batched forward
-	// pass with the batch size — the hook that lets the hot-swap test
+	// beforeForward, when set (tests), runs under the forward lock just
+	// before each forward pass — the hook that lets the hot-swap test
 	// hold an in-flight request across a Reload.
-	beforeForward func(batch int)
+	beforeForward func()
 
 	reqs      *obs.Counter
 	errs      *obs.Counter
@@ -177,13 +145,12 @@ type Service struct {
 	qps       *obs.Gauge
 	shedGauge *obs.Gauge
 	latency   *obs.Histogram
-	batchSz   *obs.Histogram
 	latQ      *obs.Quantile
 	queueQ    *obs.Quantile
 }
 
-// New starts a service over opts.Model: one batcher goroutine plus a QPS
-// sampler. Callers must Close it.
+// New starts a service over opts.Model with a QPS sampler (and an SLO
+// checker when SLOP99MS is set). Callers must Close it.
 func New(opts Options) (*Service, error) {
 	if opts.Model == nil {
 		return nil, fmt.Errorf("serve: Options.Model is required")
@@ -193,12 +160,6 @@ func New(opts Options) (*Service, error) {
 	}
 	if opts.CacheSize == 0 {
 		opts.CacheSize = 4096
-	}
-	if opts.BatchWindow == 0 {
-		opts.BatchWindow = 200 * time.Microsecond
-	}
-	if opts.MaxBatch <= 0 {
-		opts.MaxBatch = 16
 	}
 	reg := opts.Registry
 	if reg == nil {
@@ -211,9 +172,6 @@ func New(opts Options) (*Service, error) {
 	s := &Service{
 		model:       opts.Model,
 		pipe:        &core.Pipeline{Model: opts.Model, Placer: opts.Placer},
-		window:      opts.BatchWindow,
-		maxBatch:    opts.MaxBatch,
-		reqCh:       make(chan *pending, 256),
 		stopBG:      make(chan struct{}),
 		start:       time.Now(),
 		tracer:      opts.Tracer,
@@ -231,9 +189,8 @@ func New(opts Options) (*Service, error) {
 		shedGauge:   reg.Gauge("serve_shed_mode"),
 		latency: reg.Histogram("serve_latency_ms",
 			[]float64{0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 1000}),
-		batchSz: reg.Histogram("serve_batch_size", []float64{1, 2, 4, 8, 16, 32, 64}),
-		latQ:    reg.Quantile("serve_latency_quantiles_ms", qOpts),
-		queueQ:  reg.Quantile("serve_queue_wait_ms", qOpts),
+		latQ:   reg.Quantile("serve_latency_quantiles_ms", qOpts),
+		queueQ: reg.Quantile("serve_queue_wait_ms", qOpts),
 	}
 	if opts.CacheSize > 0 {
 		s.cache = cache.New[Fingerprint, *Result](opts.CacheSize)
@@ -242,8 +199,7 @@ func New(opts Options) (*Service, error) {
 	s.version.Store(&modelVersion{id: 1, snap: nn.NewSnapshot(opts.Model.PS)})
 	s.verG.Set(1)
 
-	s.wg.Add(2)
-	go s.batcher()
+	s.wg.Add(1)
 	go s.sampleQPS()
 	if s.sloP99 > 0 {
 		s.wg.Add(1)
@@ -252,17 +208,13 @@ func New(opts Options) (*Service, error) {
 	return s, nil
 }
 
-// Close stops accepting requests, drains queued ones, and stops the
-// background goroutines. Idempotent.
+// Close makes later cache misses fail with ErrClosed and stops the
+// background goroutines; a request already past that check finishes.
+// Idempotent.
 func (s *Service) Close() {
-	s.closeMu.Lock()
-	if s.closed {
-		s.closeMu.Unlock()
+	if s.closed.Swap(true) {
 		return
 	}
-	s.closed = true
-	close(s.reqCh)
-	s.closeMu.Unlock()
 	close(s.stopBG)
 	s.wg.Wait()
 }
@@ -320,10 +272,9 @@ func (s *Service) Allocate(g *stream.Graph, c sim.Cluster) (Result, error) {
 }
 
 // AllocateCtx is Allocate with a request context. The context is a
-// carrier, not a cancellation signal — a request that reached the
-// batcher always completes — but a trace id placed in it via
-// WithTraceID tags every child span this request emits into the
-// service's tracer.
+// carrier, not a cancellation signal — an admitted request always
+// completes — but a trace id placed in it via WithTraceID tags every
+// child span this request emits into the service's tracer.
 func (s *Service) AllocateCtx(ctx context.Context, g *stream.Graph, c sim.Cluster) (Result, error) {
 	start := time.Now()
 	s.reqs.Inc()
@@ -349,7 +300,6 @@ func (s *Service) AllocateCtx(ctx context.Context, g *stream.Graph, c sim.Cluste
 			out := *r
 			out.Assign = append([]int(nil), r.Assign...)
 			out.Cached = true
-			out.BatchSize = 0
 			return out, nil
 		}
 	}
@@ -359,32 +309,24 @@ func (s *Service) AllocateCtx(ctx context.Context, g *stream.Graph, c sim.Cluste
 	if err := s.admit(); err != nil {
 		return Result{}, err
 	}
-
-	p := &pending{
-		f:       gnn.BuildFeatures(g, c),
-		ver:     s.version.Load(),
-		traceID: traceID,
-		enq:     time.Now(),
-		done:    make(chan struct{}),
+	if s.closed.Load() {
+		s.errs.Inc()
+		return Result{}, ErrClosed
 	}
-	if err := s.enqueue(p); err != nil {
+	ver := s.version.Load()
+	probs, err := s.forward(ver.snap, gnn.BuildFeatures(g, c), traceID)
+	if err != nil {
 		s.errs.Inc()
 		return Result{}, err
 	}
-	<-p.done
-	if p.err != nil {
-		s.errs.Inc()
-		return Result{}, p.err
-	}
 
-	a := s.pipe.AllocateRanked(g, c, p.probs)
+	a := s.pipe.AllocateRanked(g, c, probs)
 	res := Result{
 		Assign:       a.Placement.Assign,
 		Devices:      a.Placement.Devices,
 		NumSuper:     a.Coarse.NumSuper,
 		Relative:     sim.Reward(g, a.Placement, c),
-		ModelVersion: p.ver.id,
-		BatchSize:    p.batchSize,
+		ModelVersion: ver.id,
 		Fingerprint:  fp,
 	}
 	if s.cache != nil {
@@ -395,10 +337,11 @@ func (s *Service) AllocateCtx(ctx context.Context, g *stream.Graph, c sim.Cluste
 	return res, nil
 }
 
-// Trace lanes: request-side spans on 0, batcher-side spans on 1.
+// Trace lanes: request-side spans on 0, forward passes on 1 (the forward
+// lock keeps lane 1 free of overlapping spans).
 const (
 	laneRequest = 0
-	laneBatcher = 1
+	laneForward = 1
 )
 
 // emitSpan records one completed span tagged with the request's trace
@@ -414,184 +357,31 @@ func (s *Service) emitSpan(name string, lane int, t0 time.Time, traceID string) 
 	s.tracer.EmitArgs(name, lane, t0, time.Since(t0), args)
 }
 
-// enqueue hands p to the batcher, failing after Close. The read lock
-// pairs with Close's write lock so a send can never race the close of
-// reqCh.
-func (s *Service) enqueue(p *pending) error {
-	s.closeMu.RLock()
-	defer s.closeMu.RUnlock()
-	if s.closed {
-		return ErrClosed
-	}
-	s.reqCh <- p
-	return nil
-}
-
-// batcher coalesces requests: the first arrival opens a window of at most
-// BatchWindow (capped at MaxBatch requests), then everything collected
-// runs as one forward pass per model version.
-func (s *Service) batcher() {
-	defer s.wg.Done()
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	batch := make([]*pending, 0, s.maxBatch)
-	for {
-		p, ok := <-s.reqCh
-		if !ok {
-			return
-		}
-		batch = append(batch[:0], p)
-		if s.window > 0 && s.maxBatch > 1 {
-			timer.Reset(s.window)
-		collect:
-			for len(batch) < s.maxBatch {
-				select {
-				case q, ok := <-s.reqCh:
-					if !ok {
-						break collect
-					}
-					batch = append(batch, q)
-				case <-timer.C:
-					break collect
-				}
-			}
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-		}
-		s.runBatch(batch)
-	}
-}
-
-// runBatch groups the collected requests by pinned model version and runs
-// one stacked forward pass per group. A panic in a forward pass fails the
-// batch's requests instead of killing the batcher.
-func (s *Service) runBatch(batch []*pending) {
-	s.batchSz.Observe(float64(len(batch)))
-	// The batcher has picked the batch up: each request's queue wait —
-	// enqueue to here, covering the coalescing window — is over.
-	now := time.Now()
-	for _, p := range batch {
-		wait := now.Sub(p.enq)
-		s.queueQ.Observe(float64(wait) / float64(time.Millisecond))
-		if s.tracer != nil {
-			var args map[string]string
-			if p.traceID != "" {
-				args = map[string]string{"trace_id": p.traceID}
-			}
-			s.tracer.EmitArgs("queue-wait", laneBatcher, p.enq, wait, args)
-		}
-	}
+// forward computes f's merge probabilities on snap under the forward
+// lock. The wait for the lock is the request's queue wait. A panicking
+// pass fails only its own request.
+func (s *Service) forward(snap *nn.Snapshot, f *gnn.Features, traceID string) (probs []float64, err error) {
+	t0 := time.Now()
+	s.fwdMu.Lock()
+	defer s.fwdMu.Unlock()
+	s.queueQ.Observe(float64(time.Since(t0)) / float64(time.Millisecond))
+	s.emitSpan("queue-wait", laneRequest, t0, traceID)
 	defer func() {
 		if r := recover(); r != nil {
-			err := fmt.Errorf("serve: forward pass panicked: %v", r)
-			for _, p := range batch {
-				if !p.delivered {
-					p.err = err
-					p.deliver()
-				}
-			}
+			probs, err = nil, fmt.Errorf("serve: forward pass panicked: %v", r)
 		}
 	}()
 	if s.beforeForward != nil {
-		s.beforeForward(len(batch))
+		s.beforeForward()
 	}
-	// Group by version in arrival order (versions change rarely; a batch
-	// straddling a reload splits into one pass per snapshot). Grouping
-	// works on a scratch copy so the recover path above still sees every
-	// request.
-	work := make([]*pending, len(batch))
-	copy(work, batch)
-	for i, p := range work {
-		if p == nil {
-			continue
-		}
-		group := []*pending{p}
-		for j := i + 1; j < len(work); j++ {
-			if work[j] != nil && work[j].ver == p.ver {
-				group = append(group, work[j])
-				work[j] = nil
-			}
-		}
-		s.forwardGroup(group)
-	}
-}
-
-// forwardGroup computes merge probabilities for every request in one
-// forward pass on the group's snapshot and releases the waiters. A group
-// of several requests is stacked block-diagonally: node and edge rows
-// concatenate, edge endpoints shift by each graph's node offset. All
-// forward kernels are row-local, so each graph's output rows are
-// bit-identical to a solo pass. A one-request group passes its own
-// features through uncopied.
-func (s *Service) forwardGroup(group []*pending) {
-	var asmT0, fwdT0 time.Time
-	if s.tracer != nil {
-		asmT0 = time.Now()
-	}
-	f := group[0].f
-	if len(group) > 1 {
-		totalN, totalE := 0, 0
-		for _, p := range group {
-			totalN += p.f.Node.Rows
-			totalE += p.f.Edge.Rows
-		}
-		node := tensor.Get(totalN, gnn.NodeFeatureDim)
-		edge := tensor.Get(totalE, gnn.EdgeFeatureDim)
-		defer tensor.Put(node)
-		defer tensor.Put(edge)
-		src := make([]int, 0, totalE)
-		dst := make([]int, 0, totalE)
-		nodeOff, edgeOff := 0, 0
-		for _, p := range group {
-			copy(node.Data[nodeOff*gnn.NodeFeatureDim:], p.f.Node.Data)
-			copy(edge.Data[edgeOff*gnn.EdgeFeatureDim:], p.f.Edge.Data)
-			for _, v := range p.f.Src {
-				src = append(src, v+nodeOff)
-			}
-			for _, v := range p.f.Dst {
-				dst = append(dst, v+nodeOff)
-			}
-			nodeOff += p.f.Node.Rows
-			edgeOff += p.f.Edge.Rows
-		}
-		f = &gnn.Features{Node: node, Edge: edge, Src: src, Dst: dst}
-	}
-	all := make([]float64, f.Edge.Rows)
+	var fwdT0 time.Time
 	if s.tracer != nil {
 		fwdT0 = time.Now()
-		if len(group) > 1 {
-			s.tracer.EmitArgs("batch-assembly", laneBatcher, asmT0, fwdT0.Sub(asmT0),
-				map[string]string{"batch": fmt.Sprint(len(group))})
-		}
 	}
-	s.model.ProbsInto(group[0].ver.snap, f, all)
-	if s.tracer != nil {
-		// One measured forward pass, attributed to every rider so a
-		// single trace id finds its request's span.
-		dur := time.Since(fwdT0)
-		for _, p := range group {
-			var args map[string]string
-			if p.traceID != "" {
-				args = map[string]string{"trace_id": p.traceID}
-			}
-			s.tracer.EmitArgs("forward", laneBatcher, fwdT0, dur, args)
-		}
-	}
-
-	off := 0
-	for _, p := range group {
-		e := p.f.Edge.Rows
-		p.probs = all[off : off+e : off+e]
-		p.batchSize = len(group)
-		off += e
-		p.deliver()
-	}
+	probs = make([]float64, f.Edge.Rows)
+	s.model.ProbsInto(snap, f, probs)
+	s.emitSpan("forward", laneForward, fwdT0, traceID)
+	return probs, nil
 }
 
 // sampleQPS refreshes the serve_qps gauge once per second from the

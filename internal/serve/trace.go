@@ -1,9 +1,8 @@
 // trace.go carries the request-scoped trace identity. The HTTP layer
 // mints (or adopts) an X-Trace-Id per request and threads it through
-// context.Context into the batcher, so the child spans one request
-// emits — cache-probe, queue-wait, batch-assembly, forward — can be
-// grepped out of the Chrome trace by id even when the request rode a
-// shared batch.
+// context.Context into the service, so the child spans one request
+// emits — cache-probe, queue-wait, forward — can be grepped out of the
+// Chrome trace by id.
 package serve
 
 import (
