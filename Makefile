@@ -53,8 +53,8 @@ race:
 # controllers or a data race in the re-allocation loop fails loudly. Then
 # the tests that reach the shared forward-pass binder pool or the tensor
 # arena from several goroutines (offline passes, served snapshot passes,
-# concurrent cache misses, mixed-size arena traffic, Metis's pooled CSR
-# scratch), ten times each, so a pool race or a poisoned binder fails
+# concurrent cache misses, mixed-size arena traffic, Metis's pooled
+# workspaces), ten times each, so a pool race or a poisoned binder fails
 # loudly too. Last, one REINFORCE step of identical samples on four
 # scorers, twenty times: its cache split must not depend on how the
 # scorers interleave.

@@ -254,6 +254,7 @@ func (pl *Pipeline) allocateMap(g *stream.Graph, c sim.Cluster, cm *stream.Coars
 // calls (microseconds each), mirroring how Metis itself re-runs with
 // different coarsening scales.
 func (pl *Pipeline) Allocate(g *stream.Graph, c sim.Cluster) Allocation {
+	g = g.PinDemands()
 	probs := pl.Model.Probs(g, c)
 	return pl.AllocateRanked(g, c, probs)
 }
@@ -267,7 +268,8 @@ func (pl *Pipeline) Allocate(g *stream.Graph, c sim.Cluster) Allocation {
 // coarsening scale.
 func (pl *Pipeline) AllocateRanked(g *stream.Graph, c sim.Cluster, score []float64) Allocation {
 	// Every candidate's coarse graph and reward reads g's demands: pin
-	// them once rather than re-propagating rates per candidate.
+	// them once rather than re-propagating rates per candidate (a no-op
+	// when the caller pinned them already).
 	g = g.PinDemands()
 	n := g.NumNodes()
 	order := stream.RankEdges(score)

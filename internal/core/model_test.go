@@ -192,21 +192,55 @@ func TestAllocateRankedRespectsRanking(t *testing.T) {
 }
 
 // recordingPlacer wraps a placer and keeps every coarse graph it is
-// handed, with the placement it returned.
+// handed, with the placement it returned and a print of both taken then.
 type recordingPlacer struct {
 	inner  placer.Placer
 	graphs []*stream.Graph
 	places []*stream.Placement
+	prints []string
 }
 
 func (r *recordingPlacer) Place(g *stream.Graph, c sim.Cluster) *stream.Placement {
 	p := r.inner.Place(g, c)
 	r.graphs = append(r.graphs, g)
 	r.places = append(r.places, p)
+	r.prints = append(r.prints, placedPrint(g, p))
 	return p
 }
 
 func (r *recordingPlacer) Name() string { return "recording-" + r.inner.Name() }
+
+// placedPrint renders a coarse graph's nodes, edges and demands and a
+// placement of it. %v prints the shortest decimal that reads back as the
+// same float64, so equal prints mean bit-equal values.
+func placedPrint(g *stream.Graph, p *stream.Placement) string {
+	return fmt.Sprint(g.SourceRate, g.Nodes, g.Edges, g.NodeLoad(), g.EdgeTraffic(), p.Devices, p.Assign)
+}
+
+// TestAllocateRankedLeavesRetainedOutputsIntact keeps every coarse graph
+// and placement the sweep hands its placer, as perfbench's timed placer
+// does, and requires each to read as it did when handed over, after
+// AllocateRanked returns and again after a second call on another graph:
+// nothing a caller may keep can share memory with the partitioner's
+// pooled workspaces.
+func TestAllocateRankedLeavesRetainedOutputsIntact(t *testing.T) {
+	s := gen.Large()
+	model := New(DefaultConfig())
+	rec := &recordingPlacer{inner: placer.Metis{Seed: 1}}
+	pipe := &Pipeline{Model: model, Placer: rec}
+	for seed := int64(1); seed <= 2; seed++ {
+		g := gen.Generate(s.Config, rand.New(rand.NewSource(seed)))
+		pipe.AllocateRanked(g, s.Cluster, model.Probs(g, s.Cluster))
+		for i, cg := range rec.graphs {
+			if placedPrint(cg, rec.places[i]) != rec.prints[i] {
+				t.Fatalf("after call %d: candidate %d's coarse graph or placement changed after Place returned", seed, i)
+			}
+		}
+	}
+	if len(rec.graphs) < 20 {
+		t.Fatalf("two sweeps placed %d candidates, want the 16-candidate grid twice over", len(rec.graphs))
+	}
+}
 
 // TestAllocateRankedReturnsBestScoredCandidate pins the sweep's contract:
 // rebuilding every candidate the placer saw (CoarsenToRanked at its

@@ -61,6 +61,9 @@ func (c MultilevelConfig) withDefaults() MultilevelConfig {
 // refinement accepts strict lexicographic improvements only.
 func (pl *Pipeline) AllocateMultilevel(g *stream.Graph, c sim.Cluster, cfg MultilevelConfig) Allocation {
 	cfg = cfg.withDefaults()
+	// The features, the level's coarse graph and its refinement all read
+	// g's demands; every level below is a coarse graph, pinned already.
+	g = g.PinDemands()
 	if g.NumNodes() <= cfg.LeafSize {
 		return pl.Allocate(g, c)
 	}

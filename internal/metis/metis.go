@@ -12,9 +12,10 @@
 package metis
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/obs"
@@ -23,11 +24,14 @@ import (
 )
 
 // Partitioner work counters (observation only; MetisPartition is in the
-// bench gate, so the cost is one atomic add per call plus one per refine
-// pass — noise next to the multilevel pipeline itself).
+// bench gate, so the cost is one atomic add per call, one per refine pass
+// and one per refine call — noise next to the multilevel pipeline itself).
 var (
 	obsPartitions   = obs.Default.Counter("metis_partitions_total")
 	obsRefinePasses = obs.Default.Counter("metis_refine_passes_total")
+	// obsRefineEvals counts the node visits on which refine computed move
+	// gains; visits to settled nodes (see refine) are not counted.
+	obsRefineEvals = obs.Default.Counter("metis_refine_evals_total")
 )
 
 // Options tunes the partitioner.
@@ -78,11 +82,11 @@ func (o Options) withDefaults() Options {
 // node v's neighbors are nbr[off[v]:off[v+1]] (ascending ids) with edge
 // weights in the parallel w slice. Parallel edges are merged and
 // self-loops dropped at construction. CSR replaces the earlier
-// map-per-node adjacency: it allocates four slices per graph instead of
-// one map per node (the dominant allocation source of the whole
-// coarsen→partition pipeline) and makes every neighbor iteration
+// map-per-node adjacency, the dominant allocation source of the whole
+// coarsen→partition pipeline, and makes every neighbor iteration
 // deterministic, so matching and refinement no longer depend on map
-// iteration order.
+// iteration order. Every wgraph lives in a workspace level, whose slices
+// the next call reuses.
 type wgraph struct {
 	nw  []float64
 	off []int32 // len n+1; node v's adjacency is [off[v], off[v+1])
@@ -100,21 +104,76 @@ func (g *wgraph) totalWeight() float64 {
 	return s
 }
 
-// buildWGraph assembles a CSR wgraph from undirected edge triples
-// (eu[i], ev[i], ew[i]). Self-loops are dropped and parallel edges
-// merged, their weights summed in input order; each node's neighbor list
-// ends up sorted ascending. The input slices are not retained (nw is).
+// workspace holds every buffer one Partition or CoarsenHEM call works in,
+// so that a warm call allocates only what it returns. levels[0] is the
+// input graph and levels[i+1] the heavy-edge matching of levels[i]. The
+// rest is scratch that one step at a time borrows: order is the
+// matching's visit permutation, the initial partition's weight order and
+// refine's visit order; eu, ev and ew hold the edge triples a level is
+// built from; sortBuf holds the CSR build's cursors and half-edge ids;
+// settled, loads, maxLoad and conn hold refine's per-node and per-part
+// state (loads and conn also the initial partition's). Buffers only grow,
+// so a pooled workspace soon fits every graph its callers hand it.
+type workspace struct {
+	rng                  *rand.Rand
+	levels               []*level
+	order, match         []int
+	eu, ev               []int32
+	ew                   []float64
+	sortBuf              []int32
+	settled              []bool
+	loads, maxLoad, conn []float64
+}
+
+// level is one graph of the coarsening hierarchy with its fine→coarse map
+// (stale at the coarsest level) and its partition (unused at level 0,
+// whose partition is the caller's Placement).
+type level struct {
+	g    wgraph
+	cmap []int
+	part []int
+}
+
+// wsPool recycles workspaces across calls and goroutines. A workspace
+// keeps its generator and reseeds it per call: Seed restarts the source
+// exactly as rand.New(rand.NewSource(seed)) starts a fresh one.
+var wsPool = sync.Pool{New: func() any { return &workspace{rng: rand.New(rand.NewSource(0))} }}
+
+// grow sets *s to length n, reallocating only when its capacity is
+// short, and returns it. The contents are unspecified.
+func grow[T any](s *[]T, n int) []T {
+	if cap(*s) < n {
+		*s = make([]T, n)
+	}
+	*s = (*s)[:n]
+	return *s
+}
+
+// level returns hierarchy level i, adding empty levels as needed.
+func (ws *workspace) level(i int) *level {
+	for len(ws.levels) <= i {
+		ws.levels = append(ws.levels, new(level))
+	}
+	return ws.levels[i]
+}
+
+// buildWGraph fills g's CSR from undirected edge triples (eu[i], ev[i],
+// ew[i]); g.nw must already hold the node weights. Self-loops are dropped
+// and parallel edges merged, their weights summed in input order; each
+// node's neighbor list ends up sorted ascending. The triples are not
+// retained.
 //
 // Edge i yields two half-edges, 2i (owner eu[i], neighbor ev[i]) and
 // 2i+1 (owner ev[i], neighbor eu[i]). Two stable counting sorts, by
 // neighbor and then by owner, leave each owner's run ordered by neighbor
 // with ties in input order — the order a per-node stable sort gives — in
 // O(n+E), also for a hub whose edges arrive in descending order.
-func buildWGraph(nw []float64, eu, ev []int32, ew []float64) *wgraph {
-	n := len(nw)
+func (ws *workspace) buildWGraph(g *wgraph, eu, ev []int32, ew []float64) {
+	n := g.n()
 	// A node owns as many half-edges as it is the neighbor of, so one
 	// degree count, prefix-summed, gives the bucket starts of both sorts.
-	off := make([]int32, n+1)
+	off := grow(&g.off, n+1)
+	clear(off)
 	for i := range eu {
 		if eu[i] != ev[i] {
 			off[eu[i]+1]++
@@ -125,11 +184,8 @@ func buildWGraph(nw []float64, eu, ev []int32, ew []float64) *wgraph {
 		off[v+1] += off[v]
 	}
 	total := off[n]
-	sp := scratchPool.Get().(*[]int32)
-	if cap(*sp) < n+int(total) {
-		*sp = make([]int32, n+int(total))
-	}
-	cur, byNbr := (*sp)[:n], (*sp)[n:n+int(total)]
+	buf := grow(&ws.sortBuf, n+int(total))
+	cur, byNbr := buf[:n], buf[n:]
 	copy(cur, off)
 	for i := range eu {
 		u, v := eu[i], ev[i]
@@ -142,8 +198,7 @@ func buildWGraph(nw []float64, eu, ev []int32, ew []float64) *wgraph {
 		cur[u]++
 	}
 	copy(cur, off)
-	nbr := make([]int32, total)
-	w := make([]float64, total)
+	nbr, w := grow(&g.nbr, int(total)), grow(&g.w, int(total))
 	for x := int32(0); x < int32(n); x++ {
 		for _, h := range byNbr[off[x]:off[x+1]] {
 			i := h >> 1
@@ -155,7 +210,6 @@ func buildWGraph(nw []float64, eu, ev []int32, ew []float64) *wgraph {
 			cur[o]++
 		}
 	}
-	scratchPool.Put(sp)
 	// Merge parallel edges, now adjacent, and turn the bucket starts into
 	// the merged offsets, both in place: the write cursor wp never passes
 	// the read cursor, and off[v+1] is read before it is rewritten.
@@ -173,94 +227,110 @@ func buildWGraph(nw []float64, eu, ev []int32, ew []float64) *wgraph {
 		}
 	}
 	off[n] = wp
-	return &wgraph{nw: nw, off: off, nbr: nbr[:wp], w: w[:wp]}
+	g.nbr, g.w = nbr[:wp], w[:wp]
 }
 
-// scratchPool recycles buildWGraph's int32 work space, the bucket
-// cursors and the neighbor-sorted half-edge ids, which no call keeps.
-var scratchPool = sync.Pool{New: func() any { return new([]int32) }}
-
-// fromStream converts a stream graph into the undirected weighted form.
-func fromStream(g *stream.Graph) *wgraph {
-	n := g.NumNodes()
-	nw := make([]float64, n)
-	copy(nw, g.NodeLoad())
-	traffic := g.EdgeTraffic()
-	eu := make([]int32, len(g.Edges))
-	ev := make([]int32, len(g.Edges))
+// load makes the undirected weighted form of g the hierarchy's level 0.
+func (ws *workspace) load(g *stream.Graph) {
+	lv := ws.level(0)
+	copy(grow(&lv.g.nw, g.NumNodes()), g.NodeLoad())
+	eu, ev := grow(&ws.eu, len(g.Edges)), grow(&ws.ev, len(g.Edges))
 	for ei, e := range g.Edges {
 		eu[ei], ev[ei] = int32(e.Src), int32(e.Dst)
 	}
-	return buildWGraph(nw, eu, ev, traffic)
+	ws.buildWGraph(&lv.g, eu, ev, g.EdgeTraffic())
 }
 
-// Partition assigns each operator of g to one of opts.Parts devices.
+// Partition assigns each operator of g to one of opts.Parts devices. Once
+// a pooled workspace has grown to g's size, the returned Placement is all
+// the call allocates, provided g's demands are fixed (a coarse graph or a
+// PinDemands view); otherwise reading them allocates too.
 func Partition(g *stream.Graph, opts Options) *stream.Placement {
 	obsPartitions.Inc()
 	opts = opts.withDefaults()
-	wg := fromStream(g)
-	part := partitionWGraph(wg, opts)
 	p := stream.NewPlacement(g.NumNodes(), opts.Parts)
-	copy(p.Assign, part)
+	if opts.Parts <= 1 {
+		return p
+	}
+	ws := wsPool.Get().(*workspace)
+	ws.load(g)
+	ws.partition(opts, p.Assign)
+	wsPool.Put(ws)
 	return p
 }
 
-// partitionWGraph runs the full multilevel pipeline on a weighted graph.
-func partitionWGraph(wg *wgraph, opts Options) []int {
-	rng := rand.New(rand.NewSource(opts.Seed))
-	if opts.Parts <= 1 {
-		return make([]int, wg.n())
-	}
-	// Coarsening phase.
-	type level struct {
-		g    *wgraph
-		map_ []int // fine node → coarse node (nil at the coarsest level)
-	}
-	levels := []level{{g: wg}}
-	cur := wg
-	// A level that removes fewer than 1 in stallDiv nodes is kept but ends
-	// coarsening, as in reference METIS. Heavy-edge matching shrinks a
-	// star by one node per level, so coarsening one down to CoarsenTo
-	// would take O(n) levels, each of them refined.
-	const stallDiv = 20
-	for cur.n() > opts.CoarsenTo {
-		coarse, m := heavyEdgeMatch(cur, rng)
-		if coarse.n() >= cur.n() { // no progress; stop
-			break
+// partition runs the multilevel pipeline on level 0 and writes its
+// partition into out: coarsen, partition the coarsest graph greedily, then
+// project and refine level by level on the way back up.
+func (ws *workspace) partition(opts Options, out []int) {
+	ws.rng.Seed(opts.Seed)
+	top := ws.coarsen(opts.CoarsenTo, true)
+	part := ws.partBuf(top, out)
+	ws.initialPartition(&ws.levels[top].g, part, opts)
+	ws.refine(&ws.levels[top].g, part, opts)
+	for li := top - 1; li >= 0; li-- {
+		lv := ws.levels[li]
+		fine := ws.partBuf(li, out)
+		for v := range fine {
+			fine[v] = part[lv.cmap[v]]
 		}
-		levels[len(levels)-1].map_ = m
-		levels = append(levels, level{g: coarse})
-		stalled := stallDiv*(cur.n()-coarse.n()) < cur.n()
-		cur = coarse
-		if stalled {
-			break
-		}
+		part = fine
+		ws.refine(&lv.g, part, opts)
 	}
-	// Initial partition of the coarsest graph.
-	part := initialPartition(cur, opts, rng)
-	refine(cur, part, opts, rng)
-	// Uncoarsening with refinement.
-	for li := len(levels) - 2; li >= 0; li-- {
-		fine := levels[li]
-		finePart := make([]int, fine.g.n())
-		for v := range finePart {
-			finePart[v] = part[fine.map_[v]]
-		}
-		part = finePart
-		refine(fine.g, part, opts, rng)
-	}
-	return part
 }
 
-// heavyEdgeMatch performs one round of randomized heavy-edge matching and
-// returns the coarse graph plus the fine→coarse map.
-func heavyEdgeMatch(g *wgraph, rng *rand.Rand) (*wgraph, []int) {
+// partBuf returns level i's partition buffer; level 0 partitions into out.
+func (ws *workspace) partBuf(i int, out []int) []int {
+	if i == 0 {
+		return out
+	}
+	return grow(&ws.levels[i].part, ws.levels[i].g.n())
+}
+
+// coarsen builds levels 1, 2, … by heavy-edge matching until a level has
+// at most `to` nodes or a round no longer shrinks the graph, and returns
+// the coarsest level's index. With stall set it also stops after a level
+// that removes fewer than 1 in stallDiv nodes; that level is kept, as in
+// reference METIS. Heavy-edge matching shrinks a star by one node per
+// level, so coarsening one down to `to` would take O(n) levels, each of
+// them refined.
+func (ws *workspace) coarsen(to int, stall bool) int {
+	const stallDiv = 20
+	top := 0
+	for {
+		fine := ws.levels[top]
+		if fine.g.n() <= to {
+			return top
+		}
+		coarse := ws.level(top + 1)
+		ws.heavyEdgeMatch(fine, coarse)
+		if coarse.g.n() >= fine.g.n() { // no progress; stop
+			return top
+		}
+		top++
+		if stall && stallDiv*(fine.g.n()-coarse.g.n()) < fine.g.n() {
+			return top
+		}
+	}
+}
+
+// heavyEdgeMatch performs one round of randomized heavy-edge matching on
+// fine's graph, fills fine's fine→coarse map and builds coarse's graph.
+func (ws *workspace) heavyEdgeMatch(fine, coarse *level) {
+	g := &fine.g
 	n := g.n()
-	match := make([]int, n)
+	match := grow(&ws.match, n)
 	for i := range match {
 		match[i] = -1
 	}
-	order := rng.Perm(n)
+	// rng.Perm(n), drawn by Perm's own Intn loop into a reused slice. Every
+	// slot is written before it is read, so stale contents never leak in.
+	order := grow(&ws.order, n)
+	for i := range order {
+		j := ws.rng.Intn(i + 1)
+		order[i] = order[j]
+		order[j] = i
+	}
 	for _, v := range order {
 		if match[v] != -1 {
 			continue
@@ -278,8 +348,8 @@ func heavyEdgeMatch(g *wgraph, rng *rand.Rand) (*wgraph, []int) {
 			match[best] = v
 		}
 	}
-	// Number the coarse nodes.
-	cmap := make([]int, n)
+	// Number the coarse nodes in order of their first fine member.
+	cmap := grow(&fine.cmap, n)
 	for i := range cmap {
 		cmap[i] = -1
 	}
@@ -294,13 +364,12 @@ func heavyEdgeMatch(g *wgraph, rng *rand.Rand) (*wgraph, []int) {
 		}
 		next++
 	}
-	cnw := make([]float64, next)
+	cnw := grow(&coarse.g.nw, next)
+	clear(cnw)
 	for v := 0; v < n; v++ {
 		cnw[cmap[v]] += g.nw[v]
 	}
-	eu := make([]int32, 0, len(g.nbr)/2)
-	ev := make([]int32, 0, len(g.nbr)/2)
-	ew := make([]float64, 0, len(g.nbr)/2)
+	eu, ev, ew := ws.eu[:0], ws.ev[:0], ws.ew[:0]
 	for v := 0; v < n; v++ {
 		for i := g.off[v]; i < g.off[v+1]; i++ {
 			if u := int(g.nbr[i]); v < u { // each undirected edge once
@@ -313,29 +382,28 @@ func heavyEdgeMatch(g *wgraph, rng *rand.Rand) (*wgraph, []int) {
 			}
 		}
 	}
-	return buildWGraph(cnw, eu, ev, ew), cmap
+	ws.eu, ws.ev, ws.ew = eu, ev, ew
+	ws.buildWGraph(&coarse.g, eu, ev, ew)
 }
 
-// initialPartition greedily assigns the coarsest nodes: heaviest first,
-// each to the part minimizing (load, then cut increase).
-func initialPartition(g *wgraph, opts Options, rng *rand.Rand) []int {
+// initialPartition greedily assigns the coarsest nodes into part: heaviest
+// first, each to the part minimizing (load, then cut increase).
+func (ws *workspace) initialPartition(g *wgraph, part []int, opts Options) {
 	n := g.n()
-	part := make([]int, n)
 	for i := range part {
 		part[i] = -1
 	}
-	order := make([]int, n)
+	order := grow(&ws.order, n)
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool { return g.nw[order[a]] > g.nw[order[b]] })
-	loads := make([]float64, opts.Parts)
-	gain := make([]float64, opts.Parts) // reused across nodes
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(g.nw[b], g.nw[a]) })
+	loads := grow(&ws.loads, opts.Parts)
+	clear(loads)
+	gain := grow(&ws.conn, opts.Parts) // reused across nodes
 	for _, v := range order {
 		// Connectivity gain toward each part.
-		for p := range gain {
-			gain[p] = 0
-		}
+		clear(gain)
 		for i := g.off[v]; i < g.off[v+1]; i++ {
 			if pu := part[g.nbr[i]]; pu >= 0 {
 				gain[pu] += g.w[i]
@@ -351,54 +419,70 @@ func initialPartition(g *wgraph, opts Options, rng *rand.Rand) []int {
 				best, bestScore = p, score
 			}
 		}
-		_ = rng
 		part[v] = best
 		loads[best] += g.nw[v]
 	}
-	return part
 }
 
 // refine runs FM-style boundary passes: move a node to the part with the
 // highest positive cut gain that keeps balance.
-func refine(g *wgraph, part []int, opts Options, rng *rand.Rand) {
+//
+// A node is settled when its last visit found no part with a positive
+// gain, feasible or not, and neither it nor any neighbor has moved since.
+// Its connectivity toward each part sums the same edge weights over the
+// same neighbor parts in the same order as on that visit, so every gain
+// is bit for bit what that visit saw, and the scan would again find no
+// move. A settled node skips the scan; only the overload check, which
+// reads the part loads, runs. Moves are therefore those of the full scan,
+// and the shuffle still runs every pass, so the random stream and the
+// partition are unchanged.
+func (ws *workspace) refine(g *wgraph, part []int, opts Options) {
 	n := g.n()
 	total := g.totalWeight()
-	maxLoad := make([]float64, opts.Parts)
-	for p := 0; p < opts.Parts; p++ {
+	maxLoad := grow(&ws.maxLoad, opts.Parts)
+	for p := range maxLoad {
 		maxLoad[p] = (1 + opts.Imbalance) * total * opts.targetFraction(p)
 	}
-	loads := make([]float64, opts.Parts)
+	loads := grow(&ws.loads, opts.Parts)
+	clear(loads)
 	for v := 0; v < n; v++ {
 		loads[part[v]] += g.nw[v]
 	}
-	order := make([]int, n)
+	order := grow(&ws.order, n)
 	for i := range order {
 		order[i] = i
 	}
-	conn := make([]float64, opts.Parts) // reused across nodes
+	settled := grow(&ws.settled, n)
+	clear(settled)
+	conn := grow(&ws.conn, opts.Parts) // reused across nodes
+	var evals uint64
 	for pass := 0; pass < opts.RefinePasses; pass++ {
 		obsRefinePasses.Inc()
-		rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
+		ws.rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
 		improved := false
 		for _, v := range order {
 			from := part[v]
-			// Connectivity of v toward each part (dense reusable buffer;
-			// zero entries yield gain ≤ 0 and so never win the strict
-			// comparison below, matching the old sparse behavior).
-			for p := range conn {
-				conn[p] = 0
-			}
-			for i := g.off[v]; i < g.off[v+1]; i++ {
-				conn[part[g.nbr[i]]] += g.w[i]
-			}
-			bestPart, bestGain := from, 0.0
-			for p := 0; p < opts.Parts; p++ {
-				if p == from {
-					continue
+			bestPart := from
+			if !settled[v] {
+				evals++
+				// Connectivity of v toward each part (dense reusable
+				// buffer; zero entries yield gain ≤ 0 and so never win).
+				clear(conn)
+				for i := g.off[v]; i < g.off[v+1]; i++ {
+					conn[part[g.nbr[i]]] += g.w[i]
 				}
-				gain := conn[p] - conn[from]
-				if gain > bestGain && loads[p]+g.nw[v] <= maxLoad[p] {
-					bestPart, bestGain = p, gain
+				settled[v] = true
+				bestGain := 0.0
+				for p := 0; p < opts.Parts; p++ {
+					if p == from {
+						continue
+					}
+					if gain := conn[p] - conn[from]; gain > 0 {
+						settled[v] = false
+						if gain > bestGain && loads[p]+g.nw[v] <= maxLoad[p] {
+							bestPart, bestGain = p, gain
+						}
+					}
 				}
 			}
 			// Balance-driven move: if v's part is overloaded, allow a
@@ -420,24 +504,17 @@ func refine(g *wgraph, part []int, opts Options, rng *rand.Rand) {
 				loads[bestPart] += g.nw[v]
 				part[v] = bestPart
 				improved = true
+				settled[v] = false
+				for i := g.off[v]; i < g.off[v+1]; i++ {
+					settled[g.nbr[i]] = false
+				}
 			}
 		}
 		if !improved {
 			break
 		}
 	}
-}
-
-// Cut returns the total weight of edges crossing parts under the placement.
-func Cut(g *stream.Graph, p *stream.Placement) float64 {
-	traffic := g.EdgeTraffic()
-	var cut float64
-	for ei, e := range g.Edges {
-		if p.Assign[e.Src] != p.Assign[e.Dst] {
-			cut += traffic[ei]
-		}
-	}
-	return cut
+	obsRefineEvals.Add(evals)
 }
 
 // Oracle sweeps the number of parts from 1 to cluster.Devices, partitions
@@ -478,36 +555,21 @@ func InferCollapsedEdges(g *stream.Graph, p *stream.Placement) []bool {
 // target nodes, and returns the resulting coarse map. Used for the Fig. 9
 // comparison of Metis coarsening vs the learned model.
 func CoarsenHEM(g *stream.Graph, target int, seed int64) *stream.CoarseMap {
-	rng := rand.New(rand.NewSource(seed))
-	wg := fromStream(g)
-	n := g.NumNodes()
-	super := make([]int, n)
-	for i := range super {
-		super[i] = i
+	ws := wsPool.Get().(*workspace)
+	defer wsPool.Put(ws)
+	ws.rng.Seed(seed)
+	ws.load(g)
+	top := ws.coarsen(target, false)
+	super := make([]int, g.NumNodes())
+	for v := range super {
+		super[v] = v
 	}
-	cur := wg
-	for cur.n() > target {
-		coarse, m := heavyEdgeMatch(cur, rng)
-		if coarse.n() >= cur.n() {
-			break
+	for _, lv := range ws.levels[:top] {
+		for v, s := range super {
+			super[v] = lv.cmap[s]
 		}
-		for v := 0; v < n; v++ {
-			super[v] = m[super[v]]
-		}
-		cur = coarse
 	}
-	// Compact ids in first-seen order for determinism.
-	remap := make(map[int]int)
-	next := 0
-	out := make([]int, n)
-	for v, s := range super {
-		id, ok := remap[s]
-		if !ok {
-			id = next
-			next++
-			remap[s] = id
-		}
-		out[v] = id
-	}
-	return &stream.CoarseMap{Super: out, NumSuper: next}
+	// Each level numbers its coarse nodes in order of their first fine
+	// member, so the composed map numbers super-nodes in first-seen order.
+	return &stream.CoarseMap{Super: super, NumSuper: ws.levels[top].g.n()}
 }

@@ -18,6 +18,9 @@ import (
 	"repro/internal/stream"
 )
 
+// raceEnabled is set under the race detector (race_test.go).
+var raceEnabled bool
+
 func testGraph(seed int64, minN, maxN int) *stream.Graph {
 	c := sim.DefaultCluster(5, 1000)
 	cfg := gen.DefaultConfig(minN, maxN, 10_000, c)
@@ -167,6 +170,18 @@ func TestCoarsenHEMReducesToTarget(t *testing.T) {
 	if cm.NumSuper < 1 {
 		t.Fatal("empty coarse graph")
 	}
+}
+
+// Cut returns the total weight of edges crossing parts under the placement.
+func Cut(g *stream.Graph, p *stream.Placement) float64 {
+	traffic := g.EdgeTraffic()
+	var cut float64
+	for ei, e := range g.Edges {
+		if p.Assign[e.Src] != p.Assign[e.Dst] {
+			cut += traffic[ei]
+		}
+	}
+	return cut
 }
 
 func TestCutComputation(t *testing.T) {
@@ -400,13 +415,19 @@ func TestBuildWGraphMatchesInsertionSort(t *testing.T) {
 	}
 	inputs = append(inputs, hub)
 
-	for _, in := range inputs {
+	// One workspace and one destination graph serve every input, so each
+	// build reuses buffers a larger or smaller build left stale.
+	ws := wsPool.Get().(*workspace)
+	defer wsPool.Put(ws)
+	var got wgraph
+	for _, in := range append(inputs, inputs...) {
 		nw := make([]float64, in.n)
 		for v := range nw {
 			nw[v] = rng.Float64()
 		}
 		want := buildWGraphInsertion(nw, in.eu, in.ev, in.ew)
-		got := buildWGraph(nw, in.eu, in.ev, in.ew)
+		got.nw = nw
+		ws.buildWGraph(&got, in.eu, in.ev, in.ew)
 		if !slices.Equal(got.off, want.off) || !slices.Equal(got.nbr, want.nbr) {
 			t.Fatalf("%s: adjacency differs from the insertion-sort builder", in.name)
 		}
@@ -512,33 +533,258 @@ func TestPartitionWorkBoundedOnAdversarialShapes(t *testing.T) {
 	}
 }
 
-// TestPartitionConcurrentMatchesSerial partitions graphs of different
-// sizes from several goroutines at once, so buildWGraph's pooled scratch
-// passes between calls of different sizes, and requires the serial
-// answers. Run it under -race (make chaos).
+// TestPartitionConcurrentMatchesSerial partitions graphs of 20 to 4,000
+// operators into 2, 5 and 10 parts from several goroutines at once. Each
+// worker walks every job twice with a stride of 7 (coprime to the 15
+// jobs) from its own start, so consecutive calls alternate sizes and part
+// counts and pooled workspaces pass between goroutines, growing and
+// shrinking. Every answer must equal the serial one. Run it under -race
+// (make chaos).
 func TestPartitionConcurrentMatchesSerial(t *testing.T) {
 	var graphs []*stream.Graph
-	for i, size := range [][2]int{{20, 30}, {100, 200}, {400, 500}} {
+	for i, size := range [][2]int{{20, 30}, {100, 200}, {400, 500}, {1500, 2000}} {
 		graphs = append(graphs, testGraph(int64(51+i), size[0], size[1]))
 	}
 	graphs = append(graphs, reverseStar(4000))
-	want := make([][]int, len(graphs))
-	for i, g := range graphs {
-		want[i] = Partition(g, Options{Parts: 5, Seed: 1}).Assign
+	type job struct {
+		g    *stream.Graph
+		opts Options
+	}
+	var jobs []job
+	for _, g := range graphs {
+		for _, k := range []int{2, 5, 10} {
+			jobs = append(jobs, job{g, Options{Parts: k, Seed: 1}})
+		}
+	}
+	want := make([][]int, len(jobs))
+	for i, j := range jobs {
+		want[i] = Partition(j.g, j.opts).Assign
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for r := 0; r < 3*len(graphs); r++ {
-				i := (w + r) % len(graphs)
-				if got := Partition(graphs[i], Options{Parts: 5, Seed: 1}).Assign; !slices.Equal(got, want[i]) {
-					t.Errorf("worker %d: graph %d partitioned differently than serially", w, i)
+			for r := 0; r < 2*len(jobs); r++ {
+				i := (4*w + 7*r) % len(jobs)
+				if got := Partition(jobs[i].g, jobs[i].opts).Assign; !slices.Equal(got, want[i]) {
+					t.Errorf("worker %d: job %d partitioned differently than serially", w, i)
 					return
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
+}
+
+// refineRef is refine as it was before settled nodes: it computes every
+// node's gains on every pass. It returns the number of those gain
+// evaluations, n per pass, and leaves the obs counters alone.
+func refineRef(g *wgraph, part []int, opts Options, rng *rand.Rand) uint64 {
+	n := g.n()
+	total := g.totalWeight()
+	maxLoad := make([]float64, opts.Parts)
+	for p := 0; p < opts.Parts; p++ {
+		maxLoad[p] = (1 + opts.Imbalance) * total * opts.targetFraction(p)
+	}
+	loads := make([]float64, opts.Parts)
+	for v := 0; v < n; v++ {
+		loads[part[v]] += g.nw[v]
+	}
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	var evals uint64
+	conn := make([]float64, opts.Parts) // reused across nodes
+	for pass := 0; pass < opts.RefinePasses; pass++ {
+		rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
+		improved := false
+		for _, v := range order {
+			evals++
+			from := part[v]
+			for p := range conn {
+				conn[p] = 0
+			}
+			for i := g.off[v]; i < g.off[v+1]; i++ {
+				conn[part[g.nbr[i]]] += g.w[i]
+			}
+			bestPart, bestGain := from, 0.0
+			for p := 0; p < opts.Parts; p++ {
+				if p == from {
+					continue
+				}
+				gain := conn[p] - conn[from]
+				if gain > bestGain && loads[p]+g.nw[v] <= maxLoad[p] {
+					bestPart, bestGain = p, gain
+				}
+			}
+			if bestPart == from && loads[from] > maxLoad[from] {
+				light := from
+				rel := func(p int) float64 { return loads[p] / opts.targetFraction(p) }
+				for p := 0; p < opts.Parts; p++ {
+					if rel(p) < rel(light) {
+						light = p
+					}
+				}
+				if light != from {
+					bestPart = light
+				}
+			}
+			if bestPart != from {
+				loads[from] -= g.nw[v]
+				loads[bestPart] += g.nw[v]
+				part[v] = bestPart
+				improved = true
+			}
+		}
+		if !improved {
+			break
+		}
+	}
+	return evals
+}
+
+// TestRefineMatchesReference runs refine and refineRef from the same
+// partition and seed on random multigraphs of 2–300 nodes, a quarter of
+// whose edges weigh zero (a gain of exactly 0 never moves a node, so such
+// a node settles), with node weights spanning three orders of magnitude,
+// 2–40 parts with uniform or random target shares, and starting
+// partitions that are random, all on one part or all on the last part
+// (overloaded, so balance moves fire). Both must end in the same
+// partition and leave the generator in the same state.
+func TestRefineMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	ws := wsPool.Get().(*workspace)
+	defer wsPool.Put(ws)
+	var skipped, evaluated uint64
+	for trial := 0; trial < 300; trial++ {
+		n := 2 + rng.Intn(299)
+		var g wgraph
+		g.nw = make([]float64, n)
+		for v := range g.nw {
+			g.nw[v] = math.Pow(10, 3*rng.Float64())
+		}
+		var eu, ev []int32
+		var ew []float64
+		for i := 0; i < (1+rng.Intn(4))*n; i++ {
+			w := rng.Float64() * 100
+			if rng.Intn(4) == 0 {
+				w = 0
+			}
+			eu, ev, ew = append(eu, int32(rng.Intn(n))), append(ev, int32(rng.Intn(n))), append(ew, w)
+		}
+		ws.buildWGraph(&g, eu, ev, ew)
+		opts := Options{Parts: 2 + rng.Intn(39), RefinePasses: 1 + rng.Intn(10)}
+		if rng.Intn(2) == 0 {
+			opts.TargetFractions = make([]float64, opts.Parts)
+			var sum float64
+			for p := range opts.TargetFractions {
+				opts.TargetFractions[p] = 0.1 + rng.Float64()
+				sum += opts.TargetFractions[p]
+			}
+			for p := range opts.TargetFractions {
+				opts.TargetFractions[p] /= sum
+			}
+		}
+		opts = opts.withDefaults()
+		start := make([]int, n)
+		switch trial % 3 {
+		case 0:
+			for v := range start {
+				start[v] = rng.Intn(opts.Parts)
+			}
+		case 2:
+			for v := range start {
+				start[v] = opts.Parts - 1
+			}
+		}
+		seed := rng.Int63()
+		want := slices.Clone(start)
+		refRNG := rand.New(rand.NewSource(seed))
+		refEvals := refineRef(&g, want, opts, refRNG)
+		got := slices.Clone(start)
+		ws.rng.Seed(seed)
+		before := obsRefineEvals.Value()
+		ws.refine(&g, got, opts)
+		evals := obsRefineEvals.Value() - before
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d (n=%d, parts=%d): refine and refineRef end in different partitions", trial, n, opts.Parts)
+		}
+		if a, b := ws.rng.Int63(), refRNG.Int63(); a != b {
+			t.Fatalf("trial %d: refine left the generator in another state than refineRef", trial)
+		}
+		if evals > refEvals {
+			t.Fatalf("trial %d: refine evaluated %d nodes, refineRef %d", trial, evals, refEvals)
+		}
+		skipped += refEvals - evals
+		evaluated += refEvals
+	}
+	t.Logf("settled nodes skipped %d of %d gain evaluations", skipped, evaluated)
+	if skipped == 0 {
+		t.Fatal("refine never skipped a settled node")
+	}
+}
+
+// partitionRef is Partition with refineRef in place of refine, on the
+// same hierarchy and random stream. It returns the partition and the
+// number of gain evaluations refineRef made, n per pass per level.
+func partitionRef(g *stream.Graph, opts Options) ([]int, uint64) {
+	opts = opts.withDefaults()
+	ws := &workspace{rng: rand.New(rand.NewSource(opts.Seed))}
+	ws.load(g)
+	top := ws.coarsen(opts.CoarsenTo, true)
+	part := make([]int, ws.levels[top].g.n())
+	ws.initialPartition(&ws.levels[top].g, part, opts)
+	evals := refineRef(&ws.levels[top].g, part, opts, ws.rng)
+	for li := top - 1; li >= 0; li-- {
+		lv := ws.levels[li]
+		fine := make([]int, lv.g.n())
+		for v := range fine {
+			fine[v] = part[lv.cmap[v]]
+		}
+		part = fine
+		evals += refineRef(&lv.g, part, opts, ws.rng)
+	}
+	return part, evals
+}
+
+// TestRefineEvalsBoundedOnLargeGraphs partitions two Large graphs onto
+// the Large cluster's 10 devices and reads metis_refine_evals_total: the
+// partitions must equal partitionRef's, and refine must compute gains on
+// at most 0.7 of the n × passes node visits refineRef evaluates.
+func TestRefineEvalsBoundedOnLargeGraphs(t *testing.T) {
+	s := gen.Large()
+	for seed := int64(1); seed <= 2; seed++ {
+		g := gen.Generate(s.Config, rand.New(rand.NewSource(seed)))
+		opts := Options{Parts: s.Cluster.Devices, Seed: 1}
+		want, refEvals := partitionRef(g, opts)
+		before := obsRefineEvals.Value()
+		got := Partition(g, opts).Assign
+		evals := obsRefineEvals.Value() - before
+		if !slices.Equal(got, want) {
+			t.Fatalf("graph %d: Partition differs from partitionRef", seed)
+		}
+		t.Logf("graph %d (%d nodes): refine evaluated %d of refineRef's %d (%.2f)",
+			seed, g.NumNodes(), evals, refEvals, float64(evals)/float64(refEvals))
+		if 10*evals > 7*refEvals {
+			t.Errorf("graph %d: refine evaluated %d nodes, want ≤ 0.7 × refineRef's %d", seed, evals, refEvals)
+		}
+	}
+}
+
+// TestPartitionAllocatesOnlyPlacement partitions a pinned Large graph
+// with a warm workspace: the Placement and its Assign slice must be the
+// only allocations.
+func TestPartitionAllocatesOnlyPlacement(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled items at random under the race detector")
+	}
+	s := gen.Large()
+	g := gen.Generate(s.Config, rand.New(rand.NewSource(1))).PinDemands()
+	opts := Options{Parts: s.Cluster.Devices, Seed: 1}
+	Partition(g, opts) // grow a pooled workspace to g
+	if allocs := testing.AllocsPerRun(20, func() { Partition(g, opts) }); allocs != 2 {
+		t.Fatalf("Partition made %v allocations per call, want 2 (the Placement and its Assign)", allocs)
+	}
 }

@@ -414,6 +414,9 @@ func (t *Trainer) stepEntry(binder *nn.Binder, wid int, seq uint64, gi int, g *s
 		t0 = now
 	}
 
+	// The features and every sample's coarse graph and reward read g's
+	// demands: propagate the rates once per step, not once per reader.
+	g = g.PinDemands()
 	f := gnn.BuildFeatures(g, cluster)
 	binder.Reset()
 	tape := binder.Tape

@@ -313,6 +313,9 @@ func (s *Service) AllocateCtx(ctx context.Context, g *stream.Graph, c sim.Cluste
 		s.errs.Inc()
 		return Result{}, ErrClosed
 	}
+	// The features, the sweep and the reported reward all read g's
+	// demands: propagate the rates once, after the cache had its chance.
+	g = g.PinDemands()
 	ver := s.version.Load()
 	probs, err := s.forward(ver.snap, gnn.BuildFeatures(g, c), traceID)
 	if err != nil {

@@ -439,10 +439,13 @@ func (g *Graph) trafficFrom(rates []float64) []float64 {
 // PinDemands returns a view of the graph whose NodeLoad and EdgeTraffic
 // return demands computed here, once, from a single rate propagation —
 // the same values an unpinned call computes — so a caller that reads them
-// many times (the rank sweep's coarse graphs and rewards) stops
-// re-propagating. Nodes, Edges and the CSR cache are shared, as in
-// ScaleSourceRate. A graph whose demands are already fixed (a coarse
-// graph) is returned as is.
+// many times stops re-propagating. Every allocation entry point pins
+// before its first reader, so each call propagates once:
+// core.Pipeline.Allocate and AllocateRanked, AllocateMultilevel at its top
+// level, serve.Service.AllocateCtx after its cache probe, and
+// rl.Trainer's per-graph step. Nodes, Edges and the CSR cache are shared,
+// as in ScaleSourceRate. A graph whose demands are already fixed (a coarse
+// graph, or a pinned view) is returned as is.
 func (g *Graph) PinDemands() *Graph {
 	if g.loadOverride != nil {
 		return g
