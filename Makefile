@@ -55,13 +55,16 @@ race:
 # arena from several goroutines (offline passes, served snapshot passes,
 # concurrent cache misses, mixed-size arena traffic, Metis's pooled
 # workspaces), ten times each, so a pool race or a poisoned binder fails
-# loudly too. Last, one REINFORCE step of identical samples on four
+# loudly too. Then one REINFORCE step of identical samples on four
 # scorers, twenty times: its cache split must not depend on how the
-# scorers interleave.
+# scorers interleave. Last, the learned placers' batched training, ten
+# times: their LSTM and attention layers run on concurrent replicas bound
+# to one parameter snapshot.
 chaos:
 	$(GO) test -race -count=2 ./internal/runtime/ ./internal/realloc/ ./internal/resilience/
 	$(GO) test -race -count=10 -run 'TestProbsIntoConcurrent|TestProbsIntoAfterPanic|TestConcurrentAllocateRace|TestConcurrentMatchesSerial|TestArenaConcurrentGetPut|TestPartitionConcurrentMatchesSerial' ./internal/core/ ./internal/serve/ ./internal/tensor/ ./internal/metis/
 	$(GO) test -race -count=20 -run 'TestStepScoresEachDistinctDecisionOnce' ./internal/rl/
+	$(GO) test -race -count=10 -run 'TestBatchedTrainingDeterministicAcrossWorkers/(gdp|graph-enc-dec)$$' ./internal/rl/
 
 # Quality gate: train and score the quick Table I, Fig. 5, Fig. 6, Fig. 8,
 # Table II and drift experiments (~20 s) and diff their tables against the

@@ -11,23 +11,28 @@
 //     number of groups (25 in the paper) and an LSTM placer assigning a
 //     device to each group.
 //
-// All three train with the same REINFORCE objective as the coarsening
-// model (relative simulated throughput as reward, mean-of-batch baseline)
-// and expose a greedy Place method, so any of them can also serve as the
+// Each model is an rl.Policy whose action picks one device per
+// operator (Hierarchical: one group per operator, then one device per
+// group), rewarded with the placement's simulated relative throughput.
+// They train through rl.Trainer, the coarsening model's trainer: Metis
+// imitation, a memory buffer seeded with the Metis placement, and
+// REINFORCE with advantages normalized by the batch's reward spread. Each
+// exposes a greedy Place method, so any of them can also serve as the
 // partitioning stage of the coarsening–partitioning framework
 // (Coarsen+Graph-enc-dec in Tables I and II).
 package baselines
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
+	randv2 "math/rand/v2"
 
 	"repro/internal/autodiff"
 	"repro/internal/gnn"
 	"repro/internal/metis"
 	"repro/internal/nn"
-	"repro/internal/obs"
-	"repro/internal/parallel"
+	"repro/internal/rl"
 	"repro/internal/sim"
 	"repro/internal/stream"
 	"repro/internal/tensor"
@@ -50,53 +55,94 @@ func maskLogits(m *tensor.Matrix, devices int) {
 	}
 }
 
-// TrainConfig controls baseline REINFORCE training.
-type TrainConfig struct {
-	Epochs  int
-	Samples int
-	LR      float64
-	Seed    int64
-	// PretrainEpochs runs maximum-likelihood imitation of Metis placements
-	// before REINFORCE — the same cold-start device the coarsening trainer
-	// uses (the original baselines trained for GPU-days; at CPU scale,
-	// REINFORCE from scratch cannot reach their reported competence).
-	PretrainEpochs int
-	Quiet          bool
-	Logf           func(format string, args ...any)
-}
-
-// DefaultTrainConfig mirrors the coarsening trainer's scale.
-func DefaultTrainConfig() TrainConfig {
-	return TrainConfig{Epochs: 6, Samples: 4, LR: 0.002, Seed: 17, PretrainEpochs: 10}
-}
-
-// metisTargets computes the imitation labels for pretraining.
-func metisTargets(graphs []*stream.Graph, cluster sim.Cluster, seed int64) [][]int {
-	return parallel.Map(len(graphs), 0, func(i int) []int {
-		p := metis.Partition(graphs[i], metis.Options{Parts: cluster.Devices, Seed: seed})
-		return p.Assign
-	})
-}
-
-func (c TrainConfig) logf(format string, args ...any) {
-	if c.Quiet {
-		return
-	}
-	if c.Logf != nil {
-		c.Logf(format, args...)
-		return
-	}
-	obs.Log.Infof(format, args...)
-}
-
 // Model is the common interface of the learned direct-placement baselines.
 type Model interface {
 	// Place greedily assigns every operator to a device.
 	Place(g *stream.Graph, cluster sim.Cluster) *stream.Placement
-	// TrainOn runs REINFORCE over the training graphs.
-	TrainOn(graphs []*stream.Graph, cluster sim.Cluster, cfg TrainConfig)
 	// Name identifies the baseline in reports.
 	Name() string
+}
+
+// direct holds the policy methods of a placer whose action is one device
+// per operator (GDP, Graph-enc-dec). Hierarchical embeds it too and
+// overrides Guided and Reward.
+type direct struct{}
+
+// Size implements rl.Policy: advantages are normalized per operator.
+func (direct) Size(g *stream.Graph) int { return g.NumNodes() }
+
+// Guided implements rl.Policy: the Metis placement (at CPU scale,
+// REINFORCE from scratch cannot reach what the originals did in GPU-days).
+func (direct) Guided(g *stream.Graph, c sim.Cluster, seed int64) []int {
+	return metis.Partition(g, metis.Options{Parts: c.Devices, Seed: seed}).Assign
+}
+
+// Reward implements rl.Policy: the placement's simulated relative
+// throughput.
+func (direct) Reward(g *stream.Graph, c sim.Cluster, assign []int) float64 {
+	return sim.Reward(g, &stream.Placement{Assign: assign, Devices: c.Devices}, c)
+}
+
+// Key implements rl.Policy: the graph index, then every choice, as
+// uvarints (self-delimiting, so distinct actions get distinct keys).
+func (direct) Key(gi int, a []int) string {
+	buf := binary.AppendUvarint(make([]byte, 0, 8+len(a)), uint64(gi))
+	for _, x := range a {
+		buf = binary.AppendUvarint(buf, uint64(x))
+	}
+	return string(buf)
+}
+
+// chooser picks step i's index among the first n entries of the step's
+// log-probability row lp.
+type chooser func(i int, lp []float64, n int) int
+
+// drawDist is a placer's action distribution over one graph. draw records
+// one fresh action and its summed log-probability on the tape, with
+// choose picking every step: a sample, a replay of a given action
+// (teacher forcing), or the most likely choice (greedy placement). The
+// loss of a sampled action reuses the draw that sampled it, recognized by
+// its backing array: the trainer hands back the very slice Sample
+// returned.
+type drawDist struct {
+	b    *nn.Binder
+	draw func(choose chooser) ([]int, *autodiff.Node)
+	acts [][]int
+	lps  []*autodiff.Node
+}
+
+// Sample implements rl.Dist.
+func (d *drawDist) Sample(rng *randv2.Rand) []int {
+	a, lp := d.draw(func(_ int, lp []float64, n int) int { return sampleLogProbs(rng, lp, n) })
+	d.acts, d.lps = append(d.acts, a), append(d.lps, lp)
+	return a
+}
+
+// LogProb implements rl.Dist.
+func (d *drawDist) LogProb(a []int, w float64) *autodiff.Node {
+	for i, s := range d.acts {
+		if len(a) > 0 && len(s) == len(a) && &s[0] == &a[0] {
+			return d.b.Tape.Scale(d.lps[i], -w)
+		}
+	}
+	_, lp := d.draw(func(i int, _ []float64, _ int) int { return a[i] })
+	return d.b.Tape.Scale(lp, -w)
+}
+
+// greedy returns p's most likely action on g (the first maximum at every
+// step), drawn on a fresh tape.
+func greedy(p rl.Policy[[]int], g *stream.Graph, c sim.Cluster) []int {
+	d := p.Forward(nn.NewBinder(autodiff.NewTape()), g, c).(*drawDist)
+	a, _ := d.draw(func(_ int, lp []float64, n int) int {
+		best := 0
+		for i := 1; i < n; i++ {
+			if lp[i] > lp[best] {
+				best = i
+			}
+		}
+		return best
+	})
+	return a
 }
 
 // ---------------------------------------------------------------------------
@@ -105,6 +151,7 @@ type Model interface {
 
 // GraphEncDec is the GNN + LSTM sequential placer.
 type GraphEncDec struct {
+	direct
 	PS     *nn.ParamSet
 	Enc    *gnn.Encoder
 	Cell   *nn.LSTMCell
@@ -135,17 +182,11 @@ func NewGraphEncDec(m, hidden int, seed int64) *GraphEncDec {
 // Name implements Model.
 func (m *GraphEncDec) Name() string { return "graph-enc-dec" }
 
-// decode runs the LSTM decoder over nodes in topological order. pick
-// chooses the device for node v given the step's masked log-probability
+// decode runs the LSTM decoder over nodes in topological order; choose
+// picks node v's device (step v) from the step's masked log-probability
 // row. It returns the assignment and the summed log-probability node of
-// the chosen actions.
-func (m *GraphEncDec) decode(
-	b *nn.Binder,
-	g *stream.Graph,
-	cluster sim.Cluster,
-	h *autodiff.Node,
-	pick func(v int, logProbs []float64) int,
-) ([]int, *autodiff.Node) {
+// the chosen devices.
+func (m *GraphEncDec) decode(b *nn.Binder, g *stream.Graph, cluster sim.Cluster, h *autodiff.Node, choose chooser) ([]int, *autodiff.Node) {
 	t := b.Tape
 	order := g.PseudoTopoOrder()
 	zero := tensor.New(1, m.Hidden)
@@ -161,7 +202,7 @@ func (m *GraphEncDec) decode(
 		logits := m.Out.Apply(b, hh)
 		maskLogits(logits.Value, cluster.Devices)
 		logProbs := t.LogSoftmaxRows(logits)
-		d := pick(v, logProbs.Value.Row(0))
+		d := choose(v, logProbs.Value.Row(0), cluster.Devices)
 		assign[v] = d
 		picked := t.PickCols(logProbs, []int{d})
 		if logProbSum == nil {
@@ -176,59 +217,23 @@ func (m *GraphEncDec) decode(
 
 // Place implements Model with greedy decoding.
 func (m *GraphEncDec) Place(g *stream.Graph, cluster sim.Cluster) *stream.Placement {
-	b := nn.NewBinder(autodiff.NewTape())
-	f := gnn.BuildFeatures(g, cluster)
-	h := m.Enc.Encode(b, f)
-	assign, _ := m.decode(b, g, cluster, h, func(_ int, lp []float64) int {
-		best, bestV := 0, lp[0]
-		for d := 1; d < cluster.Devices; d++ {
-			if lp[d] > bestV {
-				best, bestV = d, lp[d]
-			}
-		}
-		return best
-	})
-	p := stream.NewPlacement(g.NumNodes(), cluster.Devices)
-	copy(p.Assign, assign)
-	return p
+	return &stream.Placement{Assign: greedy(m, g, cluster), Devices: cluster.Devices}
 }
 
-// TrainOn implements Model: optional Metis-imitation pretraining followed
-// by REINFORCE.
-func (m *GraphEncDec) TrainOn(graphs []*stream.Graph, cluster sim.Cluster, cfg TrainConfig) {
-	if cfg.PretrainEpochs > 0 {
-		targets := metisTargets(graphs, cluster, cfg.Seed)
-		opt := nn.NewAdam(cfg.LR)
-		for epoch := 0; epoch < cfg.PretrainEpochs; epoch++ {
-			for i, g := range graphs {
-				b := nn.NewBinder(autodiff.NewTape())
-				h := m.Enc.Encode(b, gnn.BuildFeatures(g, cluster))
-				target := targets[i]
-				_, lp := m.decode(b, g, cluster, h, func(v int, _ []float64) int {
-					return target[v]
-				})
-				seed := tensor.New(1, 1)
-				seed.Data[0] = -1 / float64(g.NumNodes())
-				m.PS.ZeroGrads()
-				b.Tape.Backward(lp, seed)
-				b.Collect()
-				opt.Step(m.PS)
-			}
-			cfg.logf("baselines: %s pretrain epoch %d/%d", m.Name(), epoch+1, cfg.PretrainEpochs)
-		}
-	}
-	trainSequential(m.PS, nn.NewAdam(cfg.LR), graphs, cluster, cfg, m.Name(),
-		func(b *nn.Binder, g *stream.Graph, rng *rand.Rand) ([]int, *autodiff.Node) {
-			f := gnn.BuildFeatures(g, cluster)
-			h := m.Enc.Encode(b, f)
-			return m.decode(b, g, cluster, h, func(_ int, lp []float64) int {
-				return sampleLogProbs(rng, lp, cluster.Devices)
-			})
-		})
+// Params implements rl.Policy.
+func (m *GraphEncDec) Params() *nn.ParamSet { return m.PS }
+
+// Forward implements rl.Policy: g is encoded once, and every draw
+// decodes on top of that encoding.
+func (m *GraphEncDec) Forward(b *nn.Binder, g *stream.Graph, c sim.Cluster) rl.Dist[[]int] {
+	h := m.Enc.Encode(b, gnn.BuildFeatures(g, c))
+	return &drawDist{b: b, draw: func(choose chooser) ([]int, *autodiff.Node) {
+		return m.decode(b, g, c, h, choose)
+	}}
 }
 
 // sampleLogProbs draws a device from a masked log-probability row.
-func sampleLogProbs(rng *rand.Rand, lp []float64, devices int) int {
+func sampleLogProbs(rng *randv2.Rand, lp []float64, devices int) int {
 	u := rng.Float64()
 	var acc float64
 	for d := 0; d < devices; d++ {
@@ -247,70 +252,13 @@ func expFast(x float64) float64 {
 	return math.Exp(x)
 }
 
-// trainSequential is the shared REINFORCE loop for models whose sampling
-// requires a fresh forward pass per sample (LSTM decoders). It steps opt,
-// so a model can carry its pretraining optimizer state into REINFORCE.
-func trainSequential(
-	ps *nn.ParamSet,
-	opt *nn.Adam,
-	graphs []*stream.Graph,
-	cluster sim.Cluster,
-	cfg TrainConfig,
-	name string,
-	sampleOne func(b *nn.Binder, g *stream.Graph, rng *rand.Rand) ([]int, *autodiff.Node),
-) {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		var meanR float64
-		for _, g := range graphs {
-			type sample struct {
-				assign []int
-				lp     *autodiff.Node
-				binder *nn.Binder
-				reward float64
-			}
-			samples := make([]sample, cfg.Samples)
-			for s := range samples {
-				b := nn.NewBinder(autodiff.NewTape())
-				assign, lp := sampleOne(b, g, rng)
-				samples[s] = sample{assign: assign, lp: lp, binder: b}
-			}
-			parallel.ForEach(len(samples), 0, func(s int) {
-				p := stream.NewPlacement(g.NumNodes(), cluster.Devices)
-				copy(p.Assign, samples[s].assign)
-				samples[s].reward = sim.Reward(g, p, cluster)
-			})
-			var base float64
-			for _, s := range samples {
-				base += s.reward
-			}
-			base /= float64(len(samples))
-			meanR += base
-			ps.ZeroGrads()
-			for _, s := range samples {
-				adv := (s.reward - base) / float64(len(samples)*g.NumNodes())
-				if adv == 0 {
-					continue
-				}
-				// Ascend adv·logπ: seed backward with -adv on the summed
-				// log-prob (optimizer descends).
-				seed := tensor.New(s.lp.Value.Rows, 1)
-				seed.Fill(-adv)
-				s.binder.Tape.Backward(s.lp, seed)
-				s.binder.Collect()
-			}
-			opt.Step(ps)
-		}
-		cfg.logf("baselines: %s epoch %d/%d mean reward %.4f", name, epoch+1, cfg.Epochs, meanR/float64(len(graphs)))
-	}
-}
-
 // ---------------------------------------------------------------------------
 // GDP [7]
 // ---------------------------------------------------------------------------
 
 // GDP is the GNN + self-attention one-shot placer.
 type GDP struct {
+	direct
 	PS   *nn.ParamSet
 	Enc  *gnn.Encoder
 	Attn *nn.MultiHeadAttention
@@ -332,114 +280,40 @@ func NewGDP(m int, seed int64) *GDP {
 // Name implements Model.
 func (m *GDP) Name() string { return "gdp" }
 
-// logits runs the forward pass and returns masked per-node logits (N×MaxDevices).
-func (m *GDP) logits(b *nn.Binder, g *stream.Graph, cluster sim.Cluster) *autodiff.Node {
-	f := gnn.BuildFeatures(g, cluster)
-	h := m.Enc.Encode(b, f)
-	h = m.Attn.Apply(b, h)
-	logits := m.Out.Apply(b, h)
-	maskLogits(logits.Value, cluster.Devices)
-	return logits
-}
-
 // Place implements Model: per-node argmax.
 func (m *GDP) Place(g *stream.Graph, cluster sim.Cluster) *stream.Placement {
-	b := nn.NewBinder(autodiff.NewTape())
-	lg := m.logits(b, g, cluster)
-	p := stream.NewPlacement(g.NumNodes(), cluster.Devices)
-	for v := 0; v < g.NumNodes(); v++ {
-		row := lg.Value.Row(v)
-		best := 0
-		for d := 1; d < cluster.Devices; d++ {
-			if row[d] > row[best] {
-				best = d
-			}
-		}
-		p.Assign[v] = best
-	}
-	return p
+	return &stream.Placement{Assign: greedy(m, g, cluster), Devices: cluster.Devices}
 }
 
-// TrainOn implements Model: optional Metis-imitation pretraining, then
-// REINFORCE with one forward pass per step and N samples drawn from the
-// per-node categorical distributions.
-func (m *GDP) TrainOn(graphs []*stream.Graph, cluster sim.Cluster, cfg TrainConfig) {
-	opt := nn.NewAdam(cfg.LR)
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	if cfg.PretrainEpochs > 0 {
-		targets := metisTargets(graphs, cluster, cfg.Seed)
-		for epoch := 0; epoch < cfg.PretrainEpochs; epoch++ {
-			for i, g := range graphs {
-				b := nn.NewBinder(autodiff.NewTape())
-				t := b.Tape
-				lp := t.LogSoftmaxRows(m.logits(b, g, cluster))
-				loss := t.Scale(t.Sum(t.PickCols(lp, targets[i])), -1/float64(g.NumNodes()))
-				m.PS.ZeroGrads()
-				t.Backward(loss, nil)
-				b.Collect()
-				opt.Step(m.PS)
-			}
-			cfg.logf("baselines: gdp pretrain epoch %d/%d", epoch+1, cfg.PretrainEpochs)
+// Params implements rl.Policy.
+func (m *GDP) Params() *nn.ParamSet { return m.PS }
+
+// Forward implements rl.Policy: one forward pass yields every
+// operator's masked device log-probabilities, and every draw picks from
+// them.
+func (m *GDP) Forward(b *nn.Binder, g *stream.Graph, c sim.Cluster) rl.Dist[[]int] {
+	t := b.Tape
+	logits := m.Out.Apply(b, m.Attn.Apply(b, m.Enc.Encode(b, gnn.BuildFeatures(g, c))))
+	maskLogits(logits.Value, c.Devices)
+	lp := t.LogSoftmaxRows(logits)
+	return &drawDist{b: b, draw: func(choose chooser) ([]int, *autodiff.Node) {
+		a := make([]int, lp.Value.Rows)
+		for v := range a {
+			a[v] = choose(v, lp.Value.Row(v), c.Devices)
 		}
-	}
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		var meanR float64
-		for _, g := range graphs {
-			b := nn.NewBinder(autodiff.NewTape())
-			t := b.Tape
-			logProbs := t.LogSoftmaxRows(m.logits(b, g, cluster))
-			n := g.NumNodes()
-			assigns := make([][]int, cfg.Samples)
-			rewards := make([]float64, cfg.Samples)
-			for s := range assigns {
-				a := make([]int, n)
-				for v := 0; v < n; v++ {
-					a[v] = sampleLogProbs(rng, logProbs.Value.Row(v), cluster.Devices)
-				}
-				assigns[s] = a
-			}
-			parallel.ForEach(cfg.Samples, 0, func(s int) {
-				p := stream.NewPlacement(n, cluster.Devices)
-				copy(p.Assign, assigns[s])
-				rewards[s] = sim.Reward(g, p, cluster)
-			})
-			var base float64
-			for _, r := range rewards {
-				base += r
-			}
-			base /= float64(cfg.Samples)
-			meanR += base
-			var loss *autodiff.Node
-			for s := range assigns {
-				adv := (rewards[s] - base) / float64(cfg.Samples*n)
-				if adv == 0 {
-					continue
-				}
-				lp := t.PickCols(logProbs, assigns[s])
-				term := t.Scale(t.Sum(lp), -adv)
-				if loss == nil {
-					loss = term
-				} else {
-					loss = t.Add(loss, term)
-				}
-			}
-			if loss != nil {
-				m.PS.ZeroGrads()
-				t.Backward(loss, nil)
-				b.Collect()
-				opt.Step(m.PS)
-			}
-		}
-		cfg.logf("baselines: gdp epoch %d/%d mean reward %.4f", epoch+1, cfg.Epochs, meanR/float64(len(graphs)))
-	}
+		return a, t.Sum(t.PickCols(lp, a))
+	}}
 }
 
 // ---------------------------------------------------------------------------
 // Hierarchical [6]
 // ---------------------------------------------------------------------------
 
-// Hierarchical is the grouper + placer model with a fixed group count.
+// Hierarchical is the grouper + placer model with a fixed group count. As
+// a policy, its action holds N+Groups entries: each operator's group,
+// then each group's device.
 type Hierarchical struct {
+	direct
 	PS      *nn.ParamSet
 	Grouper *nn.MLP // node features → group logits
 	Cell    *nn.LSTMCell
@@ -468,23 +342,14 @@ func NewHierarchical(groups, hidden int, seed int64) *Hierarchical {
 // Name implements Model.
 func (m *Hierarchical) Name() string { return "hierarchical" }
 
-// forward computes group log-probs for every node (N×Groups).
-func (m *Hierarchical) groupLogProbs(b *nn.Binder, f *gnn.Features) *autodiff.Node {
-	return b.Tape.LogSoftmaxRows(m.Grouper.Apply(b, b.Tape.Const(f.Node)))
-}
-
 // placeGroups runs the LSTM placer over group summary embeddings (mean of
-// member node features plus member count), with pick choosing each
-// group's device.
-func (m *Hierarchical) placeGroups(
-	b *nn.Binder,
-	f *gnn.Features,
-	cluster sim.Cluster,
-	groupOf []int,
-	pick func(step int, lp []float64) int,
-) ([]int, *autodiff.Node) {
+// member node features plus member count) of the groups a[:n], with
+// choose picking group gi's device (step n+gi) into a[n+gi]. It returns
+// the summed log-probability of the devices.
+func (m *Hierarchical) placeGroups(b *nn.Binder, f *gnn.Features, cluster sim.Cluster, a []int, choose chooser) *autodiff.Node {
 	t := b.Tape
 	n := f.Node.Rows
+	groupOf := a[:n]
 	// Group summaries from hard assignments (computed outside the tape:
 	// the grouper's gradient flows through its log-probs, not the
 	// summaries, as in the original two-network design).
@@ -510,7 +375,6 @@ func (m *Hierarchical) placeGroups(
 	}
 	zero := tensor.New(1, m.Hidden)
 	hh, cc := t.Const(zero), t.Const(zero.Clone())
-	devOf := make([]int, m.Groups)
 	var lpSum *autodiff.Node
 	for gi := 0; gi < m.Groups; gi++ {
 		x := t.Const(tensor.FromSlice(1, gnn.NodeFeatureDim+1, sum.Row(gi)))
@@ -518,8 +382,8 @@ func (m *Hierarchical) placeGroups(
 		logits := m.Out.Apply(b, hh)
 		maskLogits(logits.Value, cluster.Devices)
 		lp := t.LogSoftmaxRows(logits)
-		d := pick(gi, lp.Value.Row(0))
-		devOf[gi] = d
+		d := choose(n+gi, lp.Value.Row(0), cluster.Devices)
+		a[n+gi] = d
 		picked := t.PickCols(lp, []int{d})
 		if lpSum == nil {
 			lpSum = picked
@@ -527,113 +391,55 @@ func (m *Hierarchical) placeGroups(
 			lpSum = t.Add(lpSum, picked)
 		}
 	}
-	return devOf, lpSum
+	return lpSum
 }
 
 // Place implements Model: argmax groups, then argmax devices.
 func (m *Hierarchical) Place(g *stream.Graph, cluster sim.Cluster) *stream.Placement {
-	b := nn.NewBinder(autodiff.NewTape())
-	f := gnn.BuildFeatures(g, cluster)
-	glp := m.groupLogProbs(b, f)
-	n := g.NumNodes()
-	groupOf := make([]int, n)
-	for v := 0; v < n; v++ {
-		row := glp.Value.Row(v)
-		best := 0
-		for gi := 1; gi < m.Groups; gi++ {
-			if row[gi] > row[best] {
-				best = gi
-			}
+	return m.placement(greedy(m, g, cluster), cluster)
+}
+
+// Params implements rl.Policy.
+func (m *Hierarchical) Params() *nn.ParamSet { return m.PS }
+
+// Forward implements rl.Policy: the group distribution is recorded
+// once, and every draw decodes the devices of its own groups.
+func (m *Hierarchical) Forward(b *nn.Binder, g *stream.Graph, c sim.Cluster) rl.Dist[[]int] {
+	t := b.Tape
+	f := gnn.BuildFeatures(g, c)
+	glp := t.LogSoftmaxRows(m.Grouper.Apply(b, t.Const(f.Node))) // N×Groups
+	return &drawDist{b: b, draw: func(choose chooser) ([]int, *autodiff.Node) {
+		n := f.Node.Rows
+		a := make([]int, n+m.Groups)
+		for v := 0; v < n; v++ {
+			a[v] = choose(v, glp.Value.Row(v), m.Groups)
 		}
-		groupOf[v] = best
+		devLP := m.placeGroups(b, f, c, a, choose)
+		return a, t.Add(t.Sum(t.PickCols(glp, a[:n])), devLP)
+	}}
+}
+
+// Guided implements rl.Policy: Metis device labels as the groups, and
+// group g on device g mod D.
+func (m *Hierarchical) Guided(g *stream.Graph, c sim.Cluster, seed int64) []int {
+	a := m.direct.Guided(g, c, seed)
+	for gi := 0; gi < m.Groups; gi++ {
+		a = append(a, gi%c.Devices)
 	}
-	devOf, _ := m.placeGroups(b, f, cluster, groupOf, func(_ int, lp []float64) int {
-		best := 0
-		for d := 1; d < cluster.Devices; d++ {
-			if lp[d] > lp[best] {
-				best = d
-			}
-		}
-		return best
-	})
-	p := stream.NewPlacement(n, cluster.Devices)
-	for v := 0; v < n; v++ {
-		p.Assign[v] = devOf[groupOf[v]]
+	return a
+}
+
+// Reward implements rl.Policy.
+func (m *Hierarchical) Reward(g *stream.Graph, c sim.Cluster, a []int) float64 {
+	return sim.Reward(g, m.placement(a, c), c)
+}
+
+// placement runs each operator on its group's device.
+func (m *Hierarchical) placement(a []int, c sim.Cluster) *stream.Placement {
+	n := len(a) - m.Groups
+	p := stream.NewPlacement(n, c.Devices)
+	for v := range p.Assign {
+		p.Assign[v] = a[n+a[v]]
 	}
 	return p
 }
-
-// TrainOn implements Model: optional pretraining that imitates Metis by
-// using device labels as group targets (group g ↦ device g), then joint
-// REINFORCE over group and device choices.
-func (m *Hierarchical) TrainOn(graphs []*stream.Graph, cluster sim.Cluster, cfg TrainConfig) {
-	opt := nn.NewAdam(cfg.LR)
-	if cfg.PretrainEpochs > 0 {
-		targets := metisTargets(graphs, cluster, cfg.Seed)
-		devTargets := make([]int, m.Groups)
-		for gi := range devTargets {
-			devTargets[gi] = gi % cluster.Devices
-		}
-		for epoch := 0; epoch < cfg.PretrainEpochs; epoch++ {
-			for i, g := range graphs {
-				f := gnn.BuildFeatures(g, cluster)
-				b := nn.NewBinder(autodiff.NewTape())
-				glp := m.groupLogProbs(b, f)
-				groupOf := make([]int, g.NumNodes())
-				for v := range groupOf {
-					groupOf[v] = targets[i][v] // device label as group id
-				}
-				_, devLP := m.placeGroups(b, f, cluster, groupOf, func(gi int, _ []float64) int {
-					return devTargets[gi]
-				})
-				t := b.Tape
-				loss := t.Add(
-					t.Scale(t.Sum(t.PickCols(glp, groupOf)), -1/float64(g.NumNodes())),
-					t.Scale(t.Sum(devLP), -1/float64(m.Groups)),
-				)
-				loss = t.Scale(loss, 1)
-				m.PS.ZeroGrads()
-				t.Backward(loss, nil)
-				b.Collect()
-				opt.Step(m.PS)
-			}
-			cfg.logf("baselines: hierarchical pretrain epoch %d/%d", epoch+1, cfg.PretrainEpochs)
-		}
-	}
-	trainSequential(m.PS, opt, graphs, cluster, cfg, m.Name(),
-		func(b *nn.Binder, g *stream.Graph, rng *rand.Rand) ([]int, *autodiff.Node) {
-			f := gnn.BuildFeatures(g, cluster)
-			glp := m.groupLogProbs(b, f)
-			groupOf := make([]int, g.NumNodes())
-			for v := range groupOf {
-				groupOf[v] = sampleLogProbs(rng, glp.Value.Row(v), m.Groups)
-			}
-			devOf, devLP := m.placeGroups(b, f, cluster, groupOf, func(_ int, lp []float64) int {
-				return sampleLogProbs(rng, lp, cluster.Devices)
-			})
-			assign := make([]int, len(groupOf))
-			for v, gi := range groupOf {
-				assign[v] = devOf[gi]
-			}
-			groupLP := b.Tape.Sum(b.Tape.PickCols(glp, groupOf))
-			return assign, b.Tape.Add(groupLP, b.Tape.Sum(devLP))
-		})
-}
-
-// ---------------------------------------------------------------------------
-// Placer adapter
-// ---------------------------------------------------------------------------
-
-// AsPlacer adapts any baseline Model into the framework's partitioning
-// interface (Coarsen+Graph-enc-dec etc.).
-type AsPlacer struct {
-	Model Model
-}
-
-// Place implements placer.Placer.
-func (a AsPlacer) Place(g *stream.Graph, cluster sim.Cluster) *stream.Placement {
-	return a.Model.Place(g, cluster)
-}
-
-// Name implements placer.Placer.
-func (a AsPlacer) Name() string { return a.Model.Name() }

@@ -2,10 +2,14 @@ package baselines
 
 import (
 	"math"
-	"math/rand"
+	randv2 "math/rand/v2"
 	"testing"
 
+	"repro/internal/autodiff"
 	"repro/internal/gen"
+	"repro/internal/nn"
+	"repro/internal/placer"
+	"repro/internal/rl"
 	"repro/internal/sim"
 	"repro/internal/stream"
 	"repro/internal/tensor"
@@ -19,17 +23,24 @@ func smallData(t *testing.T, n int) (*gen.Dataset, sim.Cluster) {
 	return ds, ds.Cluster
 }
 
-func quickCfg() TrainConfig {
-	cfg := DefaultTrainConfig()
+func quickCfg() rl.Config {
+	cfg := rl.DefaultConfig()
 	cfg.Epochs = 1
-	cfg.Samples = 2
+	cfg.OnPolicySamples = 2
 	cfg.PretrainEpochs = 2
+	cfg.Seed = 17
 	cfg.Quiet = true
 	return cfg
 }
 
-func allModels() []Model {
-	return []Model{
+// learned is a baseline as both a placer and a trainable policy.
+type learned interface {
+	Model
+	rl.Policy[[]int]
+}
+
+func allModels() []learned {
+	return []learned{
 		NewGraphEncDec(8, 16, 1),
 		NewGDP(8, 2),
 		NewHierarchical(10, 16, 3),
@@ -79,7 +90,9 @@ func TestTrainOnRunsAndChangesPlacements(t *testing.T) {
 	ds, c := smallData(t, 3)
 	for _, m := range allModels() {
 		before := m.Place(ds.Test[0], c).Clone()
-		m.TrainOn(ds.Train, c, quickCfg())
+		if err := rl.NewPolicyTrainer(quickCfg(), m).TrainOn(ds.Train, c); err != nil {
+			t.Fatalf("%s: %v", m.Name(), err)
+		}
 		after := m.Place(ds.Test[0], c)
 		changed := false
 		for i := range after.Assign {
@@ -105,14 +118,16 @@ func TestPretrainingMovesTowardMetis(t *testing.T) {
 	cfg := quickCfg()
 	cfg.PretrainEpochs = 40
 	cfg.Epochs = 0
-	m.TrainOn(ds.Train, c, cfg)
+	if err := rl.NewPolicyTrainer(cfg, m).TrainOn(ds.Train, c); err != nil {
+		t.Fatal(err)
+	}
 
-	targets := metisTargets(ds.Train, c, cfg.Seed)
 	agree, total := 0, 0
-	for i, g := range ds.Train {
+	for _, g := range ds.Train {
+		target := m.Guided(g, c, cfg.Seed)
 		p := m.Place(g, c)
 		for v := range p.Assign {
-			if p.Assign[v] == targets[i][v] {
+			if p.Assign[v] == target[v] {
 				agree++
 			}
 			total++
@@ -134,8 +149,13 @@ func TestTrainImprovesRewardOnTinyGraph(t *testing.T) {
 	c := sim.Cluster{Devices: 2, MIPS: 1, Bandwidth: 1e6, Links: sim.NIC}
 
 	m := NewGDP(4, 7)
-	cfg := TrainConfig{Epochs: 40, Samples: 4, LR: 0.02, Seed: 1, Quiet: true}
-	m.TrainOn([]*stream.Graph{g}, c, cfg)
+	cfg := rl.DefaultConfig()
+	cfg.Epochs, cfg.OnPolicySamples, cfg.LR, cfg.Seed = 40, 4, 0.02, 1
+	cfg.PretrainEpochs, cfg.MetisGuided = 0, false
+	cfg.Quiet = true
+	if err := rl.NewPolicyTrainer(cfg, m).TrainOn([]*stream.Graph{g}, c); err != nil {
+		t.Fatal(err)
+	}
 	p := m.Place(g, c)
 	if p.Assign[0] != p.Assign[1] {
 		t.Fatal("GDP failed to learn colocation on a trivial instance")
@@ -145,7 +165,7 @@ func TestTrainImprovesRewardOnTinyGraph(t *testing.T) {
 func TestSampleLogProbsDistribution(t *testing.T) {
 	lp := []float64{math.Log(0.7), math.Log(0.3), negInf, negInf}
 	counts := make([]int, 4)
-	rng := rand.New(rand.NewSource(99))
+	rng := randv2.New(randv2.NewPCG(99, 0))
 	for i := 0; i < 2000; i++ {
 		counts[sampleLogProbs(rng, lp, 2)]++
 	}
@@ -165,15 +185,15 @@ func TestHierarchicalGroupCount(t *testing.T) {
 	}
 }
 
-func TestAsPlacerAdapter(t *testing.T) {
+// TestModelIsPlacer pins that every baseline serves as the partitioning
+// stage of the framework as it is (Coarsen+Graph-enc-dec).
+func TestModelIsPlacer(t *testing.T) {
 	ds, c := smallData(t, 1)
-	m := NewGDP(8, 9)
-	a := AsPlacer{Model: m}
-	if a.Name() != "gdp" {
-		t.Fatal("adapter name")
+	var p placer.Placer = NewGDP(8, 9)
+	if p.Name() != "gdp" {
+		t.Fatal("placer name")
 	}
-	p := a.Place(ds.Test[0], c)
-	if err := p.Validate(ds.Test[0]); err != nil {
+	if err := p.Place(ds.Test[0], c).Validate(ds.Test[0]); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -198,4 +218,44 @@ func TestPlaceOnCoarseCyclicGraph(t *testing.T) {
 	if len(p.Assign) != 4 {
 		t.Fatal("incomplete placement on cyclic graph")
 	}
+}
+
+// checkLogProbMatchesSampling samples one action of m on a small graph
+// and requires the log-probability LogProb records for it to equal, by
+// Float64bits, the one recorded when it was sampled: for the action
+// itself, which must reuse its sampling draw (LogProb then adds only the
+// weighting node to the tape), and for an equal copy, drawn
+// teacher-forced.
+func checkLogProbMatchesSampling(t *testing.T, m learned) {
+	t.Helper()
+	ds, c := smallData(t, 1)
+	g := ds.Train[0]
+	b := nn.NewBinder(autodiff.NewTape())
+	d := m.Forward(b, g, c)
+	a := d.Sample(randv2.New(randv2.NewPCG(5, 6)))
+	sampled := -d.(*drawDist).lps[0].Value.Data[0]
+
+	before := b.Tape.Len()
+	if got := d.LogProb(a, 1).Value.Data[0]; math.Float64bits(got) != math.Float64bits(sampled) {
+		t.Fatalf("%s: sampled action's loss log-prob %v, recorded at sampling %v", m.Name(), got, sampled)
+	}
+	if n := b.Tape.Len() - before; n != 1 {
+		t.Fatalf("%s: LogProb of a sampled action added %d tape nodes, want 1 (reuse its draw)", m.Name(), n)
+	}
+	forced := d.LogProb(append([]int(nil), a...), 1).Value.Data[0]
+	if math.Float64bits(forced) != math.Float64bits(sampled) {
+		t.Fatalf("%s: teacher-forced log-prob %v, recorded at sampling %v", m.Name(), forced, sampled)
+	}
+}
+
+func TestGraphEncDecLogProbMatchesSampling(t *testing.T) {
+	checkLogProbMatchesSampling(t, NewGraphEncDec(8, 16, 1))
+}
+
+func TestGDPLogProbMatchesSampling(t *testing.T) {
+	checkLogProbMatchesSampling(t, NewGDP(8, 2))
+}
+
+func TestHierarchicalLogProbMatchesSampling(t *testing.T) {
+	checkLogProbMatchesSampling(t, NewHierarchical(10, 16, 3))
 }

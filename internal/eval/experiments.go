@@ -245,6 +245,19 @@ func copyParams(dst, src *core.Model) error {
 	return nn.CopyValuesFrom(dst.PS, src.PS)
 }
 
+// trainPlacer trains a learned placer through rl.Trainer: pretraining
+// epochs of Metis imitation, then Budget.BaselineRL epochs of REINFORCE,
+// with 4 samples per step at LR 0.002.
+func (h *Harness) trainPlacer(m rl.Policy[[]int], graphs []*stream.Graph, c sim.Cluster, pretrain int, seed int64) {
+	cfg := rl.DefaultConfig()
+	cfg.PretrainEpochs, cfg.Epochs = pretrain, h.Budget.BaselineRL
+	cfg.Seed, cfg.Quiet = seed, h.Quiet
+	cfg.GraphBatch, cfg.TrainWorkers = h.GraphBatch, h.TrainWorkers
+	if err := rl.NewPolicyTrainer(cfg, m).TrainOn(graphs, c); err != nil {
+		panic("eval: train placer: " + err.Error())
+	}
+}
+
 // Baseline returns the trained learned baseline ("graph-enc-dec", "gdp",
 // "hierarchical") for a setting, training on first use.
 func (h *Harness) Baseline(kind string, s gen.Setting) baselines.Model {
@@ -252,7 +265,10 @@ func (h *Harness) Baseline(kind string, s gen.Setting) baselines.Model {
 	if m, ok := h.base[key]; ok {
 		return m
 	}
-	var m baselines.Model
+	var m interface {
+		baselines.Model
+		rl.Policy[[]int]
+	}
 	switch kind {
 	case "graph-enc-dec":
 		m = baselines.NewGraphEncDec(16, 32, h.Seed+3)
@@ -263,13 +279,8 @@ func (h *Harness) Baseline(kind string, s gen.Setting) baselines.Model {
 	default:
 		panic("eval: unknown baseline " + kind)
 	}
-	cfg := baselines.DefaultTrainConfig()
-	cfg.PretrainEpochs = h.Budget.BaselinePretrain
-	cfg.Epochs = h.Budget.BaselineRL
-	cfg.Quiet = h.Quiet
-	cfg.Seed = h.Seed + 9
 	ds := h.Dataset(s)
-	m.TrainOn(ds.Train, ds.Cluster, cfg)
+	h.trainPlacer(m, ds.Train, ds.Cluster, h.Budget.BaselinePretrain, h.Seed+9)
 	h.base[key] = m
 	return m
 }
@@ -296,12 +307,7 @@ func (h *Harness) CoarsePlacerEncDec(level string, s gen.Setting) baselines.Mode
 		return stream.CoarseGraph(g, cm)
 	})
 	m := baselines.NewGraphEncDec(16, 32, h.Seed+6)
-	cfg := baselines.DefaultTrainConfig()
-	cfg.PretrainEpochs = 3 * h.Budget.BaselinePretrain
-	cfg.Epochs = h.Budget.BaselineRL
-	cfg.Quiet = h.Quiet
-	cfg.Seed = h.Seed + 11
-	m.TrainOn(coarse, ds.Cluster, cfg)
+	h.trainPlacer(m, coarse, ds.Cluster, 3*h.Budget.BaselinePretrain, h.Seed+11)
 	h.base[key] = m
 	return m
 }
@@ -395,7 +401,7 @@ func (h *Harness) Table1() []*Report {
 			Rows: []Series{
 				{Name: "Metis", Values: h.metisThroughputs(ds)},
 				{Name: "Coarsen+Metis", Values: h.coarsenThroughputs(h.CoarsenModel("medium5k"), placer.Metis{Seed: h.Seed}, ds)},
-				{Name: "Coarsen+Graph-enc-dec", Values: h.coarsenThroughputs(h.CoarsenModel("medium5k"), baselines.AsPlacer{Model: encdec}, ds)},
+				{Name: "Coarsen+Graph-enc-dec", Values: h.coarsenThroughputs(h.CoarsenModel("medium5k"), encdec, ds)},
 			},
 		})
 	}
@@ -409,7 +415,7 @@ func (h *Harness) Table1() []*Report {
 			Rows: []Series{
 				{Name: "Metis", Values: h.metisThroughputs(ds)},
 				{Name: "Coarsen+Metis", Values: h.coarsenThroughputs(h.CoarsenModel("medium"), placer.Metis{Seed: h.Seed}, ds)},
-				{Name: "Coarsen+Graph-enc-dec", Values: h.coarsenThroughputs(h.CoarsenModel("medium"), baselines.AsPlacer{Model: encdec}, ds)},
+				{Name: "Coarsen+Graph-enc-dec", Values: h.coarsenThroughputs(h.CoarsenModel("medium"), encdec, ds)},
 			},
 		})
 	}
@@ -423,7 +429,7 @@ func (h *Harness) Table1() []*Report {
 			Rows: []Series{
 				{Name: "Metis", Values: h.metisThroughputs(ds)},
 				{Name: "Coarsen+Metis (+curriculum)", Values: h.coarsenThroughputs(h.CoarsenModel("large"), placer.Metis{Seed: h.Seed}, ds)},
-				{Name: "Coarsen+Graph-enc-dec", Values: h.coarsenThroughputs(h.CoarsenModel("large"), baselines.AsPlacer{Model: encdec}, ds)},
+				{Name: "Coarsen+Graph-enc-dec", Values: h.coarsenThroughputs(h.CoarsenModel("large"), encdec, ds)},
 			},
 		})
 	}
@@ -469,7 +475,7 @@ func (h *Harness) Fig5() []*Report {
 				{Name: "GDP", Values: h.baselineThroughputs(h.Baseline("gdp", s), ds)},
 				{Name: "Hierarchical", Values: h.baselineThroughputs(h.Baseline("hierarchical", s), ds)},
 				{Name: "Coarsen+Metis", Values: h.coarsenThroughputs(h.CoarsenModel(level), placer.Metis{Seed: h.Seed}, ds)},
-				{Name: "Coarsen+Graph-enc-dec", Values: h.coarsenThroughputs(h.CoarsenModel(level), baselines.AsPlacer{Model: coarseEncdec}, ds)},
+				{Name: "Coarsen+Graph-enc-dec", Values: h.coarsenThroughputs(h.CoarsenModel(level), coarseEncdec, ds)},
 			},
 		}
 		h.report(rep)
@@ -737,7 +743,7 @@ func (h *Harness) Table2() *Report {
 			{Name: "Our best model (Coarsen+Metis)", Values: h.coarsenThroughputs(best, placer.Metis{Seed: h.Seed}, ds)},
 			{Name: "w/o edge-encoding", Values: h.coarsenThroughputs(trainAblation(noEnc), placer.Metis{Seed: h.Seed}, ds)},
 			{Name: "w/o edge-collapsing features", Values: h.coarsenThroughputs(trainAblation(noCol), placer.Metis{Seed: h.Seed}, ds)},
-			{Name: "Coarsen+Graph-enc-dec", Values: h.coarsenThroughputs(best, baselines.AsPlacer{Model: coarseEncdec}, ds)},
+			{Name: "Coarsen+Graph-enc-dec", Values: h.coarsenThroughputs(best, coarseEncdec, ds)},
 			{Name: "Coarsen-only", Values: coarsenOnly},
 			{Name: "Graph-enc-dec", Values: h.baselineThroughputs(encdec, ds)},
 		},

@@ -84,16 +84,6 @@ func (ps *ParamSet) ZeroGrads() {
 	}
 }
 
-// AccumulateFromTape adds tape gradients (if any) for each parameter node
-// into the parameter's Grad buffer. nodes maps Param→its leaf on the tape.
-func AccumulateFromTape(nodes map[*Param]*autodiff.Node) {
-	for p, n := range nodes {
-		if g := n.Grad(); g != nil {
-			tensor.AddInPlace(p.Grad, g)
-		}
-	}
-}
-
 // Binder creates tape leaves for parameters and remembers the association
 // so gradients can be pulled back after Backward.
 type Binder struct {
@@ -129,8 +119,15 @@ func (b *Binder) Node(p *Param) *autodiff.Node {
 	return n
 }
 
-// Collect accumulates tape gradients into every bound parameter.
-func (b *Binder) Collect() { AccumulateFromTape(b.nodes) }
+// Collect accumulates tape gradients into every bound parameter's Grad
+// buffer.
+func (b *Binder) Collect() {
+	for p, n := range b.nodes {
+		if g := n.Grad(); g != nil {
+			tensor.AddInPlace(p.Grad, g)
+		}
+	}
+}
 
 // CollectInto accumulates tape gradients into gs instead of the live
 // parameter Grad buffers — the per-replica half of a deterministic
@@ -512,6 +509,27 @@ func (ps *ParamSet) StateMap() map[string]ParamState {
 		}
 	}
 	return out
+}
+
+// SaveState copies every parameter's value and Adam moments into buf,
+// which holds 3·Count() floats. It allocates nothing: the divergence
+// guard snapshots after every update (StateMap is the serializable form
+// for checkpoints).
+func (ps *ParamSet) SaveState(buf []float64) {
+	for _, p := range ps.params {
+		buf = buf[copy(buf, p.Value.Data):]
+		buf = buf[copy(buf, p.m.Data):]
+		buf = buf[copy(buf, p.v.Data):]
+	}
+}
+
+// RestoreState copies a SaveState buffer back into ps.
+func (ps *ParamSet) RestoreState(buf []float64) {
+	for _, p := range ps.params {
+		buf = buf[copy(p.Value.Data, buf):]
+		buf = buf[copy(p.m.Data, buf):]
+		buf = buf[copy(p.v.Data, buf):]
+	}
 }
 
 // RestoreStateMap loads a StateMap back into ps. Every parameter of ps

@@ -22,30 +22,54 @@ func batchConfig(graphBatch, workers int) Config {
 	return cfg
 }
 
-// batchRun trains a fresh model on a fresh (but identically seeded)
-// dataset and returns the trainer and model for trajectory comparison.
-func batchRun(t *testing.T, graphBatch, workers int) (*Trainer, *core.Model) {
+// policies names the policies the trajectory tests train: the coarsening
+// model and two learned placers, one sampling every operator from one
+// forward pass (GDP) and one decoding once per sample (Graph-enc-dec).
+var policies = []string{"coarsen", "gdp", "graph-enc-dec"}
+
+// NewPlacer builds a fresh, identically seeded learned placer by name. It
+// is set by placers_test.go: internal/baselines imports rl, so only the
+// external test package may import it.
+var NewPlacer func(kind string) Policy[[]int]
+
+// newPolicyTrainer builds a trainer of the named policy: the coarsening
+// model m behind pipe, or a learned placer.
+func newPolicyTrainer(kind string, cfg Config, m *core.Model, pipe *core.Pipeline) *Trainer {
+	if kind == "coarsen" {
+		return NewTrainer(cfg, m, pipe)
+	}
+	return NewPolicyTrainer(cfg, NewPlacer(kind))
+}
+
+// batchRun trains a fresh policy on a fresh (but identically seeded)
+// dataset and returns the trainer for trajectory comparison.
+func batchRun(t *testing.T, kind string, graphBatch, workers int) *Trainer {
 	t.Helper()
 	ds, m, pipe := quickSetup(t, 6)
-	tr := NewTrainer(batchConfig(graphBatch, workers), m, pipe)
+	tr := newPolicyTrainer(kind, batchConfig(graphBatch, workers), m, pipe)
 	if err := tr.TrainOn(ds.Train, ds.Cluster); err != nil {
 		t.Fatal(err)
 	}
-	return tr, m
+	return tr
 }
 
 // TestBatchedTrainingDeterministicAcrossWorkers is the core data-parallel
 // guarantee: for a fixed GraphBatch, the number of replica workers is a
 // pure wall-clock knob. Reward histories and final parameters must be
 // bit-identical between a serial run and a maximally parallel one,
-// including the uneven tail batch (6 graphs in batches of 4).
+// including the uneven tail batch (6 graphs in batches of 4), for every
+// policy.
 func TestBatchedTrainingDeterministicAcrossWorkers(t *testing.T) {
-	tr1, m1 := batchRun(t, 4, 1)
-	tr8, m8 := batchRun(t, 4, 8)
-	historyEqual(t, tr1.History, tr8.History)
-	paramsEqual(t, m1, m8)
-	if tr1.sampleSeq != tr8.sampleSeq {
-		t.Fatalf("substream cursors diverged: %d vs %d", tr1.sampleSeq, tr8.sampleSeq)
+	for _, kind := range policies {
+		t.Run(kind, func(t *testing.T) {
+			tr1 := batchRun(t, kind, 4, 1)
+			tr8 := batchRun(t, kind, 4, 8)
+			historyEqual(t, tr1.History, tr8.History)
+			paramsEqual(t, tr1.ps, tr8.ps)
+			if tr1.sampleSeq != tr8.sampleSeq {
+				t.Fatalf("substream cursors diverged: %d vs %d", tr1.sampleSeq, tr8.sampleSeq)
+			}
+		})
 	}
 }
 
@@ -53,10 +77,10 @@ func TestBatchedTrainingDeterministicAcrossWorkers(t *testing.T) {
 // to the same (classic serial) trajectory regardless of TrainWorkers —
 // with one graph per update there is nothing to parallelize over.
 func TestGraphBatchDefaultsAreEquivalent(t *testing.T) {
-	tr0, m0 := batchRun(t, 0, 0)
-	tr1, m1 := batchRun(t, 1, 8)
+	tr0 := batchRun(t, "coarsen", 0, 0)
+	tr1 := batchRun(t, "coarsen", 1, 8)
 	historyEqual(t, tr0.History, tr1.History)
-	paramsEqual(t, m0, m1)
+	paramsEqual(t, tr0.ps, tr1.ps)
 }
 
 // TestBatchedResumeMatchesUninterruptedTrajectory kills a batched run
@@ -106,7 +130,7 @@ func TestBatchedResumeMatchesUninterruptedTrajectory(t *testing.T) {
 	}
 
 	historyEqual(t, trA.History, trC.History)
-	paramsEqual(t, runs[0].m, runs[2].m)
+	paramsEqual(t, runs[0].m.PS, runs[2].m.PS)
 }
 
 // TestBatchedWorkerPanicSurfacesAsError runs the panicking placer under a

@@ -1,22 +1,24 @@
 package rl
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 
 	"repro/internal/ckpt"
-	"repro/internal/core"
 	"repro/internal/nn"
 )
 
 // trainerKind tags full-state trainer checkpoints inside the ckpt envelope.
 const trainerKind = "rl-trainer"
 
-// savedScored is the serialized form of one memory-buffer entry.
+// savedScored is the serialized form of one memory-buffer entry: the
+// action as the policy's JSON (a coarsening decision is an array of
+// booleans).
 type savedScored struct {
-	D      []bool  `json:"d"`
-	Reward float64 `json:"reward"`
-	Guided bool    `json:"guided,omitempty"`
+	A      json.RawMessage `json:"d"`
+	Reward float64         `json:"reward"`
+	Guided bool            `json:"guided,omitempty"`
 }
 
 // checkpointPayload is the full training state written by SaveCheckpoint.
@@ -50,12 +52,16 @@ func (t *Trainer) SaveCheckpoint(path string) error {
 	for gi, entries := range t.buffer {
 		out := make([]savedScored, len(entries))
 		for i, e := range entries {
-			out[i] = savedScored{D: append([]bool(nil), e.d...), Reward: e.reward, Guided: e.guided}
+			a, err := json.Marshal(e.a)
+			if err != nil {
+				return fmt.Errorf("rl: marshal action: %w", err)
+			}
+			out[i] = savedScored{A: a, Reward: e.reward, Guided: e.guided}
 		}
 		buf[gi] = out
 	}
 	payload := checkpointPayload{
-		Params:      t.Model.PS.StateMap(),
+		Params:      t.ps.StateMap(),
 		Opt:         t.Opt.State(),
 		RNG:         rngState,
 		Buffer:      buf,
@@ -75,7 +81,7 @@ func (t *Trainer) SaveCheckpoint(path string) error {
 // lightweight artifact for deployment-time inference, without optimizer
 // or trainer state. LoadCheckpoint accepts these files too.
 func (t *Trainer) SaveWeights(path string) error {
-	return nn.SaveParams(t.Model.PS, path)
+	return nn.SaveParams(t.ps, path)
 }
 
 // LoadCheckpoint restores state saved by SaveCheckpoint. Three formats
@@ -93,13 +99,13 @@ func (t *Trainer) LoadCheckpoint(path string) error {
 	}
 	if ckpt.KindOf(data) != trainerKind {
 		// Weights-only file (params envelope or legacy map).
-		return nn.LoadParams(t.Model.PS, path)
+		return nn.LoadParams(t.ps, path)
 	}
 	var payload checkpointPayload
 	if err := ckpt.Decode(data, trainerKind, &payload); err != nil {
 		return fmt.Errorf("rl: %s: %w", path, err)
 	}
-	if err := t.Model.PS.RestoreStateMap(payload.Params); err != nil {
+	if err := t.ps.RestoreStateMap(payload.Params); err != nil {
 		return fmt.Errorf("rl: %s: %w", path, err)
 	}
 	t.Opt.SetState(payload.Opt)
@@ -110,7 +116,11 @@ func (t *Trainer) LoadCheckpoint(path string) error {
 	for gi, entries := range payload.Buffer {
 		in := make([]scored, len(entries))
 		for i, e := range entries {
-			in[i] = scored{d: core.Decision(e.D), reward: e.Reward, guided: e.Guided}
+			a, err := t.decode(e.A)
+			if err != nil {
+				return fmt.Errorf("rl: %s: buffer action: %w", path, err)
+			}
+			in[i] = scored{a: a, reward: e.Reward, guided: e.Guided}
 		}
 		t.buffer[gi] = in
 	}

@@ -17,8 +17,8 @@ func TestScoreDecisionMemoizes(t *testing.T) {
 	for i := range d {
 		d[i] = i%3 == 0
 	}
-	r1 := tr.scoreDecision(0, g, ds.Cluster, d)
-	r2 := tr.scoreDecision(0, g, ds.Cluster, d)
+	r1 := tr.score(0, g, ds.Cluster, d)
+	r2 := tr.score(0, g, ds.Cluster, d)
 	if r1 != r2 {
 		t.Fatalf("memoized reward differs: %g vs %g", r1, r2)
 	}
@@ -28,7 +28,7 @@ func TestScoreDecisionMemoizes(t *testing.T) {
 	}
 	// A different decision must miss (exact keys, no collisions).
 	d[0] = !d[0]
-	tr.scoreDecision(0, g, ds.Cluster, d)
+	tr.score(0, g, ds.Cluster, d)
 	if h, ms := tr.Rewards.Stats(); h != 1 || ms != 2 {
 		t.Fatalf("stats after distinct decision = %d hits, %d misses", h, ms)
 	}
@@ -52,7 +52,7 @@ func TestStepScoresEachDistinctDecisionOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	for s, smp := range res.samples {
-		for _, merged := range smp.d {
+		for _, merged := range smp.a.(core.Decision) {
 			if !merged {
 				t.Fatalf("sample %d has an unmerged edge; the head is not saturated", s)
 			}
@@ -77,10 +77,11 @@ func TestNegativeRewardCacheSizeDisablesMemoization(t *testing.T) {
 }
 
 // TestMemoizationPreservesTrajectory trains the same setup with the cache
-// enabled and disabled: because cache keys are exact and scoring consumes
-// no trainer randomness, the training trajectory must be bit-identical.
+// enabled and disabled, for every policy: because cache keys are exact
+// and scoring consumes no trainer randomness, the training trajectory
+// must be bit-identical.
 func TestMemoizationPreservesTrajectory(t *testing.T) {
-	run := func(cacheSize int) ([]float64, []float64) {
+	run := func(kind string, cacheSize int) *Trainer {
 		s := gen.Medium5K()
 		s.TrainN, s.TestN = 2, 2
 		s.Config.MinNodes, s.Config.MaxNodes = 30, 50
@@ -93,21 +94,19 @@ func TestMemoizationPreservesTrajectory(t *testing.T) {
 		tcfg.PretrainEpochs, tcfg.Epochs = 2, 3
 		tcfg.Quiet = true
 		tcfg.RewardCacheSize = cacheSize
-		tr := NewTrainer(tcfg, m, pipe)
-		tr.TrainOn(ds.Train, ds.Cluster)
-		return tr.History, Evaluate(pipe, ds.Test, ds.Cluster)
-	}
-	histOn, evalOn := run(0)    // default-sized cache
-	histOff, evalOff := run(-1) // memoization disabled
-	for i := range histOn {
-		if histOn[i] != histOff[i] {
-			t.Fatalf("epoch %d history diverged with memoization: %g vs %g", i, histOn[i], histOff[i])
+		tr := newPolicyTrainer(kind, tcfg, m, pipe)
+		if err := tr.TrainOn(ds.Train, ds.Cluster); err != nil {
+			t.Fatal(err)
 		}
+		return tr
 	}
-	for i := range evalOn {
-		if evalOn[i] != evalOff[i] {
-			t.Fatalf("eval %d diverged with memoization: %g vs %g", i, evalOn[i], evalOff[i])
-		}
+	for _, kind := range policies {
+		t.Run(kind, func(t *testing.T) {
+			on := run(kind, 0)   // default-sized cache
+			off := run(kind, -1) // memoization disabled
+			historyEqual(t, on.History, off.History)
+			paramsEqual(t, on.ps, off.ps)
+		})
 	}
 }
 

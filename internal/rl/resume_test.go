@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/nn"
 	"repro/internal/placer"
 	"repro/internal/sim"
 	"repro/internal/stream"
@@ -61,10 +62,10 @@ func resumeConfig() Config {
 	return cfg
 }
 
-func paramsEqual(t *testing.T, a, b *core.Model) {
+func paramsEqual(t *testing.T, a, b *nn.ParamSet) {
 	t.Helper()
-	for _, p := range a.PS.All() {
-		q := b.PS.Get(p.Name)
+	for _, p := range a.All() {
+		q := b.Get(p.Name)
 		for i := range p.Value.Data {
 			if p.Value.Data[i] != q.Value.Data[i] {
 				t.Fatalf("parameter %s[%d] differs: %v vs %v", p.Name, i, p.Value.Data[i], q.Value.Data[i])
@@ -85,13 +86,22 @@ func historyEqual(t *testing.T, a, b []float64) {
 	}
 }
 
+// TestResumeMatchesUninterruptedTrajectory kills a run mid-epoch and
+// resumes it from its checkpoint in a fresh trainer, for every policy: the
+// resumed run must end bit-identical to an uninterrupted one.
 func TestResumeMatchesUninterruptedTrajectory(t *testing.T) {
+	for _, kind := range policies {
+		t.Run(kind, func(t *testing.T) { testResume(t, kind) })
+	}
+}
+
+func testResume(t *testing.T, kind string) {
 	runs := resumeSetup(t)
 	path := filepath.Join(t.TempDir(), "trainer.ckpt")
 
 	// Run A: uninterrupted reference.
 	cfgA := resumeConfig()
-	trA := NewTrainer(cfgA, runs[0].m, runs[0].pipe)
+	trA := newPolicyTrainer(kind, cfgA, runs[0].m, runs[0].pipe)
 	if err := trA.TrainOn(runs[0].ds.Train, runs[0].ds.Cluster); err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +114,7 @@ func TestResumeMatchesUninterruptedTrajectory(t *testing.T) {
 	cfgB := resumeConfig()
 	cfgB.CheckpointPath = path
 	cfgB.AutosaveEvery = 1
-	trB := NewTrainer(cfgB, runs[1].m, runs[1].pipe)
+	trB := newPolicyTrainer(kind, cfgB, runs[1].m, runs[1].pipe)
 	// Err() is polled once per pretrain epoch, once per epoch start, and
 	// once per step; 8 polls dies inside epoch 2 of 3.
 	killCtx := &stepLimitCtx{Context: context.Background(), remaining: 8}
@@ -122,7 +132,7 @@ func TestResumeMatchesUninterruptedTrajectory(t *testing.T) {
 	// Run C: fresh process — fresh model, trainer, and RNG — resumed from
 	// the checkpoint, then trained to completion.
 	cfgC := resumeConfig()
-	trC := NewTrainer(cfgC, runs[2].m, runs[2].pipe)
+	trC := newPolicyTrainer(kind, cfgC, runs[2].m, runs[2].pipe)
 	if err := trC.LoadCheckpoint(path); err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +141,7 @@ func TestResumeMatchesUninterruptedTrajectory(t *testing.T) {
 	}
 
 	historyEqual(t, trA.History, trC.History)
-	paramsEqual(t, runs[0].m, runs[2].m)
+	paramsEqual(t, trA.ps, trC.ps)
 }
 
 func TestCurriculumResumeMatchesUninterrupted(t *testing.T) {
@@ -175,7 +185,7 @@ func TestCurriculumResumeMatchesUninterrupted(t *testing.T) {
 	}
 
 	historyEqual(t, trA.History, trC.History)
-	paramsEqual(t, runs[0].m, runs[2].m)
+	paramsEqual(t, runs[0].m.PS, runs[2].m.PS)
 }
 
 func TestLoadCheckpointAcceptsWeightsOnlyFormats(t *testing.T) {
@@ -195,7 +205,7 @@ func TestLoadCheckpointAcceptsWeightsOnlyFormats(t *testing.T) {
 	if err := tr2.LoadCheckpoint(envPath); err != nil {
 		t.Fatalf("params envelope must load: %v", err)
 	}
-	paramsEqual(t, m, m2)
+	paramsEqual(t, m.PS, m2.PS)
 }
 
 func TestDivergenceGuardRollsBackAndHalvesLR(t *testing.T) {
@@ -249,13 +259,24 @@ func TestDivergenceGuardRollsBackAndHalvesLR(t *testing.T) {
 	}
 }
 
+// TestSnapshotGoodDoesNotAllocate pins the divergence guard's snapshot,
+// taken after every optimizer update, to copying into the buffers its
+// first call allocated.
+func TestSnapshotGoodDoesNotAllocate(t *testing.T) {
+	_, m, pipe := quickSetup(t, 1)
+	tr := NewTrainer(resumeConfig(), m, pipe)
+	if allocs := testing.AllocsPerRun(10, tr.snapshotGood); allocs != 0 {
+		t.Fatalf("snapshotGood allocated %v times per call after the first, want 0", allocs)
+	}
+}
+
 func TestBufferRejectsNonFiniteRewards(t *testing.T) {
 	_, m, pipe := quickSetup(t, 2)
 	tr := NewTrainer(resumeConfig(), m, pipe)
 	tr.updateBuffer(0, []scored{
-		{d: core.Decision{true}, reward: math.NaN()},
-		{d: core.Decision{false}, reward: 0.5},
-		{d: core.Decision{true}, reward: math.Inf(1)},
+		{a: core.Decision{true}, reward: math.NaN()},
+		{a: core.Decision{false}, reward: 0.5},
+		{a: core.Decision{true}, reward: math.Inf(1)},
 	})
 	buf := tr.buffer[0]
 	if len(buf) != 1 || buf[0].reward != 0.5 {

@@ -1,15 +1,19 @@
-// Package rl trains the coarsening model with REINFORCE (§III):
+// Package rl trains learned policies with REINFORCE (§III):
 //
-//	∇J(θ) = (1/N) Σ_n ∇log π_θ(G_y^n) · [r(G_y^n) − b]
+//	∇J(θ) = (1/N) Σ_n ∇log π_θ(a^n) · [r(a^n) − b]
 //
-// where the policy π_θ factorizes over per-edge Bernoulli collapse
-// decisions, r is the simulated relative throughput of the resulting
-// allocation, and the baseline b is the mean reward of the on-policy
-// samples plus the historically best samples kept in a per-graph memory
-// buffer. Metis-guided training (§IV-C) seeds that buffer with decision
-// vectors inferred from Metis partitions via maximum-spanning-tree
-// collapse inference; guided entries are evicted as soon as the policy
-// finds better samples, exactly as described in the paper.
+// A Policy supplies π_θ and the reward r. The coarsening model's π_θ
+// factorizes over per-edge Bernoulli collapse decisions and r is the
+// simulated relative throughput of the resulting allocation; a learned
+// direct placer (internal/baselines) picks one device per operator and r
+// simulates that placement. The baseline b is the mean reward of the
+// on-policy samples plus the historically best samples kept in a
+// per-graph memory buffer. Metis-guided training (§IV-C) first imitates
+// each policy's Metis-guided action, then seeds the buffer with it; for
+// the coarsening model that action is the decision vector inferred from
+// a Metis partition via maximum-spanning-tree collapse inference. Guided
+// entries are evicted as soon as the policy finds better samples,
+// exactly as described in the paper.
 //
 // Training is fault-tolerant: the context-aware entry points
 // (TrainOnCtx, CurriculumCtx) cancel cleanly between steps and persist a
@@ -24,6 +28,7 @@ package rl
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	randv2 "math/rand/v2"
@@ -32,8 +37,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/gnn"
-	"repro/internal/metis"
 	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -66,14 +69,15 @@ type Config struct {
 	BufferSamples int
 	// LR is the Adam learning rate (paper: 0.001).
 	LR float64
-	// MetisGuided seeds memory buffers with Metis-derived decisions.
+	// MetisGuided seeds memory buffers with the policy's Metis-guided
+	// actions.
 	MetisGuided bool
 	// PretrainEpochs is the number of maximum-likelihood imitation epochs
-	// over the Metis-guided collapse decisions run before REINFORCE. This
-	// is the paper's Metis-guided cold-start signal (§IV-C) in its
-	// strongest form: at CPU-scale training budgets the pure
-	// buffer-mixing variant cannot transfer the collapse concept before
-	// lucky on-policy samples evict the guided entries.
+	// over the Metis-guided actions run before REINFORCE. This is the
+	// paper's Metis-guided cold-start signal (§IV-C) in its strongest
+	// form: at CPU-scale training budgets the pure buffer-mixing variant
+	// cannot transfer the collapse concept before lucky on-policy samples
+	// evict the guided entries.
 	PretrainEpochs int
 	// Seed drives sampling.
 	Seed int64
@@ -87,9 +91,10 @@ type Config struct {
 	AutosaveEvery int
 	// RewardCacheSize bounds the reward-memoization LRU (entries). 0
 	// selects the default (4096); negative disables memoization. The
-	// cache is an exact-key memo of the deterministic coarsen → partition
-	// → simulate pipeline, so it never changes the training trajectory —
-	// only how often the pipeline actually runs.
+	// cache is an exact-key memo of the policy's deterministic reward (for
+	// the coarsening model, the coarsen → partition → simulate pipeline),
+	// so it never changes the training trajectory — only how often the
+	// reward actually runs.
 	RewardCacheSize int
 	// GraphBatch is the number of graphs trained per optimizer step
 	// (0 or 1 = classic serial REINFORCE: one Adam update per graph).
@@ -133,9 +138,9 @@ func DefaultConfig() Config {
 	}
 }
 
-// scored is a decision vector with its achieved reward.
+// scored is an action with its achieved reward.
 type scored struct {
-	d      core.Decision
+	a      any
 	reward float64
 	guided bool // true for Metis-seeded entries
 }
@@ -163,15 +168,11 @@ type Progress struct {
 	RewardSum float64 `json:"reward_sum"`
 }
 
-// goodState is the in-memory rollback target of the divergence guard.
-type goodState struct {
-	params map[string]nn.ParamState
-	opt    nn.AdamState
-}
-
-// Trainer holds the mutable training state for one model.
+// Trainer holds the mutable training state for one policy.
 type Trainer struct {
-	Cfg      Config
+	Cfg Config
+	// Model and Pipeline are the coarsening model and the pipeline that
+	// scores its decisions; both are nil when another policy trains.
 	Model    *core.Model
 	Pipeline *core.Pipeline
 	Opt      *nn.Adam
@@ -181,10 +182,17 @@ type Trainer struct {
 	// Divergences counts guard-triggered rollbacks.
 	Divergences int
 
-	// Rewards memoizes decision rewards across steps, keyed by
-	// core.DecisionKey (nil when disabled). Hit/miss counters are exported
-	// via Rewards.Stats().
+	// Rewards memoizes action rewards across steps, keyed by the policy's
+	// Key (nil when disabled). Hit/miss counters are exported via
+	// Rewards.Stats().
 	Rewards *cache.LRU[string, float64]
+
+	// pol is the trained policy with its action type erased (policy.go);
+	// decode reads one of its actions back from a checkpoint, and ps is
+	// pol.Params().
+	pol    Policy[any]
+	decode func(json.RawMessage) (any, error)
+	ps     *nn.ParamSet
 
 	// buffer holds the best historical samples per training-graph index.
 	buffer map[int][]scored
@@ -211,17 +219,30 @@ type Trainer struct {
 	reps       []*nn.Binder
 	entryGrads []*nn.GradSet
 
-	lastGood *goodState
+	// good and goodOpt are the divergence guard's rollback target: the
+	// parameters and Adam moments (nn.ParamSet.SaveState), in a buffer
+	// allocated at the first snapshot and overwritten in place after.
+	good    []float64
+	goodOpt nn.AdamState
 
 	// History records the mean on-policy reward per epoch.
 	History []float64
 }
 
-// NewTrainer builds a trainer around a model and pipeline.
+// NewTrainer builds a trainer for the coarsening model; pipe scores its
+// decisions.
 func NewTrainer(cfg Config, model *core.Model, pipe *core.Pipeline) *Trainer {
 	if pipe.Model != model {
 		panic("rl: pipeline must wrap the trained model")
 	}
+	t := NewPolicyTrainer[core.Decision](cfg, coarsening{pipe})
+	t.Model, t.Pipeline = model, pipe
+	return t
+}
+
+// NewPolicyTrainer builds a trainer for any policy; the learned direct
+// placers of internal/baselines train through it.
+func NewPolicyTrainer[A any](cfg Config, p Policy[A]) *Trainer {
 	pcg := randv2.NewPCG(uint64(cfg.Seed), 0x9E3779B97F4A7C15)
 	var rewards *cache.LRU[string, float64]
 	if cfg.RewardCacheSize >= 0 {
@@ -233,39 +254,30 @@ func NewTrainer(cfg Config, model *core.Model, pipe *core.Pipeline) *Trainer {
 		rewards.Instrument(obsCacheHits, obsCacheMisses)
 	}
 	return &Trainer{
-		Cfg:      cfg,
-		Model:    model,
-		Pipeline: pipe,
-		Opt:      nn.NewAdam(cfg.LR),
-		Rewards:  rewards,
-		buffer:   make(map[int][]scored),
-		pcg:      pcg,
-		rng:      randv2.New(pcg),
-		fwd:      nn.NewBinder(autodiff.NewTape()),
+		Cfg:     cfg,
+		Opt:     nn.NewAdam(cfg.LR),
+		Rewards: rewards,
+		pol:     erased[A]{p},
+		decode:  decodeAction[A],
+		ps:      p.Params(),
+		buffer:  make(map[int][]scored),
+		pcg:     pcg,
+		rng:     randv2.New(pcg),
+		fwd:     nn.NewBinder(autodiff.NewTape()),
 	}
 }
 
-// forward returns the trainer's reusable binder, recycled for a fresh
-// step: reset-on-acquire returns the previous step's matrices to the
-// arena only after everything read from them has been consumed.
-func (t *Trainer) forward() *nn.Binder {
-	t.fwd.Reset()
-	return t.fwd
-}
-
-// scoreDecision evaluates one decision's reward through the pipeline,
-// memoized on (graph id, exact decision bitset). Safe for concurrent use.
-func (t *Trainer) scoreDecision(gi int, g *stream.Graph, cluster sim.Cluster, d core.Decision) float64 {
+// score evaluates one action's reward through the policy, memoized on the
+// policy's exact key for (graph id, action). Safe for concurrent use.
+func (t *Trainer) score(gi int, g *stream.Graph, cluster sim.Cluster, a any) float64 {
 	if t.Rewards == nil {
-		alloc := t.Pipeline.AllocateDecision(g, cluster, d)
-		return sim.Reward(g, alloc.Placement, cluster)
+		return t.pol.Reward(g, cluster, a)
 	}
-	key := core.DecisionKey(gi, d)
+	key := t.pol.Key(gi, a)
 	if r, ok := t.Rewards.Get(key); ok {
 		return r
 	}
-	alloc := t.Pipeline.AllocateDecision(g, cluster, d)
-	r := sim.Reward(g, alloc.Placement, cluster)
+	r := t.pol.Reward(g, cluster, a)
 	t.Rewards.Put(key, r)
 	return r
 }
@@ -281,15 +293,13 @@ func (t *Trainer) logf(format string, args ...any) {
 	obs.Log.Infof(format, args...)
 }
 
-// SeedMetisGuided populates the buffers with Metis-derived decisions for
-// every training graph (run before the first epoch when MetisGuided).
+// SeedMetisGuided populates the buffers with the policy's Metis-guided
+// action for every training graph (run before the first epoch when
+// MetisGuided).
 func (t *Trainer) SeedMetisGuided(graphs []*stream.Graph, cluster sim.Cluster) error {
 	entries, err := resilience.Map(len(graphs), 0, func(i int) (scored, error) {
-		g := graphs[i]
-		mp := metis.Partition(g, metis.Options{Parts: cluster.Devices, Seed: t.Cfg.Seed})
-		mp.Devices = cluster.Devices
-		d := core.Decision(metis.InferCollapsedEdges(g, mp))
-		return scored{d: d, reward: t.scoreDecision(i, g, cluster, d), guided: true}, nil
+		a := t.pol.Guided(graphs[i], cluster, t.Cfg.Seed)
+		return scored{a: a, reward: t.score(i, graphs[i], cluster, a), guided: true}, nil
 	})
 	if err != nil {
 		return fmt.Errorf("rl: metis seeding failed: %w", err)
@@ -347,7 +357,7 @@ func (t *Trainer) trainWorkers(b int) int {
 // consistent copy while the leader owns the live values.
 func (t *Trainer) ensureReplicas(workers, entries int) {
 	if t.snap == nil {
-		t.snap = nn.NewSnapshot(t.Model.PS)
+		t.snap = nn.NewSnapshot(t.ps)
 	}
 	for len(t.reps) < workers {
 		b := nn.NewBinder(autodiff.NewTape())
@@ -355,7 +365,7 @@ func (t *Trainer) ensureReplicas(workers, entries int) {
 		t.reps = append(t.reps, b)
 	}
 	for len(t.entryGrads) < entries {
-		t.entryGrads = append(t.entryGrads, nn.NewGradSet(t.Model.PS))
+		t.entryGrads = append(t.entryGrads, nn.NewGradSet(t.ps))
 	}
 }
 
@@ -414,47 +424,31 @@ func (t *Trainer) stepEntry(binder *nn.Binder, wid int, seq uint64, gi int, g *s
 		t0 = now
 	}
 
-	// The features and every sample's coarse graph and reward read g's
-	// demands: propagate the rates once per step, not once per reader.
+	// The features and every sample's reward read g's demands: propagate
+	// the rates once per step, not once per reader.
 	g = g.PinDemands()
-	f := gnn.BuildFeatures(g, cluster)
 	binder.Reset()
 	tape := binder.Tape
-	probs := t.Model.EdgeProbs(binder, f)
+	dist := t.pol.Forward(binder, g, cluster)
 	mark(phaseEncode)
 
 	// Draw on-policy samples from this visit's private substream.
 	rng := t.sampleRNG(seq, gi)
 	n := t.Cfg.OnPolicySamples
 	samples := make([]scored, n)
-	pv := probs.Value
 	for s := 0; s < n; s++ {
-		d := make(core.Decision, pv.Rows)
-		for i := 0; i < pv.Rows; i++ {
-			d[i] = rng.Float64() < pv.Data[i]
-		}
-		samples[s] = scored{d: d}
+		samples[s] = scored{a: dist.Sample(rng)}
 	}
 	if t.Cfg.Curve != nil {
-		// Mean per-edge Bernoulli entropy of the policy — the curve's
-		// exploration signal. Reads probabilities only; never perturbs them.
-		var h float64
-		for i := 0; i < pv.Rows; i++ {
-			p := pv.Data[i]
-			if p > 1e-12 && p < 1-1e-12 {
-				h -= p*math.Log(p) + (1-p)*math.Log(1-p)
-			}
-		}
-		if pv.Rows > 0 {
-			res.entropy = h / float64(pv.Rows)
-		}
+		// Every erased distribution reports one (erasedDist.Entropy).
+		res.entropy = dist.(interface{ Entropy() float64 }).Entropy()
 	}
 	mark(phaseSample)
-	// Evaluate rewards (coarsen → partition → simulate), memoized on the
-	// exact decision bitset so a duplicate sample skips the pipeline
-	// entirely. Repeats within the step are grouped before the fan-out:
-	// concurrent scorers of one decision could otherwise all miss the
-	// cache and run the pipeline twice, and the hit/miss split would
+	// Evaluate rewards (for the coarsening model: coarsen → partition →
+	// simulate), memoized on the policy's exact key so a duplicate sample
+	// skips scoring entirely. Repeats within the step are grouped before
+	// the fan-out: concurrent scorers of one action could otherwise all
+	// miss the cache and score it twice, and the hit/miss split would
 	// depend on timing. A repeat copies its first occurrence's reward,
 	// then looks its key up so the cache counts the hit a serial scorer
 	// would. A panic in one scorer surfaces here as an error; sibling
@@ -464,7 +458,7 @@ func (t *Trainer) stepEntry(binder *nn.Binder, wid int, seq uint64, gi int, g *s
 	first := make([]int, n) // index of each sample's first occurrence
 	firstOf := make(map[string]int, n)
 	for s := range samples {
-		k := core.DecisionKey(gi, samples[s].d)
+		k := t.pol.Key(gi, samples[s].a)
 		if _, seen := firstOf[k]; !seen {
 			firstOf[k] = s
 		}
@@ -472,7 +466,7 @@ func (t *Trainer) stepEntry(binder *nn.Binder, wid int, seq uint64, gi int, g *s
 	}
 	if err := resilience.ForEach(n, innerWorkers, func(s int) error {
 		if first[s] == s {
-			samples[s].reward = t.scoreDecision(gi, g, cluster, samples[s].d)
+			samples[s].reward = t.score(gi, g, cluster, samples[s].a)
 		}
 		return nil
 	}); err != nil {
@@ -482,7 +476,7 @@ func (t *Trainer) stepEntry(binder *nn.Binder, wid int, seq uint64, gi int, g *s
 		if j != s {
 			samples[s].reward = samples[j].reward
 			if t.Rewards != nil {
-				t.Rewards.Get(core.DecisionKey(gi, samples[s].d))
+				t.Rewards.Get(t.pol.Key(gi, samples[s].a))
 			}
 		}
 	}
@@ -543,17 +537,18 @@ func (t *Trainer) stepEntry(binder *nn.Binder, wid int, seq uint64, gi int, g *s
 	res.baseline = b
 
 	// Accumulate the policy-gradient loss on the tape. The advantage is
-	// divided by the edge count so the gradient scale is independent of
-	// graph size (log π sums over all |E| Bernoulli decisions) and
-	// commensurate with the guided pretraining loss.
+	// divided by the policy's action count so the gradient scale is
+	// independent of graph size (log π sums over every per-edge or
+	// per-operator choice) and commensurate with the guided pretraining
+	// loss.
 	var loss *autodiff.Node
-	inv := 1 / float64(len(batch)) / float64(g.NumEdges())
+	inv := 1 / float64(len(batch)) / float64(t.pol.Size(g))
 	for _, s := range batch {
 		adv := (s.reward - b) / sd * inv
 		if adv == 0 {
 			continue
 		}
-		l := core.LogProbLoss(binder, probs, s.d, adv)
+		l := dist.LogProb(s.a, adv)
 		if loss == nil {
 			loss = l
 		} else {
@@ -637,10 +632,10 @@ func (t *Trainer) trainBatch(cluster sim.Cluster, batch []batchEntry, seqBase ui
 	}
 	var gradNorm float64
 	if hasLoss {
-		t.Model.PS.ZeroGrads()
+		t.ps.ZeroGrads()
 		for j := range results {
 			if results[j].hasLoss {
-				t.entryGrads[j].AddTo(t.Model.PS)
+				t.entryGrads[j].AddTo(t.ps)
 			}
 		}
 		if t.Cfg.Curve != nil {
@@ -673,7 +668,7 @@ func (t *Trainer) trainBatch(cluster sim.Cluster, batch []batchEntry, seqBase ui
 // taken before the optimizer consumes them).
 func (t *Trainer) gradNorm() float64 {
 	var sq float64
-	for _, p := range t.Model.PS.All() {
+	for _, p := range t.ps.All() {
 		for _, g := range p.Grad.Data {
 			sq += g * g
 		}
@@ -735,12 +730,12 @@ func (t *Trainer) applyUpdate(lossVal float64) bool {
 		t.rollback(fmt.Errorf("non-finite loss %v", lossVal))
 		return false
 	}
-	if err := t.Model.PS.CheckFiniteGrads(); err != nil {
+	if err := t.ps.CheckFiniteGrads(); err != nil {
 		t.rollback(err)
 		return false
 	}
-	t.Opt.Step(t.Model.PS)
-	if err := t.Model.PS.CheckFiniteValues(); err != nil {
+	t.Opt.Step(t.ps)
+	if err := t.ps.CheckFiniteValues(); err != nil {
 		t.rollback(err)
 		return false
 	}
@@ -749,9 +744,14 @@ func (t *Trainer) applyUpdate(lossVal float64) bool {
 }
 
 // snapshotGood records the current parameters and optimizer as the
-// divergence guard's rollback target.
+// divergence guard's rollback target. It runs after every update, so it
+// copies into the buffers of the first snapshot instead of allocating.
 func (t *Trainer) snapshotGood() {
-	t.lastGood = &goodState{params: t.Model.PS.StateMap(), opt: t.Opt.State()}
+	if t.good == nil {
+		t.good = make([]float64, 3*t.ps.Count())
+	}
+	t.ps.SaveState(t.good)
+	t.goodOpt = t.Opt.State()
 }
 
 // rollback restores the last good state (when one exists) and halves the
@@ -764,11 +764,9 @@ func (t *Trainer) rollback(cause error) {
 	// Halve the *current* learning rate, not the snapshot's: repeated
 	// rollbacks without an intervening good step must keep compounding.
 	halved := t.Opt.LR / 2
-	if t.lastGood != nil {
-		if err := t.Model.PS.RestoreStateMap(t.lastGood.params); err != nil {
-			panic(fmt.Sprintf("rl: rollback failed: %v", err))
-		}
-		t.Opt.SetState(t.lastGood.opt)
+	if t.good != nil {
+		t.ps.RestoreState(t.good)
+		t.Opt.SetState(t.goodOpt)
 	}
 	t.Opt.LR = halved
 	t.logf("rl: divergence guard: %v — rolled back to last good state, lr halved to %g (rollback #%d)",
@@ -802,9 +800,10 @@ func (t *Trainer) updateBuffer(gi int, samples []scored) {
 	t.buffer[gi] = buf
 }
 
-// PretrainGuided runs maximum-likelihood imitation of the Metis-guided
-// collapse decisions for Cfg.PretrainEpochs epochs. It teaches the model
-// which edges belong together (heavy intra-part spanning edges) before any
+// PretrainGuided runs maximum-likelihood imitation of the policy's
+// Metis-guided actions for Cfg.PretrainEpochs epochs. It teaches the
+// coarsening model which edges belong together (heavy intra-part spanning
+// edges), and a placer which operators Metis puts together, before any
 // reward signal is available — the cold-start guidance of §IV-C.
 func (t *Trainer) PretrainGuided(graphs []*stream.Graph, cluster sim.Cluster) error {
 	return t.PretrainGuidedCtx(context.Background(), graphs, cluster)
@@ -817,10 +816,8 @@ func (t *Trainer) PretrainGuidedCtx(ctx context.Context, graphs []*stream.Graph,
 	if t.Cfg.PretrainEpochs <= 0 || t.Pos.Pretrain >= t.Cfg.PretrainEpochs {
 		return nil
 	}
-	targets, err := resilience.Map(len(graphs), 0, func(i int) (core.Decision, error) {
-		mp := metis.Partition(graphs[i], metis.Options{Parts: cluster.Devices, Seed: t.Cfg.Seed})
-		mp.Devices = cluster.Devices
-		return core.Decision(metis.InferCollapsedEdges(graphs[i], mp)), nil
+	targets, err := resilience.Map(len(graphs), 0, func(i int) (any, error) {
+		return t.pol.Guided(graphs[i], cluster, t.Cfg.Seed), nil
 	})
 	if err != nil {
 		return fmt.Errorf("rl: pretrain target inference failed: %w", err)
@@ -830,13 +827,13 @@ func (t *Trainer) PretrainGuidedCtx(ctx context.Context, graphs []*stream.Graph,
 			return t.halt(err)
 		}
 		for i, g := range graphs {
-			f := gnn.BuildFeatures(g, cluster)
-			binder := t.forward()
-			tape := binder.Tape
-			probs := t.Model.EdgeProbs(binder, f)
-			loss := core.LogProbLoss(binder, probs, targets[i], 1/float64(g.NumEdges()))
-			t.Model.PS.ZeroGrads()
-			tape.Backward(loss, nil)
+			// Reset-on-acquire: the previous step's matrices go back to the
+			// arena only after everything read from them was consumed.
+			binder := t.fwd
+			binder.Reset()
+			loss := t.pol.Forward(binder, g, cluster).LogProb(targets[i], 1/float64(t.pol.Size(g)))
+			t.ps.ZeroGrads()
+			binder.Tape.Backward(loss, nil)
 			binder.Collect()
 			t.applyUpdate(scalarOf(loss))
 		}

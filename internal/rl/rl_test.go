@@ -182,11 +182,11 @@ func TestBufferKeepsBestAndEvictsGuidedOnTie(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.BufferSamples = 2
 	tr := NewTrainer(cfg, m, pipe)
-	tr.buffer[0] = []scored{{d: core.Decision{true}, reward: 0.5, guided: true}}
+	tr.buffer[0] = []scored{{a: core.Decision{true}, reward: 0.5, guided: true}}
 	tr.updateBuffer(0, []scored{
-		{d: core.Decision{false}, reward: 0.5},
-		{d: core.Decision{true}, reward: 0.9},
-		{d: core.Decision{false}, reward: 0.1},
+		{a: core.Decision{false}, reward: 0.5},
+		{a: core.Decision{true}, reward: 0.9},
+		{a: core.Decision{false}, reward: 0.1},
 	})
 	buf := tr.buffer[0]
 	if len(buf) != 2 {
