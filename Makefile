@@ -48,10 +48,11 @@ loc:
 race:
 	$(GO) test -race ./...
 
-# Chaos gate: the fault-injection, drift re-allocation, and resilience
-# suites under the race detector, twice, so flaky timing in the wall-clock
-# controllers or a data race in the re-allocation loop fails loudly. Then
-# the tests that reach the shared forward-pass binder pool or the tensor
+# Chaos gate: the runtime's drift-timeline replay (crashes, link classes,
+# surges), the drift re-allocation and the resilience suites under the
+# race detector, twice, so flaky timing in the wall-clock replay or a data
+# race in the re-allocation loop fails loudly. Then the tests that reach
+# the shared forward-pass binder pool or the tensor
 # arena from several goroutines (offline passes, served snapshot passes,
 # concurrent cache misses, mixed-size arena traffic, Metis's pooled
 # workspaces), ten times each, so a pool race or a poisoned binder fails
@@ -67,13 +68,14 @@ chaos:
 	$(GO) test -race -count=10 -run 'TestBatchedTrainingDeterministicAcrossWorkers/(gdp|graph-enc-dec)$$' ./internal/rl/
 
 # Quality gate: train and score the quick Table I, Fig. 5, Fig. 6, Fig. 8,
-# Table II and drift experiments (~20 s) and diff their tables against the
-# committed golden. The output is the same at any GOMAXPROCS, so a change
-# that keeps every placement and reward bit-identical passes untouched; one
-# that moves placements fails here and must re-record QUALITY_GOLDEN.txt
-# and say why. The timing line is dropped before the diff.
+# Table II, drift and robustness-sim experiments (~20 s) and diff their
+# tables against the committed golden. The output is the same at any
+# GOMAXPROCS, so a change that keeps every placement and reward
+# bit-identical passes untouched; one that moves placements fails here and
+# must re-record QUALITY_GOLDEN.txt and say why. The timing line is
+# dropped before the diff.
 quality:
-	$(GO) run ./cmd/experiments -run table1,fig5,fig6,fig8,table2,drift -budget quick -scale 0.4 -quiet > .quality.txt
+	$(GO) run ./cmd/experiments -run table1,fig5,fig6,fig8,table2,drift,robustness-sim -budget quick -scale 0.4 -quiet > .quality.txt
 	grep -v '^completed ' .quality.txt | diff QUALITY_GOLDEN.txt -
 
 # One iteration of every benchmark: catches benchmarks that panic or

@@ -9,8 +9,10 @@
 // Experiment ids: fig1 fig3 fig5 fig6 fig7 fig8 fig9 table1 table2 table3
 // simvalidate transferapps robustness robustness-sim drift. The last two
 // are deterministic (fluid-simulator timelines, bit-identical across runs
-// and worker counts); "drift" compares static placement vs the reactive
-// re-allocation loop vs a full re-coarsen under elastic drift scenarios.
+// and worker counts); "robustness" replays robustness-sim's crash
+// timelines on the wall-clock runtime instead, and "drift" compares static
+// placement vs the reactive re-allocation loop vs a full re-coarsen under
+// elastic drift scenarios.
 package main
 
 import (

@@ -1,13 +1,17 @@
 // Command faults demonstrates the chaos-injected concurrent runtime: it
 // builds a small stream application, places it with Metis, and measures
 // throughput under an escalating fault schedule — clean, one device crash,
-// two crashes, and a degraded-then-flapping cross-device link.
+// two crashes, a pool-wide link-class dip, and a drift mix of surge, loss
+// and class change.
 //
 // Real stream-processing clusters lose workers and links mid-run; a
 // placement is only as good as the throughput it retains when that
-// happens. The FaultPlan below is read-only to the runtime's hot path, so
-// the faulted runs exercise exactly the same scheduler, batching, and
-// credit handshakes as the clean one.
+// happens. Every scenario is a sim.DriftEvent list expanded by
+// sim.BuildTimeline — the timeline the fluid model replays tick by tick —
+// and the runtime gives each tick an equal share of the wall clock. The
+// timeline is read-only to the runtime's hot path, so the faulted runs
+// exercise exactly the same scheduler, batching, and credit handshakes as
+// the clean one.
 package main
 
 import (
@@ -20,6 +24,9 @@ import (
 	"repro/internal/runtime"
 	"repro/internal/sim"
 )
+
+// ticks is the timeline length: 25 ms per tick over the 400 ms run.
+const ticks = 16
 
 func main() {
 	// A small generated workload: a handful of operators per graph, five
@@ -37,41 +44,44 @@ func main() {
 	cfg.WallTime = 400 * time.Millisecond
 	cfg.WarmupFrac = 0.25
 
-	crash := func(dev int, at time.Duration) runtime.DeviceFault {
-		return runtime.DeviceFault{Device: dev, At: at, Duration: 60 * time.Millisecond}
+	crash := func(dev, tick int) sim.DriftEvent {
+		return sim.DriftEvent{Kind: sim.DriftDeviceLoss, Device: dev, Tick: tick, DurTicks: 3}
+	}
+	class := func(tick int, factor float64) sim.DriftEvent {
+		return sim.DriftEvent{Kind: sim.DriftLinkClass, Tick: tick, Factor: factor}
 	}
 	scenarios := []struct {
-		name string
-		plan *runtime.FaultPlan
+		name   string
+		events []sim.DriftEvent
 	}{
 		{"clean (no faults)", nil},
-		{"1 device crash", &runtime.FaultPlan{
-			Devices: []runtime.DeviceFault{crash(0, 120*time.Millisecond)},
-		}},
-		{"2 device crashes", &runtime.FaultPlan{
-			Devices: []runtime.DeviceFault{
-				crash(0, 120*time.Millisecond),
-				crash(1, 190*time.Millisecond),
-			},
-		}},
-		{"link degraded 5x + flap", &runtime.FaultPlan{
-			Links: []runtime.LinkFault{
-				// Device 0's links run at 20% bandwidth for the whole
-				// window, with a total outage (factor 0) mid-run.
-				{Device: 0, At: 0, Duration: cfg.WallTime, Factor: 0.2},
-				{Device: 0, At: 200 * time.Millisecond, Duration: 60 * time.Millisecond, Factor: 0},
-			},
+		{"1 device crash", []sim.DriftEvent{crash(0, 4)}},
+		{"2 device crashes", []sim.DriftEvent{crash(0, 4), crash(1, 7)}},
+		// Every link runs at 20% bandwidth for ticks [4, 12): the pool
+		// was moved to a slower link class and back.
+		{"link class 0.2x dip", []sim.DriftEvent{class(4, 0.2), class(12, 1)}},
+		// A 1.8× surge over ticks [4,10), device 1 out from tick 6 on, and
+		// a half-bandwidth link class from tick 8.
+		{"drift (surge+loss+class)", []sim.DriftEvent{
+			{Kind: sim.DriftSourceSurge, Tick: 4, DurTicks: 6, Factor: 1.8},
+			{Kind: sim.DriftDeviceLoss, Tick: 6, Device: 1},
+			class(8, 0.5),
 		}},
 	}
 
 	fmt.Printf("graph: %d operators, %.0f tuples/s source, %d devices\n\n",
 		g.NumNodes(), g.SourceRate, cluster.Devices)
-	fmt.Printf("%-26s %10s %10s %9s %9s %8s\n",
-		"scenario", "relative", "retained", "crashes", "restarts", "retunes")
+	fmt.Printf("%-26s %10s %10s %9s %9s %8s %8s\n",
+		"scenario", "relative", "retained", "crashes", "restarts", "links", "sources")
 
 	var baseline float64
 	for i, sc := range scenarios {
-		cfg.Faults = sc.plan
+		timeline, err := sim.BuildTimeline(cluster.Devices, ticks, sc.events)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "faults: %s: %v\n", sc.name, err)
+			os.Exit(1)
+		}
+		cfg.Drift = timeline
 		r, err := runtime.Run(g, p, cluster, cfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "faults: %s: %v\n", sc.name, err)
@@ -84,45 +94,16 @@ func main() {
 		if baseline > 0 {
 			retained = r.Relative / baseline
 		}
-		// Fault columns are the runtime's measured injection counts
-		// (runtime.Result), not the plan re-tallied: a fault the run never
-		// reached shows up as zero here.
-		fmt.Printf("%-26s %10.3f %9.0f%% %9d %9d %8d\n",
-			sc.name, r.Relative, retained*100, r.DeviceCrashes, r.DeviceRestarts, r.LinkRetunes)
+		// Fault columns are the runtime's measured counts (runtime.Result),
+		// not the timeline re-tallied: a loss of a device that hosts no
+		// operator shows up as zero here.
+		fmt.Printf("%-26s %10.3f %9.0f%% %9d %9d %8d %8d\n",
+			sc.name, r.Relative, retained*100, r.DeviceCrashes, r.DeviceRestarts, r.LinkRetunes, r.SourceRetunes)
 	}
-
-	// Drift goes beyond faults: the same run can see source-rate surges,
-	// pool grow/shrink, and link class changes, expressed as the same
-	// sim.DriftEvent timeline the deterministic experiments replay. Here
-	// the event list is compiled onto the wall clock at 25 ms per tick: a
-	// 1.8× surge over ticks [4,10), device 1 out from tick 6 on, and a
-	// half-bandwidth link class from tick 8.
-	events := []sim.DriftEvent{
-		{Kind: sim.DriftSourceSurge, Tick: 4, DurTicks: 6, Factor: 1.8},
-		{Kind: sim.DriftDeviceLoss, Tick: 6, Device: 1},
-		{Kind: sim.DriftLinkClass, Tick: 8, Factor: 0.5},
-	}
-	dp, err := runtime.PlanFromEvents(events, cluster.Devices, 25*time.Millisecond)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "faults: drift plan: %v\n", err)
-		os.Exit(1)
-	}
-	cfg.Faults = nil
-	cfg.Drift = dp
-	r, err := runtime.Run(g, p, cluster, cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "faults: drift run: %v\n", err)
-		os.Exit(1)
-	}
-	retained := 1.0
-	if baseline > 0 {
-		retained = r.Relative / baseline
-	}
-	fmt.Printf("\ndrift (surge+loss+class)   %10.3f %9.0f%%   crashes %d, link retunes %d, source retunes %d\n",
-		r.Relative, retained*100, r.DeviceCrashes, r.LinkRetunes, r.SourceRetunes)
 
 	fmt.Println("\nThe same degradation curve is available as an eval-harness")
-	fmt.Println("experiment: internal/eval's Harness.Run(\"robustness\") — and the")
-	fmt.Println("drift comparison (static vs reactive vs full re-coarsen) as")
+	fmt.Println("experiment: internal/eval's Harness.Run(\"robustness\") on the")
+	fmt.Println("runtime, \"robustness-sim\" on the fluid model — and the drift")
+	fmt.Println("comparison (static vs reactive vs full re-coarsen) as")
 	fmt.Println("Harness.Run(\"drift\").")
 }

@@ -21,9 +21,9 @@ import (
 	"repro/internal/stream"
 )
 
-// driftTicks is the timeline length of a drift scenario. At the runtime
-// mapping of 25 ms per tick it matches the 400 ms wall-clock runs of the
-// Robustness experiment.
+// driftTicks is the timeline length of a drift scenario and of the
+// robustness experiments' crash timelines; Robustness's 400 ms wall-clock
+// runs give each tick 25 ms.
 const driftTicks = 16
 
 // DriftStrategy summarizes one re-allocation strategy across all drift
@@ -225,81 +225,4 @@ func safeDiv(a, b float64) float64 {
 		return 0
 	}
 	return a / b
-}
-
-// RobustnessSim is the deterministic sibling of Robustness: the same
-// escalating crash schedule (one 60 ms window per crash, staggered
-// across devices) evaluated on the fluid simulator's tick timeline
-// instead of the wall-clock runtime. Fault counts and the throughput
-// curve are bit-identical across runs and GOMAXPROCS settings, which the
-// wall-clock experiment by nature cannot promise.
-func (h *Harness) RobustnessSim() *RobustnessResult {
-	s := gen.Small()
-	s.TestN = maxi(3, int(float64(s.TestN)*h.Scale/2))
-	s.Seed += 53
-	ds := s.Generate()
-	cluster := ds.Cluster
-
-	graphs := ds.Test
-	if len(graphs) > 4 {
-		graphs = graphs[:4]
-	}
-	placements := make([]*stream.Placement, len(graphs))
-	for i, g := range graphs {
-		p := metis.Partition(g, metis.Options{Parts: cluster.Devices, Seed: h.Seed})
-		p.Devices = cluster.Devices
-		placements[i] = p
-	}
-
-	// The wall-clock schedule maps 25 ms per tick: crash i starts at
-	// 120 ms + i·70 ms and lasts 60 ms ≈ ticks [4+3i, 4+3i+3).
-	crashCounts := []int{0, 1, 2, 3}
-	res := &RobustnessResult{Crashes: crashCounts}
-	for _, k := range crashCounts {
-		var events []sim.DriftEvent
-		restarts := 0
-		for i := 0; i < k; i++ {
-			at := 4 + 3*i
-			events = append(events, sim.DriftEvent{
-				Kind: sim.DriftDeviceLoss, Device: i % cluster.Devices, Tick: at, DurTicks: 3,
-			})
-			if at+3 < driftTicks {
-				restarts++ // the window closes inside the run: the device comes back
-			}
-		}
-		timeline, err := sim.BuildTimeline(cluster.Devices, driftTicks, events)
-		if err != nil {
-			panic("eval: robustness-sim timeline: " + err.Error())
-		}
-		rels := parallel.Map(len(graphs), 0, func(i int) float64 {
-			var sum float64
-			for _, st := range timeline {
-				r, err := sim.SimulateDrift(graphs[i], placements[i], cluster, st)
-				if err != nil {
-					panic("eval: robustness-sim tick: " + err.Error())
-				}
-				sum += r.Relative
-			}
-			return sum / float64(len(timeline))
-		})
-		res.Relative = append(res.Relative, Mean(rels))
-		res.MeasuredCrashes = append(res.MeasuredCrashes, k*len(graphs))
-		res.MeasuredRestarts = append(res.MeasuredRestarts, restarts*len(graphs))
-	}
-	for i := range res.Relative {
-		d := 1.0
-		if res.Relative[0] > 0 {
-			d = res.Relative[i] / res.Relative[0]
-		}
-		res.Degradation = append(res.Degradation, d)
-	}
-
-	h.printf("== Robustness (deterministic sim): throughput under device crashes ==\n")
-	h.printf("  (Metis placements, %d graphs, 3-tick crash windows, %d-tick timelines)\n", len(graphs), driftTicks)
-	for i, k := range res.Crashes {
-		h.printf("  %d crash(es): relative %.3f  retained %.2f  (%d crashes, %d restarts on the timeline)\n",
-			k, res.Relative[i], res.Degradation[i], res.MeasuredCrashes[i], res.MeasuredRestarts[i])
-	}
-	h.printf("\n")
-	return res
 }

@@ -15,14 +15,12 @@ func TestDriftEventsDeterministicAndValid(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same seed must produce the same scenario")
 	}
-	if err := sim.ValidateEvents(a, 5); err != nil {
-		t.Fatalf("generated events invalid: %v", err)
-	}
 	if len(a) == 0 {
 		t.Fatal("EnsureDrift must guarantee at least one event")
 	}
+	// BuildTimeline validates the events before expanding them.
 	if _, err := sim.BuildTimeline(5, cfg.Ticks, a); err != nil {
-		t.Fatalf("timeline: %v", err)
+		t.Fatalf("generated events invalid: %v", err)
 	}
 }
 

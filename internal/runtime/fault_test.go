@@ -27,6 +27,10 @@ func onDevice(g *stream.Graph, devices int, assign ...int) *stream.Placement {
 	return p
 }
 
+// faultTicks is the length of the test timelines: over faultCfg's 400 ms
+// each tick holds for 25 ms, and the 100 ms warmup ends at tick 4.
+const faultTicks = 16
+
 // faultCfg runs long enough that crash windows dominate scheduling noise.
 func faultCfg() Config {
 	cfg := DefaultConfig()
@@ -35,58 +39,42 @@ func faultCfg() Config {
 	return cfg
 }
 
-func TestFaultPlanValidate(t *testing.T) {
-	cases := []struct {
-		plan *FaultPlan
-		ok   bool
-	}{
-		{nil, true},
-		{&FaultPlan{}, true},
-		{&FaultPlan{Devices: []DeviceFault{{Device: 1, At: time.Millisecond, Duration: UntilEnd}}}, true},
-		{&FaultPlan{Devices: []DeviceFault{{Device: 5, Duration: UntilEnd}}}, false},
-		{&FaultPlan{Devices: []DeviceFault{{Device: 0, At: -time.Second, Duration: UntilEnd}}}, false},
-		{&FaultPlan{Links: []LinkFault{{Device: -1, Duration: UntilEnd, Factor: 0.5}}}, true},
-		{&FaultPlan{Links: []LinkFault{{Device: -2, Duration: UntilEnd, Factor: 0.5}}}, false},
-		{&FaultPlan{Links: []LinkFault{{Device: 0, Duration: UntilEnd, Factor: -1}}}, false},
-		// Zero-duration faults never cover any instant: always a plan bug.
-		{&FaultPlan{Devices: []DeviceFault{{Device: 0, At: time.Millisecond}}}, false},
-		{&FaultPlan{Links: []LinkFault{{Device: 0, At: time.Millisecond, Factor: 0.5}}}, false},
-		// Overlapping crash windows on one device are rejected; windows
-		// that merely touch (end == next start) or hit different devices
-		// are fine.
-		{&FaultPlan{Devices: []DeviceFault{
-			{Device: 0, At: 0, Duration: 10 * time.Millisecond},
-			{Device: 0, At: 5 * time.Millisecond, Duration: 10 * time.Millisecond},
-		}}, false},
-		{&FaultPlan{Devices: []DeviceFault{
-			{Device: 0, At: 0, Duration: UntilEnd},
-			{Device: 0, At: 5 * time.Millisecond, Duration: time.Millisecond},
-		}}, false},
-		{&FaultPlan{Devices: []DeviceFault{
-			{Device: 0, At: 0, Duration: 5 * time.Millisecond},
-			{Device: 0, At: 5 * time.Millisecond, Duration: 5 * time.Millisecond},
-		}}, true},
-		{&FaultPlan{Devices: []DeviceFault{
-			{Device: 0, At: 0, Duration: 10 * time.Millisecond},
-			{Device: 1, At: 5 * time.Millisecond, Duration: 10 * time.Millisecond},
-		}}, true},
+// timeline builds a faultTicks-long drift timeline from events.
+func timeline(t *testing.T, devices int, events ...sim.DriftEvent) []sim.DriftState {
+	t.Helper()
+	tl, err := sim.BuildTimeline(devices, faultTicks, events)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, c := range cases {
-		err := c.plan.Validate(2)
-		if (err == nil) != c.ok {
-			t.Errorf("case %d: err=%v, want ok=%v", i, err, c.ok)
-		}
-	}
+	return tl
 }
 
+func loss(device, tick, durTicks int) sim.DriftEvent {
+	return sim.DriftEvent{Kind: sim.DriftDeviceLoss, Device: device, Tick: tick, DurTicks: durTicks}
+}
+
+func linkClass(tick int, factor float64) sim.DriftEvent {
+	return sim.DriftEvent{Kind: sim.DriftLinkClass, Tick: tick, Factor: factor}
+}
+
+// TestRunRejectsInvalidFaultPlan checks that Run refuses a fault timeline
+// that does not fit the cluster, naming the offending state: a loss built
+// for a device the cluster lacks, a severed link, a non-positive rate.
 func TestRunRejectsInvalidFaultPlan(t *testing.T) {
 	g := chainGraph(1000, 0)
 	p := onDevice(g, 2, 0, 0, 0)
-	cfg := faultCfg()
-	cfg.Faults = &FaultPlan{Devices: []DeviceFault{{Device: 7}}}
-	_, err := Run(g, p, sim.DefaultCluster(2, 1000), cfg)
-	if err == nil || !strings.Contains(err.Error(), "targets device") {
-		t.Fatalf("want validation error, got %v", err)
+	c := sim.DefaultCluster(2, 1000)
+	for _, st := range []sim.DriftState{
+		timeline(t, 8, loss(7, 0, 0))[0],
+		{RateFactor: 1, BandwidthFactor: 0},
+		{RateFactor: -1, BandwidthFactor: 1},
+	} {
+		cfg := faultCfg()
+		cfg.Drift = []sim.DriftState{sim.NominalDrift(2), st}
+		_, err := Run(g, p, c, cfg)
+		if err == nil || !strings.Contains(err.Error(), "drift state 1") {
+			t.Errorf("invalid drift state %+v: want an error naming state 1, got %v", st, err)
+		}
 	}
 }
 
@@ -101,15 +89,11 @@ func TestThroughputDegradesMonotonicallyWithCrashCount(t *testing.T) {
 		g := chainGraph(100, 0) // light load: fault-free run reaches ~1.0
 		p := onDevice(g, 1, 0, 0, 0)
 		cfg := faultCfg()
-		plan := &FaultPlan{}
+		var events []sim.DriftEvent
 		for i := 0; i < k; i++ {
-			plan.Devices = append(plan.Devices, DeviceFault{
-				Device:   0,
-				At:       120*time.Millisecond + time.Duration(i)*70*time.Millisecond,
-				Duration: 60 * time.Millisecond,
-			})
+			events = append(events, loss(0, 4+3*i, 2)) // ticks [4+3i, 6+3i)
 		}
-		cfg.Faults = plan
+		cfg.Drift = timeline(t, 1, events...)
 		res, err := Run(g, p, c, cfg)
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
@@ -135,120 +119,181 @@ func TestThroughputDegradesMonotonicallyWithCrashCount(t *testing.T) {
 // still make progress after the restart.
 func TestCrashedDeviceRestartsAndRunCompletes(t *testing.T) {
 	c := sim.DefaultCluster(2, 1e6)
-	mk := func(plan *FaultPlan) float64 {
+	mk := func(drift []sim.DriftState) Result {
 		g := chainGraph(200, 1)
 		p := onDevice(g, 2, 0, 0, 1) // sink alone on device 1
 		cfg := faultCfg()
-		cfg.Faults = plan
+		cfg.Drift = drift
 		res, err := Run(g, p, c, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Relative
+		return res
 	}
 	clean := mk(nil)
-	faulted := mk(&FaultPlan{Devices: []DeviceFault{
-		{Device: 1, At: 140 * time.Millisecond, Duration: 120 * time.Millisecond},
-	}})
-	t.Logf("clean=%v faulted=%v", clean, faulted)
-	if faulted >= clean {
-		t.Errorf("crashing the sink's device must cost throughput: clean=%v faulted=%v", clean, faulted)
+	faulted := mk(timeline(t, 2, loss(1, 5, 5))) // down for [125, 250) ms
+	t.Logf("clean=%v faulted=%v", clean.Relative, faulted.Relative)
+	if faulted.Relative >= clean.Relative {
+		t.Errorf("crashing the sink's device must cost throughput: clean=%v faulted=%v", clean.Relative, faulted.Relative)
 	}
-	if faulted < 0.05 {
-		t.Errorf("device restarted 140ms before the end; some post-restart progress expected, got %v", faulted)
+	if faulted.Relative < 0.05 {
+		t.Errorf("device restarted 150ms before the end; some post-restart progress expected, got %v", faulted.Relative)
+	}
+	if faulted.DeviceCrashes != 1 || faulted.DeviceRestarts != 1 {
+		t.Errorf("one loss window must measure one crash and one restart, got %d and %d",
+			faulted.DeviceCrashes, faulted.DeviceRestarts)
+	}
+}
+
+// TestCrashesAndRestartsMatchLossWindows checks the measured fault counts
+// against the timeline itself: every maximal run of states in which a
+// device that hosts operators is down is one crash, and one restart
+// unless it lasts to the end. Losses of an idle device never register.
+func TestCrashesAndRestartsMatchLossWindows(t *testing.T) {
+	c := sim.DefaultCluster(3, 1e6)
+	g := chainGraph(200, 1)
+	p := onDevice(g, 3, 0, 0, 1) // device 2 hosts nothing
+	cfg := faultCfg()
+	cfg.Drift = timeline(t, 3,
+		loss(0, 2, 3),
+		loss(1, 7, 3), loss(1, 13, 0), // a restart, then a loss to the end
+		loss(2, 1, 14),
+	)
+	hosts := map[int]bool{}
+	for _, d := range p.Assign {
+		hosts[d] = true
+	}
+	var crashes, restarts int
+	for d := range hosts {
+		for i, st := range cfg.Drift {
+			if st.Up(d) || (i > 0 && !cfg.Drift[i-1].Up(d)) {
+				continue
+			}
+			crashes++
+			for j := i; j < len(cfg.Drift); j++ {
+				if cfg.Drift[j].Up(d) {
+					restarts++
+					break
+				}
+			}
+		}
+	}
+	if crashes != 3 || restarts != 2 {
+		t.Fatalf("timeline holds %d loss windows and %d restarts on hosting devices, want 3 and 2", crashes, restarts)
+	}
+	res, err := Run(g, p, c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.DeviceCrashes != crashes || res.DeviceRestarts != restarts {
+		t.Errorf("measured %d crashes and %d restarts, the timeline's loss windows on hosting devices are %d and %d",
+			res.DeviceCrashes, res.DeviceRestarts, crashes, restarts)
 	}
 }
 
 // TestLinkDegradationThrottlesCrossDeviceEdge saturates a cross-device
-// edge, then degrades the link to 20%: throughput must drop accordingly.
+// edge, then drops the pool's link class to 20% when the warmup ends:
+// throughput must drop accordingly.
 func TestLinkDegradationThrottlesCrossDeviceEdge(t *testing.T) {
 	// Bandwidth sized so the cross edge is the bottleneck even fault-free:
 	// 200 t/s × 10 kbit = 2 Mbps against a 1 Mbps link.
 	c := sim.DefaultCluster(2, 1)
-	mk := func(plan *FaultPlan) float64 {
+	mk := func(drift []sim.DriftState) Result {
 		g := chainGraph(200, 10000)
 		p := onDevice(g, 2, 0, 0, 1)
 		cfg := faultCfg()
-		cfg.Faults = plan
+		cfg.Drift = drift
 		res, err := Run(g, p, c, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Relative
+		return res
 	}
 	clean := mk(nil)
-	degraded := mk(&FaultPlan{Links: []LinkFault{
-		{Device: -1, At: 0, Duration: UntilEnd, Factor: 0.2},
-	}})
-	t.Logf("clean=%v degraded=%v", clean, degraded)
-	if degraded >= clean*0.7 {
-		t.Errorf("an 80%% link degradation should show: clean=%v degraded=%v", clean, degraded)
+	degraded := mk(timeline(t, 2, linkClass(4, 0.2)))
+	t.Logf("clean=%v degraded=%v", clean.Relative, degraded.Relative)
+	if degraded.Relative >= clean.Relative*0.7 {
+		t.Errorf("an 80%% link degradation should show: clean=%v degraded=%v", clean.Relative, degraded.Relative)
+	}
+	if degraded.LinkRetunes != 1 {
+		t.Errorf("one class change must retune the links once, got %d", degraded.LinkRetunes)
 	}
 }
 
-// TestLinkFlapRecovers severs a saturated link briefly; throughput must
-// dip below fault-free (the lost window cannot be caught up — the link is
-// the bottleneck) but recover enough to beat a permanent severance.
+// TestLinkFlapRecovers nearly severs a saturated link briefly; throughput
+// must dip below fault-free (the lost window cannot be caught up — the
+// link is the bottleneck) but recover enough to beat a permanent drop.
 func TestLinkFlapRecovers(t *testing.T) {
 	// 200 t/s × 10 kbit = 2 Mbps against a 1 Mbps link: saturated, so
 	// every severed millisecond is unrecoverable.
 	c := sim.DefaultCluster(2, 1)
-	mk := func(plan *FaultPlan) float64 {
+	mk := func(drift []sim.DriftState) Result {
 		g := chainGraph(200, 10000)
 		p := onDevice(g, 2, 0, 0, 1)
 		cfg := faultCfg()
-		cfg.Faults = plan
+		cfg.Drift = drift
 		res, err := Run(g, p, c, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Relative
+		return res
 	}
 	clean := mk(nil)
-	flap := mk(&FaultPlan{Links: []LinkFault{
-		{Device: 1, At: 150 * time.Millisecond, Duration: 80 * time.Millisecond, Factor: 0},
-	}})
-	severed := mk(&FaultPlan{Links: []LinkFault{
-		{Device: 1, At: 100 * time.Millisecond, Duration: UntilEnd, Factor: 0},
-	}})
-	t.Logf("clean=%v flap=%v severed=%v", clean, flap, severed)
-	if flap > clean-0.03 {
-		t.Errorf("a flap on a saturated link must cost throughput: clean=%v flap=%v", clean, flap)
+	flap := mk(timeline(t, 2, linkClass(6, 0.01), linkClass(9, 1))) // [150, 225) ms
+	severed := mk(timeline(t, 2, linkClass(4, 0.01)))
+	t.Logf("clean=%v flap=%v severed=%v", clean.Relative, flap.Relative, severed.Relative)
+	if flap.Relative > clean.Relative-0.03 {
+		t.Errorf("a flap on a saturated link must cost throughput: clean=%v flap=%v", clean.Relative, flap.Relative)
 	}
-	if severed > flap-0.03 {
-		t.Errorf("a permanent severance must cost more than a flap: flap=%v severed=%v", flap, severed)
+	if severed.Relative > flap.Relative-0.03 {
+		t.Errorf("a permanent drop must cost more than a flap: flap=%v severed=%v", flap.Relative, severed.Relative)
+	}
+	if flap.LinkRetunes != 2 {
+		t.Errorf("a flap must retune the links down and back up, got %d retunes", flap.LinkRetunes)
 	}
 }
 
-func TestFaultScheduleQueries(t *testing.T) {
-	plan := &FaultPlan{
-		Devices: []DeviceFault{{Device: 0, At: 10 * time.Millisecond, Duration: 5 * time.Millisecond}},
-		Links: []LinkFault{
-			{Device: -1, At: 0, Duration: 20 * time.Millisecond, Factor: 0.5},
-			{Device: 1, At: 0, Duration: 20 * time.Millisecond, Factor: 0.5},
-		},
+// TestRunUnderDriftDeviceLoss permanently loses the sink's device: it
+// must cost throughput versus the drift-free run and measure as one crash
+// with no restart.
+func TestRunUnderDriftDeviceLoss(t *testing.T) {
+	c := sim.DefaultCluster(2, 1e6)
+	mk := func(drift []sim.DriftState) Result {
+		g := chainGraph(200, 1)
+		p := onDevice(g, 2, 0, 0, 1)
+		cfg := faultCfg()
+		cfg.Drift = drift
+		res, err := Run(g, p, c, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	s := newFaultSchedule(plan, 2)
-	if s.deviceDown(0, 5*time.Millisecond) {
-		t.Error("device 0 should be up before At")
+	clean := mk(nil)
+	lost := mk(timeline(t, 2, loss(1, 6, 0)))
+	t.Logf("clean=%v lost=%v crashes=%d", clean.Relative, lost.Relative, lost.DeviceCrashes)
+	if lost.Relative >= clean.Relative {
+		t.Errorf("losing the sink's device must cost throughput: clean=%v lost=%v",
+			clean.Relative, lost.Relative)
 	}
-	if !s.deviceDown(0, 12*time.Millisecond) {
-		t.Error("device 0 should be down inside the window")
+	if lost.DeviceCrashes != 1 || lost.DeviceRestarts != 0 {
+		t.Errorf("a permanent loss is one crash and no restart, got %d and %d", lost.DeviceCrashes, lost.DeviceRestarts)
 	}
-	if s.deviceDown(0, 16*time.Millisecond) {
-		t.Error("device 0 should have restarted")
+}
+
+// TestRunUnderSurgeRetunesSources checks the drift controller retunes
+// arrival buckets: a bounded mid-run surge records its onset and decay.
+func TestRunUnderSurgeRetunesSources(t *testing.T) {
+	c := sim.DefaultCluster(1, 1e6)
+	g := chainGraph(100, 0)
+	p := onDevice(g, 1, 0, 0, 0)
+	cfg := faultCfg()
+	cfg.Drift = timeline(t, 1, sim.DriftEvent{Kind: sim.DriftSourceSurge, Tick: 4, DurTicks: 4, Factor: 2})
+	res, err := Run(g, p, c, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if f := s.linkFactor(0, 10*time.Millisecond); f != 0.5 {
-		t.Errorf("device 0 factor = %v, want 0.5", f)
-	}
-	if f := s.linkFactor(1, 10*time.Millisecond); f != 0.25 {
-		t.Errorf("overlapping faults must compound: got %v, want 0.25", f)
-	}
-	if f := s.linkFactor(1, 30*time.Millisecond); f != 1 {
-		t.Errorf("expired faults must clear: got %v, want 1", f)
-	}
-	var empty *faultSchedule
-	if empty.deviceDown(0, 0) || empty.linkFactor(0, 0) != 1 {
-		t.Error("nil schedule must be a no-op")
+	if res.SourceRetunes != 2 {
+		t.Errorf("a bounded surge must retune sources at onset and decay, got %d", res.SourceRetunes)
 	}
 }

@@ -13,10 +13,13 @@
 // Tuples are not materialized individually; batches carry counts, so the
 // runtime measures scheduling/contention behaviour, not payload copying.
 //
-// A FaultPlan (see fault.go) optionally injects device crashes/restarts
-// and link-rate degradations or flaps into a run, so a placement can be
-// scored under the failures a real cluster exhibits — the robustness
-// metric reported by the eval harness and examples/faults.
+// A drift timeline (Config.Drift, the []sim.DriftState that
+// sim.BuildTimeline returns) optionally replays device crashes and
+// restarts, link-class changes and source-rate surges against a run, so a
+// placement can be scored under the failures a real cluster exhibits —
+// the robustness metric reported by the eval harness and examples/faults.
+// The fluid model replays the same timeline tick by tick
+// (sim.SimulateDrift), so both executors see one failure scenario.
 package runtime
 
 import (
@@ -46,13 +49,16 @@ type Config struct {
 	ChannelDepth int
 	// WarmupFrac of WallTime is excluded from throughput measurement.
 	WarmupFrac float64
-	// Faults optionally injects device crashes and link degradations into
-	// the run (nil = fault-free execution). See FaultPlan.
-	Faults *FaultPlan
-	// Drift optionally injects source-rate surges, device pool
-	// shrink/grow, and link class changes (nil = drift-free execution).
-	// See DriftPlan and PlanFromEvents.
-	Drift *DriftPlan
+	// Drift optionally replays a drift timeline, as sim.BuildTimeline
+	// returns it (nil = a nominal, fault-free run). Each state holds for
+	// an equal share of WallTime, in order. A device that is not Up
+	// crashes: its operators neither ingest, process nor emit, so full
+	// input channels backpressure upstream devices as a dead machine
+	// would. When it is Up again it restarts empty: queued tuples,
+	// residual output, NIC credits and whatever sat in its input channels
+	// are lost, the in-flight data a real crash destroys.
+	// BandwidthFactor scales every NIC and RateFactor every source.
+	Drift []sim.DriftState
 }
 
 // DefaultConfig runs 300 ms of wall time at 10× time scale.
@@ -77,16 +83,16 @@ type Result struct {
 	Elapsed float64
 	// DeviceCrashes counts up→down transitions the device goroutines
 	// actually observed during the run — the measured injection count, as
-	// opposed to whatever the FaultPlan scheduled (a crash scheduled after
-	// the wall clock expires never happens).
+	// opposed to whatever the timeline scheduled (a device that hosts no
+	// operator runs no goroutine, so its losses never register).
 	DeviceCrashes int
 	// DeviceRestarts counts state-wiping restarts devices executed.
 	DeviceRestarts int
-	// LinkRetunes counts NIC rate changes the link-fault controller
-	// applied (degradations and recoveries).
+	// LinkRetunes counts NIC rate changes the drift controller applied
+	// (a BandwidthFactor that differs from the previous state's).
 	LinkRetunes int
-	// SourceRetunes counts arrival-rate changes the surge controller
-	// applied (surge onsets and decays).
+	// SourceRetunes counts arrival-rate changes the drift controller
+	// applied (a RateFactor that differs from the previous state's).
 	SourceRetunes int
 }
 
@@ -111,7 +117,7 @@ func newBucket(rate float64, start time.Time) *bucket {
 }
 
 // setRate accrues tokens at the old rate up to now, then switches the
-// bucket to a new rate (fault injection: link degradation and recovery).
+// bucket to a new rate (drift: link-class changes and source surges).
 func (b *bucket) setRate(rate float64, now time.Time) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -162,19 +168,21 @@ func Run(g *stream.Graph, p *stream.Placement, c sim.Cluster, cfg Config) (Resul
 	if cfg.WallTime <= 0 || cfg.TimeScale <= 0 || cfg.BatchTuples <= 0 || cfg.ChannelDepth <= 0 {
 		return Result{}, fmt.Errorf("runtime: invalid config %+v", cfg)
 	}
-	if err := cfg.Faults.Validate(c.Devices); err != nil {
-		return Result{}, err
-	}
-	if err := cfg.Drift.Validate(c.Devices); err != nil {
-		return Result{}, err
-	}
-	effective := mergeFaults(cfg.Faults, cfg.Drift)
-	if effective != cfg.Faults {
-		if err := effective.Validate(c.Devices); err != nil {
-			return Result{}, fmt.Errorf("runtime: fault and drift plans conflict: %w", err)
+	for i, st := range cfg.Drift {
+		if err := st.Validate(c.Devices); err != nil {
+			return Result{}, fmt.Errorf("runtime: drift state %d: %w", i, err)
 		}
 	}
-	faults := newFaultSchedule(effective, c.Devices)
+	timeline := cfg.Drift
+	if len(timeline) == 0 {
+		timeline = []sim.DriftState{sim.NominalDrift(c.Devices)}
+	}
+	// stateAt returns the index of the state holding elapsed into the run:
+	// state i covers [i, i+1)·WallTime/len(timeline).
+	stateAt := func(elapsed time.Duration) int {
+		i := int(int64(elapsed) * int64(len(timeline)) / int64(cfg.WallTime))
+		return min(max(i, 0), len(timeline)-1)
+	}
 
 	n := g.NumNodes()
 	start := time.Now()
@@ -189,10 +197,11 @@ func Run(g *stream.Graph, p *stream.Placement, c sim.Cluster, cfg Config) (Resul
 	cpu := make([]*bucket, c.Devices)
 	egress := make([]*bucket, c.Devices)
 	ingress := make([]*bucket, c.Devices)
+	nic := c.Bandwidth * cfg.TimeScale
 	for d := 0; d < c.Devices; d++ {
 		cpu[d] = newBucket(c.CapacityOf(d)*cfg.TimeScale, start)
-		egress[d] = newBucket(c.Bandwidth*cfg.TimeScale, start)
-		ingress[d] = newBucket(c.Bandwidth*cfg.TimeScale, start)
+		egress[d] = newBucket(nic*timeline[0].BandwidthFactor, start)
+		ingress[d] = newBucket(nic*timeline[0].BandwidthFactor, start)
 	}
 
 	// Per-operator pending input tuples (owned by the device goroutine,
@@ -234,10 +243,11 @@ func Run(g *stream.Graph, p *stream.Placement, c sim.Cluster, cfg Config) (Resul
 		devOps[p.Assign[v]] = append(devOps[p.Assign[v]], v)
 	}
 	// Source token buckets (arrival processes).
+	arrival := g.SourceRate * cfg.TimeScale
 	srcBucket := make([]*bucket, n)
 	for v := 0; v < n; v++ {
 		if isSource[v] {
-			srcBucket[v] = newBucket(g.SourceRate*cfg.TimeScale, start)
+			srcBucket[v] = newBucket(arrival*timeline[0].RateFactor, start)
 		}
 	}
 
@@ -245,7 +255,7 @@ func Run(g *stream.Graph, p *stream.Placement, c sim.Cluster, cfg Config) (Resul
 	defer cancel()
 
 	// Measured fault-injection counts. Each device goroutine owns its own
-	// slice slot and the controller goroutine owns linkRetunes; wg.Wait
+	// slice slot and the drift controller owns the retune counts; wg.Wait
 	// orders their final writes before the summation below.
 	crashCount := make([]int, c.Devices)
 	restartCount := make([]int, c.Devices)
@@ -267,7 +277,7 @@ func Run(g *stream.Graph, p *stream.Placement, c sim.Cluster, cfg Config) (Resul
 				now := time.Now()
 				// Fault injection: a crashed device does nothing; its full
 				// input channels backpressure the rest of the graph.
-				if faults.deviceDown(d, now.Sub(start)) {
+				if !timeline[stateAt(now.Sub(start))].Up(d) {
 					if !crashed {
 						crashCount[d]++
 					}
@@ -476,60 +486,36 @@ func Run(g *stream.Graph, p *stream.Placement, c sim.Cluster, cfg Config) (Resul
 			}
 		}(d)
 	}
-	// Link-fault controller: periodically recompute each device's
-	// bandwidth factor and retune the NIC buckets when it changes. The
-	// buckets' own mutexes make this safe against in-flight take calls.
-	if faults != nil && len(faults.links) > 0 {
+	// Drift controller: at each state boundary, retune every NIC bucket
+	// when the bandwidth factor changes and every source bucket when the
+	// rate factor does. The buckets' own mutexes make this safe against
+	// in-flight take calls; device crashes need no controller, since each
+	// device goroutine reads its own availability from the timeline.
+	if len(timeline) > 1 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			current := make([]float64, c.Devices)
-			for d := range current {
-				current[d] = 1
-			}
-			ticker := time.NewTicker(time.Millisecond)
-			defer ticker.Stop()
-			for ctx.Err() == nil {
+			for i := 1; i < len(timeline); i++ {
+				at := start.Add(cfg.WallTime * time.Duration(i) / time.Duration(len(timeline)))
+				timer := time.NewTimer(time.Until(at))
 				select {
 				case <-ctx.Done():
+					timer.Stop()
 					return
-				case now := <-ticker.C:
-					elapsed := now.Sub(start)
-					for d := 0; d < c.Devices; d++ {
-						f := faults.linkFactor(d, elapsed)
-						if f != current[d] {
-							current[d] = f
-							linkRetunes++
-							egress[d].setRate(c.Bandwidth*cfg.TimeScale*f, now)
-							ingress[d].setRate(c.Bandwidth*cfg.TimeScale*f, now)
+				case now := <-timer.C:
+					prev, st := timeline[i-1], timeline[i]
+					if st.BandwidthFactor != prev.BandwidthFactor {
+						linkRetunes++
+						for d := 0; d < c.Devices; d++ {
+							egress[d].setRate(nic*st.BandwidthFactor, now)
+							ingress[d].setRate(nic*st.BandwidthFactor, now)
 						}
 					}
-				}
-			}
-		}()
-	}
-	// Surge controller: periodically recompute the compound surge factor
-	// and retune every source arrival bucket when it changes — the drift
-	// analogue of the link-fault controller above.
-	if cfg.Drift != nil && len(cfg.Drift.Surges) > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			current := 1.0
-			ticker := time.NewTicker(time.Millisecond)
-			defer ticker.Stop()
-			for ctx.Err() == nil {
-				select {
-				case <-ctx.Done():
-					return
-				case now := <-ticker.C:
-					f := surgeFactor(cfg.Drift.Surges, now.Sub(start))
-					if f != current {
-						current = f
+					if st.RateFactor != prev.RateFactor {
 						sourceRetunes++
-						for v := 0; v < n; v++ {
-							if srcBucket[v] != nil {
-								srcBucket[v].setRate(g.SourceRate*cfg.TimeScale*f, now)
+						for _, b := range srcBucket {
+							if b != nil {
+								b.setRate(arrival*st.RateFactor, now)
 							}
 						}
 					}

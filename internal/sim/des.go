@@ -1,4 +1,4 @@
-// des.go implements the discrete-event solver — the closest of the three
+// des.go implements the discrete-event solver — the closer of the two
 // simulator modes to CEPSim's actual mechanics [38]: operators hold input
 // queues, devices schedule resident operators round-robin in fixed time
 // quanta, links transfer tuple batches at finite bandwidth, and bounded

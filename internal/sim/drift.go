@@ -2,10 +2,12 @@
 // changing while a placement is live. Real clusters see source-rate
 // surges, devices leaving (failures, decommissions) and joining
 // (autoscaling), and link classes changing (a tenant moved to a slower
-// network tier). A DriftState is the effective environment at one instant;
-// a timeline of DriftStates, built from discrete DriftEvents, drives the
-// deterministic re-allocation experiments, while internal/runtime replays
-// the same events against the wall-clock executor.
+// network tier). A DriftState is the effective environment at one instant.
+// A timeline of DriftStates, built from discrete DriftEvents by
+// BuildTimeline, is the one form of a failure scenario: the deterministic
+// re-allocation and robustness experiments replay it tick by tick on the
+// fluid model, and internal/runtime replays the same states against the
+// wall-clock executor (runtime.Config.Drift).
 package sim
 
 import (
@@ -174,8 +176,8 @@ type DriftEvent struct {
 	Factor float64
 }
 
-// ValidateEvents checks a drift event list against a cluster size.
-func ValidateEvents(events []DriftEvent, devices int) error {
+// validateEvents checks a drift event list against a cluster size.
+func validateEvents(events []DriftEvent, devices int) error {
 	for i, ev := range events {
 		if ev.Tick < 0 {
 			return fmt.Errorf("sim: drift event %d starts at negative tick %d", i, ev.Tick)
@@ -205,7 +207,7 @@ func ValidateEvents(events []DriftEvent, devices int) error {
 // or before a tick wins; a device with a join event is absent until its
 // join tick; loss windows override availability regardless of joins.
 func BuildTimeline(devices, ticks int, events []DriftEvent) ([]DriftState, error) {
-	if err := ValidateEvents(events, devices); err != nil {
+	if err := validateEvents(events, devices); err != nil {
 		return nil, err
 	}
 	// Devices with a join event start absent.

@@ -224,27 +224,6 @@ func TestQuickRelativeInUnitInterval(t *testing.T) {
 	}
 }
 
-// Property: increasing bandwidth or MIPS never decreases throughput.
-func TestQuickMonotoneInResources(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g, p := randomGraphAndPlacement(rng, 3)
-		c1 := Cluster{Devices: 3, MIPS: 0.3, Bandwidth: 2e5, Links: NIC}
-		c2 := c1
-		c2.MIPS *= 2
-		c2.Bandwidth *= 2
-		r1, err1 := Simulate(g, p, c1)
-		r2, err2 := Simulate(g, p, c2)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		return r2.Relative >= r1.Relative-1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: a single-device placement never hits a network bottleneck.
 func TestQuickSingleDeviceNoNetwork(t *testing.T) {
 	f := func(seed int64) bool {
