@@ -15,7 +15,7 @@ BENCH_THRESHOLD ?= 10
 # size the previous tests left behind.
 BENCH_MEMLIMIT ?= 2GiB
 
-.PHONY: build test check race vet fmt lint loc quality bench bench-smoke bench-gate bench-baseline bench-huge bench-kernels benchdiff curve chaos serve-smoke serve-bench perfbench-smoke
+.PHONY: build test check race vet fmt lint loc quality fuzz bench bench-smoke bench-gate bench-baseline bench-huge bench-kernels benchdiff curve chaos serve-smoke serve-bench perfbench-smoke
 
 build:
 	$(GO) build ./...
@@ -78,6 +78,18 @@ quality:
 	$(GO) run ./cmd/experiments -run table1,fig5,fig6,fig8,table2,drift,robustness-sim -budget quick -scale 0.4 -quiet > .quality.txt
 	grep -v '^completed ' .quality.txt | diff QUALITY_GOLDEN.txt -
 
+# Fuzz gate: ten seconds of go's native fuzzer on POST /allocate, the one
+# decoder of untrusted bytes. No input may panic the handler or answer
+# 5xx, and a 200 must carry an in-range device per operator and a relative
+# throughput in [0, 1]. A failing input lands in
+# internal/serve/testdata/fuzz/ and replays under `go test` from then on.
+# The fuzzer minimizes every new interesting input for up to
+# -fuzzminimizetime (60 s by default); inputs grown from the Medium seed
+# are tens of KB, so the default spends the whole run minimizing one of
+# them, and 2 s keeps the workers fuzzing.
+fuzz:
+	$(GO) test -run='^$$' -fuzz='^FuzzAllocateRequest$$' -fuzztime=10s -fuzzminimizetime=2s ./internal/serve/
+
 # One iteration of every benchmark: catches benchmarks that panic or
 # regress into non-termination without paying for a full measurement run.
 bench-smoke:
@@ -115,10 +127,10 @@ serve-bench:
 	$(GO) run ./cmd/benchjson -diff -threshold $(BENCH_THRESHOLD) $(BENCH_BASELINE) .bench_serve.json
 
 # Full pre-merge check: lint (formatting + vet) + race-detected tests +
-# chaos suites + quality gate + benchmark smoke run + observability smoke +
+# chaos suites + quality gate + fuzz gate + benchmark smoke run + observability smoke +
 # serving smoke + benchmark-harness smoke + huge-graph scaling gate +
 # regression gate against the committed baseline.
-check: lint race chaos quality bench-smoke curve serve-smoke perfbench-smoke bench-huge bench-gate
+check: lint race chaos quality fuzz bench-smoke curve serve-smoke perfbench-smoke bench-huge bench-gate
 
 # Regression gate: measure the stable micro set (min of -count=3) and fail
 # when any benchmark regressed more than BENCH_THRESHOLD percent in ns/op,

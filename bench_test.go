@@ -1,6 +1,7 @@
 package streamcoarsen
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -461,7 +462,7 @@ func BenchmarkSimulateDES(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.SimulateDES(g, p, c, sim.DefaultDESConfig()); err != nil {
+		if _, err := sim.SimulateDES(g, p, c); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -588,7 +589,7 @@ func BenchmarkServe(b *testing.B) {
 				// A unique source-rate view per iteration keeps every
 				// fingerprint distinct, forcing the full forward + placement.
 				g := graphs[i%len(graphs)].ScaleSourceRate(1 + float64(i)*1e-9)
-				if _, err := svc.Allocate(g, s.Cluster); err != nil {
+				if _, err := svc.AllocateCtx(context.Background(), g, s.Cluster); err != nil {
 					b.Error(err)
 				}
 			})
@@ -600,14 +601,14 @@ func BenchmarkServe(b *testing.B) {
 			}
 			defer svc.Close()
 			for _, g := range graphs {
-				if _, err := svc.Allocate(g, s.Cluster); err != nil {
+				if _, err := svc.AllocateCtx(context.Background(), g, s.Cluster); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			runClients(b, clients, func(i int) {
-				if _, err := svc.Allocate(graphs[i%len(graphs)], s.Cluster); err != nil {
+				if _, err := svc.AllocateCtx(context.Background(), graphs[i%len(graphs)], s.Cluster); err != nil {
 					b.Error(err)
 				}
 			})

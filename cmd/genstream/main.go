@@ -4,7 +4,8 @@
 // Graphs are generated one at a time and streamed straight into the JSON
 // encoder, so peak memory is a single graph — the extreme preset (~1M
 // nodes) exports in O(E) memory instead of materializing the whole split.
-// The byte output is identical to marshaling the full set at once.
+// The output is a JSON array of graphs in allocserve's wire format:
+// serve.GraphSpec decodes each element, bit for bit.
 //
 // Usage:
 //

@@ -464,12 +464,6 @@ func (t *Tape) Sum(a *Node) *Node {
 	})
 }
 
-// Mean records the scalar mean of all elements.
-func (t *Tape) Mean(a *Node) *Node {
-	n := float64(a.Value.Rows * a.Value.Cols)
-	return t.Scale(t.Sum(a), 1/n)
-}
-
 // LogSoftmaxRows records a numerically stable row-wise log-softmax.
 func (t *Tape) LogSoftmaxRows(a *Node) *Node {
 	rows, cols := a.Value.Rows, a.Value.Cols

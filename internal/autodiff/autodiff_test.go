@@ -138,7 +138,9 @@ func TestGradRowOps(t *testing.T) {
 	checkGrad(t, "add-row-vector-bias", bias, func(tp *Tape, x *Node) *Node {
 		return tp.Sum(tp.Tanh(tp.AddRowVector(tp.Const(a), x)))
 	})
-	checkGrad(t, "mean", a, func(tp *Tape, x *Node) *Node { return tp.Mean(tp.Tanh(x)) })
+	checkGrad(t, "mean", a, func(tp *Tape, x *Node) *Node {
+		return tp.Scale(tp.Sum(tp.Tanh(x)), 1/float64(x.Value.Rows*x.Value.Cols))
+	})
 }
 
 func TestGradLogSoftmaxAndPick(t *testing.T) {

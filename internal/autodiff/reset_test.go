@@ -12,7 +12,8 @@ import (
 // reduction).
 func buildLoss(tp *Tape, x, w1, b1, w2 *Node) *Node {
 	h := tp.ReLU(tp.AddRowVector(tp.MatMul(x, w1), b1))
-	return tp.Mean(tp.Mul(tp.MatMul(h, w2), tp.MatMul(h, w2)))
+	sq := tp.Mul(tp.MatMul(h, w2), tp.MatMul(h, w2))
+	return tp.Scale(tp.Sum(sq), 1/float64(sq.Value.Rows*sq.Value.Cols))
 }
 
 func TestTapeResetReproducesGradients(t *testing.T) {

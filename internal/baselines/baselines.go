@@ -55,14 +55,6 @@ func maskLogits(m *tensor.Matrix, devices int) {
 	}
 }
 
-// Model is the common interface of the learned direct-placement baselines.
-type Model interface {
-	// Place greedily assigns every operator to a device.
-	Place(g *stream.Graph, cluster sim.Cluster) *stream.Placement
-	// Name identifies the baseline in reports.
-	Name() string
-}
-
 // direct holds the policy methods of a placer whose action is one device
 // per operator (GDP, Graph-enc-dec). Hierarchical embeds it too and
 // overrides Guided and Reward.
@@ -179,7 +171,7 @@ func NewGraphEncDec(m, hidden int, seed int64) *GraphEncDec {
 	}
 }
 
-// Name implements Model.
+// Name implements placer.Placer.
 func (m *GraphEncDec) Name() string { return "graph-enc-dec" }
 
 // decode runs the LSTM decoder over nodes in topological order; choose
@@ -215,7 +207,7 @@ func (m *GraphEncDec) decode(b *nn.Binder, g *stream.Graph, cluster sim.Cluster,
 	return assign, logProbSum
 }
 
-// Place implements Model with greedy decoding.
+// Place implements placer.Placer with greedy decoding.
 func (m *GraphEncDec) Place(g *stream.Graph, cluster sim.Cluster) *stream.Placement {
 	return &stream.Placement{Assign: greedy(m, g, cluster), Devices: cluster.Devices}
 }
@@ -277,10 +269,10 @@ func NewGDP(m int, seed int64) *GDP {
 	}
 }
 
-// Name implements Model.
+// Name implements placer.Placer.
 func (m *GDP) Name() string { return "gdp" }
 
-// Place implements Model: per-node argmax.
+// Place implements placer.Placer: per-node argmax.
 func (m *GDP) Place(g *stream.Graph, cluster sim.Cluster) *stream.Placement {
 	return &stream.Placement{Assign: greedy(m, g, cluster), Devices: cluster.Devices}
 }
@@ -339,7 +331,7 @@ func NewHierarchical(groups, hidden int, seed int64) *Hierarchical {
 	}
 }
 
-// Name implements Model.
+// Name implements placer.Placer.
 func (m *Hierarchical) Name() string { return "hierarchical" }
 
 // placeGroups runs the LSTM placer over group summary embeddings (mean of
@@ -394,7 +386,7 @@ func (m *Hierarchical) placeGroups(b *nn.Binder, f *gnn.Features, cluster sim.Cl
 	return lpSum
 }
 
-// Place implements Model: argmax groups, then argmax devices.
+// Place implements placer.Placer: argmax groups, then argmax devices.
 func (m *Hierarchical) Place(g *stream.Graph, cluster sim.Cluster) *stream.Placement {
 	return m.placement(greedy(m, g, cluster), cluster)
 }

@@ -35,7 +35,7 @@ func quickCfg() rl.Config {
 
 // learned is a baseline as both a placer and a trainable policy.
 type learned interface {
-	Model
+	placer.Placer
 	rl.Policy[[]int]
 }
 

@@ -66,17 +66,8 @@ func WriteFile(path, kind string, payload any) error {
 	return nil
 }
 
-// ReadFile reads an envelope written by WriteFile, verifies its checksum
-// and kind, and decodes the payload into out (a pointer).
-func ReadFile(path, kind string, out any) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("ckpt: read: %w", err)
-	}
-	return Decode(data, kind, out)
-}
-
-// Decode verifies and decodes envelope bytes (see ReadFile).
+// Decode verifies the envelope bytes WriteFile wrote — checksum, version
+// and kind — and decodes the payload into out (a pointer).
 func Decode(data []byte, kind string, out any) error {
 	var env envelope
 	if err := strictUnmarshal(data, &env); err != nil {

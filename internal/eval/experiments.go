@@ -71,7 +71,7 @@ type Harness struct {
 
 	datasets map[string]*gen.Dataset
 	coarsen  map[string]*core.Model
-	base     map[string]baselines.Model
+	base     map[string]placer.Placer
 }
 
 // NewHarness builds a harness with the given dataset scale.
@@ -82,7 +82,7 @@ func NewHarness(scale float64, budget Budget) *Harness {
 		Seed:     1,
 		datasets: make(map[string]*gen.Dataset),
 		coarsen:  make(map[string]*core.Model),
-		base:     make(map[string]baselines.Model),
+		base:     make(map[string]placer.Placer),
 	}
 }
 
@@ -260,13 +260,13 @@ func (h *Harness) trainPlacer(m rl.Policy[[]int], graphs []*stream.Graph, c sim.
 
 // Baseline returns the trained learned baseline ("graph-enc-dec", "gdp",
 // "hierarchical") for a setting, training on first use.
-func (h *Harness) Baseline(kind string, s gen.Setting) baselines.Model {
+func (h *Harness) Baseline(kind string, s gen.Setting) placer.Placer {
 	key := kind + "/" + s.Name
 	if m, ok := h.base[key]; ok {
 		return m
 	}
 	var m interface {
-		baselines.Model
+		placer.Placer
 		rl.Policy[[]int]
 	}
 	switch kind {
@@ -290,7 +290,7 @@ func (h *Harness) Baseline(kind string, s gen.Setting) baselines.Model {
 // partitioning-stage role it plays in Coarsen+Graph-enc-dec. (A direct
 // placer trained on full-size graphs transfers poorly to 20-50-node coarse
 // graphs with aggregated features.)
-func (h *Harness) CoarsePlacerEncDec(level string, s gen.Setting) baselines.Model {
+func (h *Harness) CoarsePlacerEncDec(level string, s gen.Setting) placer.Placer {
 	key := "graph-enc-dec-coarse/" + s.Name
 	if m, ok := h.base[key]; ok {
 		return m
@@ -344,7 +344,7 @@ func (h *Harness) coarsenThroughputs(m *core.Model, pl placer.Placer, ds *gen.Da
 }
 
 // baselineThroughputs evaluates a learned direct-placement baseline.
-func (h *Harness) baselineThroughputs(m baselines.Model, ds *gen.Dataset) []float64 {
+func (h *Harness) baselineThroughputs(m placer.Placer, ds *gen.Dataset) []float64 {
 	return parallel.Map(len(ds.Test), 0, func(i int) float64 {
 		g := ds.Test[i]
 		return sim.Reward(g, m.Place(g, ds.Cluster), ds.Cluster) * g.SourceRate

@@ -63,7 +63,7 @@ func (h *Harness) SimValidate() *SimValidateResult {
 			if err != nil {
 				continue
 			}
-			dres, err := sim.SimulateDES(g, p, cluster, sim.DefaultDESConfig())
+			dres, err := sim.SimulateDES(g, p, cluster)
 			if err != nil {
 				continue
 			}

@@ -124,23 +124,6 @@ func Box(values []float64) BoxStats {
 	}
 }
 
-// Histogram counts values into equal-width bins over [lo, hi].
-func Histogram(values []float64, lo, hi float64, bins int) []int {
-	counts := make([]int, bins)
-	width := (hi - lo) / float64(bins)
-	for _, v := range values {
-		b := int((v - lo) / width)
-		if b < 0 {
-			b = 0
-		}
-		if b >= bins {
-			b = bins - 1
-		}
-		counts[b]++
-	}
-	return counts
-}
-
 // IntHistogram counts integer values (e.g., used-device counts) into
 // per-value buckets over [lo, hi].
 func IntHistogram(values []int, lo, hi int) map[int]int {

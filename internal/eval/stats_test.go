@@ -97,14 +97,6 @@ func TestBoxStats(t *testing.T) {
 	}
 }
 
-func TestHistogramBins(t *testing.T) {
-	h := Histogram([]float64{0.1, 0.5, 0.9, 1.5, -2}, 0, 1, 2)
-	// 0.1 and clamped -2 land in bin 0; 0.5, 0.9, and clamped 1.5 in bin 1.
-	if h[0] != 2 || h[1] != 3 {
-		t.Fatalf("hist = %v", h)
-	}
-}
-
 func TestIntHistogram(t *testing.T) {
 	h := IntHistogram([]int{1, 1, 3, 99}, 0, 10)
 	if h[1] != 2 || h[3] != 1 || h[10] != 1 {

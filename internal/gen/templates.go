@@ -9,8 +9,8 @@ import (
 
 // Template names a hand-modelled real-world stream application shape. The
 // paper motivates its synthetic generator with such applications
-// ([19]–[24]); these templates provide concrete instances for examples,
-// tests, and demos, parameterized by a width factor so they scale from a
+// ([19]–[24]); these templates provide concrete instances for the
+// transferapps experiment and tests, parameterized by a width factor so they scale from a
 // dozen to hundreds of operators.
 type Template string
 

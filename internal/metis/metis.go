@@ -38,12 +38,6 @@ var (
 type Options struct {
 	// Parts is the number of partitions (devices) to produce.
 	Parts int
-	// Imbalance is the allowed fractional overload per part (Metis default
-	// ~0.03; we default to 0.05).
-	Imbalance float64
-	// CoarsenTo stops coarsening once the graph has at most this many
-	// nodes; 0 selects max(15×Parts, 30).
-	CoarsenTo int
 	// RefinePasses bounds FM passes per level; 0 selects 8.
 	RefinePasses int
 	// Seed drives the randomized matching and refinement orders.
@@ -62,16 +56,14 @@ func (o Options) targetFraction(p int) float64 {
 	return 1 / float64(o.Parts)
 }
 
+// imbalance is the allowed fractional overload per part (Metis's own
+// default is about 0.03).
+const imbalance float64 = 0.05
+
+// coarsenTo is the node count at which coarsening stops.
+func (o Options) coarsenTo() int { return max(15*o.Parts, 30) }
+
 func (o Options) withDefaults() Options {
-	if o.Imbalance <= 0 {
-		o.Imbalance = 0.05
-	}
-	if o.CoarsenTo <= 0 {
-		o.CoarsenTo = 15 * o.Parts
-		if o.CoarsenTo < 30 {
-			o.CoarsenTo = 30
-		}
-	}
 	if o.RefinePasses <= 0 {
 		o.RefinePasses = 8
 	}
@@ -264,7 +256,7 @@ func Partition(g *stream.Graph, opts Options) *stream.Placement {
 // project and refine level by level on the way back up.
 func (ws *workspace) partition(opts Options, out []int) {
 	ws.rng.Seed(opts.Seed)
-	top := ws.coarsen(opts.CoarsenTo, true)
+	top := ws.coarsen(opts.coarsenTo(), true)
 	part := ws.partBuf(top, out)
 	ws.initialPartition(&ws.levels[top].g, part, opts)
 	ws.refine(&ws.levels[top].g, part, opts)
@@ -441,7 +433,7 @@ func (ws *workspace) refine(g *wgraph, part []int, opts Options) {
 	total := g.totalWeight()
 	maxLoad := grow(&ws.maxLoad, opts.Parts)
 	for p := range maxLoad {
-		maxLoad[p] = (1 + opts.Imbalance) * total * opts.targetFraction(p)
+		maxLoad[p] = (1 + imbalance) * total * opts.targetFraction(p)
 	}
 	loads := grow(&ws.loads, opts.Parts)
 	clear(loads)

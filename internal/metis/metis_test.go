@@ -585,7 +585,7 @@ func refineRef(g *wgraph, part []int, opts Options, rng *rand.Rand) uint64 {
 	total := g.totalWeight()
 	maxLoad := make([]float64, opts.Parts)
 	for p := 0; p < opts.Parts; p++ {
-		maxLoad[p] = (1 + opts.Imbalance) * total * opts.targetFraction(p)
+		maxLoad[p] = (1 + imbalance) * total * opts.targetFraction(p)
 	}
 	loads := make([]float64, opts.Parts)
 	for v := 0; v < n; v++ {
@@ -733,7 +733,7 @@ func partitionRef(g *stream.Graph, opts Options) ([]int, uint64) {
 	opts = opts.withDefaults()
 	ws := &workspace{rng: rand.New(rand.NewSource(opts.Seed))}
 	ws.load(g)
-	top := ws.coarsen(opts.CoarsenTo, true)
+	top := ws.coarsen(opts.coarsenTo(), true)
 	part := make([]int, ws.levels[top].g.n())
 	ws.initialPartition(&ws.levels[top].g, part, opts)
 	evals := refineRef(&ws.levels[top].g, part, opts, ws.rng)

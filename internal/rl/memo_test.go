@@ -67,23 +67,13 @@ func TestStepScoresEachDistinctDecisionOnce(t *testing.T) {
 	}
 }
 
-func TestNegativeRewardCacheSizeDisablesMemoization(t *testing.T) {
-	_, m, pipe := quickSetup(t, 1)
-	cfg := DefaultConfig()
-	cfg.RewardCacheSize = -1
-	tr := NewTrainer(cfg, m, pipe)
-	if tr.Rewards != nil {
-		t.Fatal("negative RewardCacheSize should disable the cache")
-	}
-}
-
 // TestMemoizationPreservesTrajectory trains the same setup with the cache
 // enabled and disabled, for every policy: because cache keys are exact
 // and scoring consumes no trainer randomness, the training trajectory
 // must be bit-identical. Graphs of 4–6 operators on two devices leave
 // few distinct actions, so sampled actions repeat and the cache answers.
 func TestMemoizationPreservesTrajectory(t *testing.T) {
-	run := func(kind string, cacheSize int) *Trainer {
+	run := func(kind string, cached bool) *Trainer {
 		s := gen.Medium5K()
 		s.TrainN, s.TestN = 2, 2
 		s.Config.MinNodes, s.Config.MaxNodes = 4, 6
@@ -96,8 +86,10 @@ func TestMemoizationPreservesTrajectory(t *testing.T) {
 		tcfg := DefaultConfig()
 		tcfg.PretrainEpochs, tcfg.Epochs = 2, 3
 		tcfg.Quiet = true
-		tcfg.RewardCacheSize = cacheSize
 		tr := newPolicyTrainer(kind, tcfg, m, pipe)
+		if !cached {
+			tr.Rewards = nil
+		}
 		if err := tr.TrainOn(ds.Train, ds.Cluster); err != nil {
 			t.Fatal(err)
 		}
@@ -105,8 +97,8 @@ func TestMemoizationPreservesTrajectory(t *testing.T) {
 	}
 	for _, kind := range policies {
 		t.Run(kind, func(t *testing.T) {
-			on := run(kind, 0)   // default-sized cache
-			off := run(kind, -1) // memoization disabled
+			on := run(kind, true)
+			off := run(kind, false)
 			if hits, misses := on.Rewards.Stats(); hits == 0 {
 				t.Fatalf("the cached run never hit its cache (%d misses): nothing was compared", misses)
 			}

@@ -89,13 +89,6 @@ type Config struct {
 	// = one graph visit). 0 disables periodic autosave; interruption
 	// still checkpoints when CheckpointPath is set.
 	AutosaveEvery int
-	// RewardCacheSize bounds the reward-memoization LRU (entries). 0
-	// selects the default (4096); negative disables memoization. The
-	// cache is an exact-key memo of the policy's deterministic reward (for
-	// the coarsening model, the coarsen → partition → simulate pipeline),
-	// so it never changes the training trajectory — only how often the
-	// reward actually runs.
-	RewardCacheSize int
 	// GraphBatch is the number of graphs trained per optimizer step
 	// (0 or 1 = classic serial REINFORCE: one Adam update per graph).
 	// For GraphBatch=N, the N graphs of a batch all run their forward,
@@ -110,8 +103,6 @@ type Config struct {
 	TrainWorkers int
 	// Quiet suppresses progress logging.
 	Quiet bool
-	// Logf receives progress lines when non-nil (and Quiet is false).
-	Logf func(format string, args ...any)
 	// Tracer, when set, records per-phase spans (encode / sample /
 	// simulate / backward / all-reduce / checkpoint) on per-worker lanes,
 	// exportable as Chrome trace-event JSON. Observation only: phase
@@ -183,8 +174,8 @@ type Trainer struct {
 	Divergences int
 
 	// Rewards memoizes action rewards across steps, keyed by the policy's
-	// Key (nil when disabled). Hit/miss counters are exported via
-	// Rewards.Stats().
+	// Key, in rewardCacheSize entries; setting it to nil disables the memo.
+	// Hit/miss counters are exported via Rewards.Stats().
 	Rewards *cache.LRU[string, float64]
 
 	// pol is the trained policy with its action type erased (policy.go);
@@ -240,19 +231,18 @@ func NewTrainer(cfg Config, model *core.Model, pipe *core.Pipeline) *Trainer {
 	return t
 }
 
+// rewardCacheSize bounds the reward memo (Trainer.Rewards). The memo is an
+// exact-key cache of the policy's deterministic reward (for the coarsening
+// model, the coarsen → partition → simulate pipeline), so it never changes
+// the training trajectory — only how often the reward actually runs.
+const rewardCacheSize = 4096
+
 // NewPolicyTrainer builds a trainer for any policy; the learned direct
 // placers of internal/baselines train through it.
 func NewPolicyTrainer[A any](cfg Config, p Policy[A]) *Trainer {
 	pcg := randv2.NewPCG(uint64(cfg.Seed), 0x9E3779B97F4A7C15)
-	var rewards *cache.LRU[string, float64]
-	if cfg.RewardCacheSize >= 0 {
-		size := cfg.RewardCacheSize
-		if size == 0 {
-			size = 4096
-		}
-		rewards = cache.New[string, float64](size)
-		rewards.Instrument(obsCacheHits, obsCacheMisses)
-	}
+	rewards := cache.New[string, float64](rewardCacheSize)
+	rewards.Instrument(obsCacheHits, obsCacheMisses)
 	return &Trainer{
 		Cfg:     cfg,
 		Opt:     nn.NewAdam(cfg.LR),
@@ -283,14 +273,9 @@ func (t *Trainer) score(gi int, g *stream.Graph, cluster sim.Cluster, a any) flo
 }
 
 func (t *Trainer) logf(format string, args ...any) {
-	if t.Cfg.Quiet {
-		return
+	if !t.Cfg.Quiet {
+		obs.Log.Infof(format, args...)
 	}
-	if t.Cfg.Logf != nil {
-		t.Cfg.Logf(format, args...)
-		return
-	}
-	obs.Log.Infof(format, args...)
 }
 
 // SeedMetisGuided populates the buffers with the policy's Metis-guided

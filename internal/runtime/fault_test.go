@@ -297,3 +297,28 @@ func TestRunUnderSurgeRetunesSources(t *testing.T) {
 		t.Errorf("a bounded surge must retune sources at onset and decay, got %d", res.SourceRetunes)
 	}
 }
+
+// TestRunSurgeMeasuredAgainstSurgedDemand checks that Relative divides by
+// the surged demand, as sim.SimulateDrift does: two operators that fill
+// one device at the nominal rate read near full rate, and a 2× surge over
+// the whole run halves them.
+func TestRunSurgeMeasuredAgainstSurgedDemand(t *testing.T) {
+	g := chain(2, 500, 1000, 1)
+	p := stream.NewPlacement(2, 2)
+	res, err := Run(g, p, testCluster(), quickConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Relative < 0.75 {
+		t.Fatalf("nominal relative = %g, want ≥ 0.75", res.Relative)
+	}
+	cfg := quickConfig()
+	cfg.Drift = timeline(t, 2, sim.DriftEvent{Kind: sim.DriftSourceSurge, Tick: 0, DurTicks: faultTicks, Factor: 2})
+	res, err = Run(g, p, testCluster(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Relative < 0.3 || res.Relative > 0.75 {
+		t.Fatalf("relative under a 2× surge = %g, want ≈0.5", res.Relative)
+	}
+}

@@ -17,9 +17,10 @@
 // sim.BuildTimeline returns) optionally replays device crashes and
 // restarts, link-class changes and source-rate surges against a run, so a
 // placement can be scored under the failures a real cluster exhibits —
-// the robustness metric reported by the eval harness and examples/faults.
-// The fluid model replays the same timeline tick by tick
-// (sim.SimulateDrift), so both executors see one failure scenario.
+// the robustness metric the eval harness reports. The fluid model replays
+// the same timeline tick by tick (sim.SimulateDrift), so both executors
+// see one failure scenario, and both measure throughput against the
+// surged demand.
 package runtime
 
 import (
@@ -75,7 +76,8 @@ func DefaultConfig() Config {
 // Result reports the measured execution.
 type Result struct {
 	// Relative is measured throughput / source rate ∈ [0, 1] — the same
-	// quantity the simulators report.
+	// quantity the simulators report. Under a drift timeline the source
+	// rate is the surged one, averaged over the measured window.
 	Relative float64
 	// SinkTuples is the total tuples absorbed by sinks after warmup.
 	SinkTuples float64
@@ -528,7 +530,17 @@ func Run(g *stream.Graph, p *stream.Placement, c sim.Cluster, cfg Config) (Resul
 	window := float64(cfg.WallTime)*(1-cfg.WarmupFrac)/float64(time.Second) + 1e-12
 	simWindow := window * cfg.TimeScale
 
-	// Normalize: sum of ideal sink input rates.
+	// Normalize: sum of ideal sink input rates. They scale with the source
+	// rate, so a surge raises them by the RateFactor averaged over the
+	// measured window, each state weighted by how long it overlaps it.
+	rateFactor := 0.0
+	for i, st := range timeline {
+		lo := max(float64(i)/float64(len(timeline)), cfg.WarmupFrac)
+		if hi := float64(i+1) / float64(len(timeline)); hi > lo {
+			rateFactor += (hi - lo) * st.RateFactor
+		}
+	}
+	rateFactor /= 1 - cfg.WarmupFrac
 	ideal := g.SteadyRates()
 	var idealSinkRate float64
 	for _, v := range g.Sinks() {
@@ -542,6 +554,7 @@ func Run(g *stream.Graph, p *stream.Placement, c sim.Cluster, cfg Config) (Resul
 		}
 		idealSinkRate += inRate * g.Nodes[v].Selectivity
 	}
+	idealSinkRate *= rateFactor
 	var sinks float64
 	for _, c := range sinkCount {
 		sinks += c

@@ -42,14 +42,14 @@ func TestInflightShed(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := svc.Allocate(graphs[0], s.Cluster)
+		_, err := svc.AllocateCtx(context.Background(), graphs[0], s.Cluster)
 		done <- err
 	}()
 	<-entered
 
 	// The parked request holds serve_inflight at 1, so new forwards are
 	// denied at admission.
-	if _, err := svc.Allocate(graphs[1], s.Cluster); !errors.Is(err, ErrOverloaded) {
+	if _, err := svc.AllocateCtx(context.Background(), graphs[1], s.Cluster); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("second request: %v, want ErrOverloaded", err)
 	}
 	if got := reg.Counter("serve_shed_total").Value(); got != 1 {
@@ -64,7 +64,7 @@ func TestInflightShed(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("parked request failed: %v", err)
 	}
-	if _, err := svc.Allocate(graphs[2], s.Cluster); err != nil {
+	if _, err := svc.AllocateCtx(context.Background(), graphs[2], s.Cluster); err != nil {
 		t.Fatalf("post-recovery request: %v", err)
 	}
 }
@@ -103,7 +103,7 @@ func TestSLOShedLatch(t *testing.T) {
 	}
 
 	// Shed mode denies forwards even though inflight is 0.
-	if _, err := svc.Allocate(g, s.Cluster); !errors.Is(err, ErrOverloaded) {
+	if _, err := svc.AllocateCtx(context.Background(), g, s.Cluster); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("Allocate under shed mode: %v, want ErrOverloaded", err)
 	}
 
@@ -122,7 +122,7 @@ func TestSLOShedLatch(t *testing.T) {
 	if got := reg.Gauge("serve_shed_mode").Value(); got != 0 {
 		t.Fatalf("serve_shed_mode = %v after recovery, want 0", got)
 	}
-	if _, err := svc.Allocate(g, s.Cluster); err != nil {
+	if _, err := svc.AllocateCtx(context.Background(), g, s.Cluster); err != nil {
 		t.Fatalf("post-recovery Allocate: %v", err)
 	}
 }
@@ -135,10 +135,10 @@ func TestServeQuantilesObserved(t *testing.T) {
 	g := s.Generate().Test[0]
 	reg := obs.NewRegistry()
 	svc := newTestService(t, Options{Model: core.New(core.DefaultConfig()), Registry: reg})
-	if _, err := svc.Allocate(g, s.Cluster); err != nil {
+	if _, err := svc.AllocateCtx(context.Background(), g, s.Cluster); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Allocate(g, s.Cluster); err != nil { // cache hit
+	if _, err := svc.AllocateCtx(context.Background(), g, s.Cluster); err != nil { // cache hit
 		t.Fatal(err)
 	}
 	if got := svc.LatencyQuantiles().Count; got != 2 {

@@ -234,6 +234,7 @@ func TestHTTPRejectsInvalidCluster(t *testing.T) {
 }
 
 // TestHTTPRejectsHostileGraph pins graph and body limits at the wire:
+// malformed JSON, an edge endpoint out of range and a cycle answer 400,
 // finite features whose steady-state demands overflow answer 400 instead
 // of a placement scored against infinite loads, a graph one operator or
 // one edge over maxRequestNodes or maxRequestEdges answers 400, and a
@@ -273,6 +274,12 @@ func TestHTTPRejectsHostileGraph(t *testing.T) {
 		status int
 	}{
 		{"valid graph", valid, http.StatusOK},
+		{"malformed JSON", []byte("{nope"), http.StatusBadRequest},
+		{"edge endpoint out of range", mutate(func(gs *GraphSpec) { gs.Edges[0].Dst = len(gs.Nodes) }), http.StatusBadRequest},
+		{"cycle", mutate(func(gs *GraphSpec) {
+			e := gs.Edges[0]
+			gs.Edges = append(gs.Edges, EdgeSpec{Src: e.Dst, Dst: e.Src})
+		}), http.StatusBadRequest},
 		{"every edge payload 1e308", mutate(func(gs *GraphSpec) {
 			for i := range gs.Edges {
 				gs.Edges[i].Payload = 1e308

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"math"
 	"os"
 	"path/filepath"
@@ -16,7 +17,7 @@ import (
 	"repro/internal/stream"
 )
 
-func newTestService(t *testing.T, opts Options) *Service {
+func newTestService(t testing.TB, opts Options) *Service {
 	t.Helper()
 	if opts.Model == nil {
 		opts.Model = core.New(core.DefaultConfig())
@@ -55,7 +56,7 @@ func TestServedMatchesOffline(t *testing.T) {
 
 	for gi, g := range s.Generate().Test[:6] {
 		offline := pipe.Allocate(g, s.Cluster)
-		cold, err := svc.Allocate(g, s.Cluster)
+		cold, err := svc.AllocateCtx(context.Background(), g, s.Cluster)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +71,7 @@ func TestServedMatchesOffline(t *testing.T) {
 			t.Fatalf("graph %d: num_super %d vs %d", gi, cold.NumSuper, offline.Coarse.NumSuper)
 		}
 
-		warm, err := svc.Allocate(g, s.Cluster)
+		warm, err := svc.AllocateCtx(context.Background(), g, s.Cluster)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +97,7 @@ func TestConcurrentMatchesSerial(t *testing.T) {
 	serial := newTestService(t, Options{Model: model, CacheSize: -1})
 	want := make([]Result, len(graphs))
 	for i, g := range graphs {
-		r, err := serial.Allocate(g, s.Cluster)
+		r, err := serial.AllocateCtx(context.Background(), g, s.Cluster)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +113,7 @@ func TestConcurrentMatchesSerial(t *testing.T) {
 		wg.Add(1)
 		go func(i int, g *stream.Graph) {
 			defer wg.Done()
-			got[i], errs[i] = concurrent.Allocate(g, s.Cluster)
+			got[i], errs[i] = concurrent.AllocateCtx(context.Background(), g, s.Cluster)
 		}(i, g)
 	}
 	wg.Wait()
@@ -159,7 +160,7 @@ func TestHotSwapInFlightOnOldSnapshot(t *testing.T) {
 	}
 	done := make(chan res, 1)
 	go func() {
-		r, err := svc.Allocate(g, s.Cluster)
+		r, err := svc.AllocateCtx(context.Background(), g, s.Cluster)
 		done <- res{r, err}
 	}()
 	<-entered
@@ -186,7 +187,7 @@ func TestHotSwapInFlightOnOldSnapshot(t *testing.T) {
 
 	// A fresh request runs on the new parameters.
 	wantNew := pipeOld.Allocate(g, s.Cluster) // live params are the reloaded ones
-	second, err := svc.Allocate(g, s.Cluster)
+	second, err := svc.AllocateCtx(context.Background(), g, s.Cluster)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,7 @@ func TestReloadClearsCache(t *testing.T) {
 	s := gen.Small()
 	g := s.Generate().Test[0]
 	svc := newTestService(t, Options{Model: core.New(core.DefaultConfig())})
-	if _, err := svc.Allocate(g, s.Cluster); err != nil {
+	if _, err := svc.AllocateCtx(context.Background(), g, s.Cluster); err != nil {
 		t.Fatal(err)
 	}
 	if svc.CacheLen() != 1 {
@@ -217,7 +218,7 @@ func TestReloadClearsCache(t *testing.T) {
 	if svc.CacheLen() != 0 {
 		t.Fatalf("cache len %d after reload, want 0", svc.CacheLen())
 	}
-	r, err := svc.Allocate(g, s.Cluster)
+	r, err := svc.AllocateCtx(context.Background(), g, s.Cluster)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +248,7 @@ func TestReloadFromCheckpoint(t *testing.T) {
 	if err := svc.Reload(path); err != nil {
 		t.Fatal(err)
 	}
-	r, err := svc.Allocate(g, s.Cluster)
+	r, err := svc.AllocateCtx(context.Background(), g, s.Cluster)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +348,7 @@ func TestAllocateAfterClose(t *testing.T) {
 	g := s.Generate().Test[0]
 	svc := newTestService(t, Options{Model: core.New(core.DefaultConfig())})
 	svc.Close()
-	if _, err := svc.Allocate(g, s.Cluster); err != ErrClosed {
+	if _, err := svc.AllocateCtx(context.Background(), g, s.Cluster); err != ErrClosed {
 		t.Fatalf("Allocate after Close: %v, want ErrClosed", err)
 	}
 	svc.Close() // idempotent
@@ -366,7 +367,7 @@ func TestConcurrentAllocateRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
 				g := graphs[(w+i)%len(graphs)]
-				if _, err := svc.Allocate(g, s.Cluster); err != nil {
+				if _, err := svc.AllocateCtx(context.Background(), g, s.Cluster); err != nil {
 					panic(err)
 				}
 			}

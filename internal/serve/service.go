@@ -264,17 +264,12 @@ func (s *Service) Reload(path string) error {
 	return nil
 }
 
-// Allocate serves one placement. The graph must be valid (the HTTP layer
-// validates specs; programmatic callers are trusted) and have at least
-// one edge. Safe for concurrent use.
-func (s *Service) Allocate(g *stream.Graph, c sim.Cluster) (Result, error) {
-	return s.AllocateCtx(context.Background(), g, c)
-}
-
-// AllocateCtx is Allocate with a request context. The context is a
-// carrier, not a cancellation signal — an admitted request always
-// completes — but a trace id placed in it via WithTraceID tags every
-// child span this request emits into the service's tracer.
+// AllocateCtx serves one placement. The graph must be valid (the HTTP
+// layer validates specs; programmatic callers are trusted) and have at
+// least one edge. Safe for concurrent use. The context is a carrier, not
+// a cancellation signal — an admitted request always completes — but a
+// trace id placed in it via WithTraceID tags every child span this
+// request emits into the service's tracer.
 func (s *Service) AllocateCtx(ctx context.Context, g *stream.Graph, c sim.Cluster) (Result, error) {
 	start := time.Now()
 	s.reqs.Inc()

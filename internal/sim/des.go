@@ -19,24 +19,20 @@ import (
 	"repro/internal/stream"
 )
 
-// DESConfig tunes the discrete-event solver.
-type DESConfig struct {
-	// Horizon is the simulated duration in seconds.
-	Horizon float64
-	// Quantum is the device scheduling time slice in seconds.
-	Quantum float64
-	// QueueTuples bounds each operator's input queue (tuples); full queues
-	// push back on upstream emitters.
-	QueueTuples float64
-	// WarmupFrac is the fraction of the horizon excluded from measurement.
-	WarmupFrac float64
-}
-
-// DefaultDESConfig returns a configuration that converges for the
-// workloads in this repository within milliseconds of wall time.
-func DefaultDESConfig() DESConfig {
-	return DESConfig{Horizon: 4, Quantum: 0.01, QueueTuples: 2048, WarmupFrac: 0.25}
-}
+// The discrete-event solver's settings, which converge for the workloads
+// in this repository within milliseconds of wall time.
+const (
+	// desHorizon is the simulated duration in seconds.
+	desHorizon float64 = 4
+	// desQuantum is the device scheduling time slice in seconds.
+	desQuantum float64 = 0.01
+	// desQueueTuples bounds each operator's input queue (tuples); full
+	// queues push back on upstream emitters.
+	desQueueTuples float64 = 2048
+	// desWarmupFrac is the fraction of the horizon excluded from
+	// measurement.
+	desWarmupFrac float64 = 0.25
+)
 
 // desEvent is a scheduled quantum boundary for one device.
 type desEvent struct {
@@ -67,7 +63,7 @@ func (h *desHeap) Pop() any {
 // SimulateDES runs the discrete-event solver and returns the measured
 // steady-state result. The graph must be acyclic (the DES is run on
 // original graphs, not coarse ones).
-func SimulateDES(g *stream.Graph, p *stream.Placement, c Cluster, cfg DESConfig) (Result, error) {
+func SimulateDES(g *stream.Graph, p *stream.Placement, c Cluster) (Result, error) {
 	if err := p.Validate(g); err != nil {
 		return Result{}, err
 	}
@@ -76,9 +72,6 @@ func SimulateDES(g *stream.Graph, p *stream.Placement, c Cluster, cfg DESConfig)
 	}
 	if _, err := g.TopoOrder(); err != nil {
 		return Result{}, fmt.Errorf("sim: DES requires an acyclic graph: %w", err)
-	}
-	if cfg.Horizon <= 0 || cfg.Quantum <= 0 || cfg.QueueTuples <= 0 {
-		return Result{}, fmt.Errorf("sim: invalid DES config %+v", cfg)
 	}
 
 	n := g.NumNodes()
@@ -124,7 +117,7 @@ func SimulateDES(g *stream.Graph, p *stream.Placement, c Cluster, cfg DESConfig)
 		seq++
 	}
 
-	warmupEnd := cfg.Horizon * cfg.WarmupFrac
+	warmupEnd := desHorizon * desWarmupFrac
 	measured := make([]float64, n) // tuples processed after warmup
 	var measuredSourceIn float64
 
@@ -135,7 +128,7 @@ func SimulateDES(g *stream.Graph, p *stream.Placement, c Cluster, cfg DESConfig)
 		frac := 1.0
 		for _, ei := range g.OutEdges(v) {
 			e := g.Edges[ei]
-			room := cfg.QueueTuples - queues[e.Dst]
+			room := desQueueTuples - queues[e.Dst]
 			if room < tuples*frac {
 				frac = math.Max(0, room/tuples)
 			}
@@ -170,7 +163,7 @@ func SimulateDES(g *stream.Graph, p *stream.Placement, c Cluster, cfg DESConfig)
 	var eventCount uint64
 	for events.Len() > 0 {
 		ev := heap.Pop(events).(desEvent)
-		if ev.at >= cfg.Horizon {
+		if ev.at >= desHorizon {
 			continue
 		}
 		eventCount++
@@ -183,17 +176,17 @@ func SimulateDES(g *stream.Graph, p *stream.Placement, c Cluster, cfg DESConfig)
 		}
 		obsDESQueueDepth.Observe(depth)
 		// Refill this device's budgets for the quantum.
-		instr := c.CapacityOf(d) * cfg.Quantum
-		egressBudget[d] = c.Bandwidth * cfg.Quantum
-		ingressBudget[d] = c.Bandwidth * cfg.Quantum
+		instr := c.CapacityOf(d) * desQuantum
+		egressBudget[d] = c.Bandwidth * desQuantum
+		ingressBudget[d] = c.Bandwidth * desQuantum
 
 		// Sources ingest at the source rate, subject to queue room.
 		for _, v := range devOps[d] {
 			if !isSource[v] {
 				continue
 			}
-			arrive := g.SourceRate * cfg.Quantum
-			room := cfg.QueueTuples - queues[v]
+			arrive := g.SourceRate * desQuantum
+			room := desQueueTuples - queues[v]
 			took := math.Min(arrive, math.Max(0, room))
 			queues[v] += took
 			sourceEmitted += took
@@ -243,7 +236,7 @@ func SimulateDES(g *stream.Graph, p *stream.Placement, c Cluster, cfg DESConfig)
 				}
 			}
 		}
-		heap.Push(events, desEvent{at: ev.at + cfg.Quantum, device: d, seq: seq})
+		heap.Push(events, desEvent{at: ev.at + desQuantum, device: d, seq: seq})
 		seq++
 	}
 
@@ -254,7 +247,7 @@ func SimulateDES(g *stream.Graph, p *stream.Placement, c Cluster, cfg DESConfig)
 	// sink rate, scaled to the source rate (the same relative measure the
 	// fluid solver reports).
 	ideal := g.SteadyRates()
-	window := cfg.Horizon - warmupEnd
+	window := desHorizon - warmupEnd
 	var relSum float64
 	var sinks int
 	for _, v := range g.Sinks() {

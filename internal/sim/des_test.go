@@ -23,7 +23,7 @@ func desChain(n int, rate, ipt, payload float64) *stream.Graph {
 func TestDESUnconstrainedReachesFullRate(t *testing.T) {
 	g := desChain(3, 100, 10, 10)
 	p := stream.NewPlacement(3, 2)
-	res, err := SimulateDES(g, p, smallCluster(), DefaultDESConfig())
+	res, err := SimulateDES(g, p, smallCluster())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestDESCPUBottleneck(t *testing.T) {
 	// Demand 2× capacity on one device → relative ≈ 0.5.
 	g := desChain(2, 1000, 1000, 1)
 	p := stream.NewPlacement(2, 2)
-	res, err := SimulateDES(g, p, smallCluster(), DefaultDESConfig())
+	res, err := SimulateDES(g, p, smallCluster())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestDESNetworkBottleneck(t *testing.T) {
 	g := desChain(2, 1000, 1, 2000)
 	p := stream.NewPlacement(2, 2)
 	p.Assign[1] = 1
-	res, err := SimulateDES(g, p, smallCluster(), DefaultDESConfig())
+	res, err := SimulateDES(g, p, smallCluster())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestDESBackpressurePropagatesToSource(t *testing.T) {
 	g.AddEdge(0, 1, 0)
 	g.AddEdge(1, 2, 0)
 	p := stream.NewPlacement(3, 2)
-	res, err := SimulateDES(g, p, smallCluster(), DefaultDESConfig())
+	res, err := SimulateDES(g, p, smallCluster())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestDESAgreesWithFluidOnSimpleCases(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		des, err := SimulateDES(tc.g, p, smallCluster(), DefaultDESConfig())
+		des, err := SimulateDES(tc.g, p, smallCluster())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func TestDESRankAgreesWithFluid(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := SimulateDES(g, p, c, DefaultDESConfig())
+		d, err := SimulateDES(g, p, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,15 +166,12 @@ func TestDESRejectsCyclicAndInvalid(t *testing.T) {
 	g := desChain(3, 100, 1, 1)
 	g.AddEdge(2, 0, 1)
 	p := stream.NewPlacement(3, 2)
-	if _, err := SimulateDES(g, p, smallCluster(), DefaultDESConfig()); err == nil {
+	if _, err := SimulateDES(g, p, smallCluster()); err == nil {
 		t.Fatal("cyclic graph accepted")
 	}
 	g2 := desChain(2, 100, 1, 1)
-	if _, err := SimulateDES(g2, stream.NewPlacement(2, 5), smallCluster(), DefaultDESConfig()); err == nil {
+	if _, err := SimulateDES(g2, stream.NewPlacement(2, 5), smallCluster()); err == nil {
 		t.Fatal("oversized placement accepted")
-	}
-	if _, err := SimulateDES(g2, stream.NewPlacement(2, 2), smallCluster(), DESConfig{}); err == nil {
-		t.Fatal("zero config accepted")
 	}
 }
 
@@ -182,11 +179,11 @@ func TestDESDeterministic(t *testing.T) {
 	g := desChain(5, 500, 300, 200)
 	p := stream.NewPlacement(5, 2)
 	p.Assign = []int{0, 0, 1, 1, 0}
-	r1, err := SimulateDES(g, p, smallCluster(), DefaultDESConfig())
+	r1, err := SimulateDES(g, p, smallCluster())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, _ := SimulateDES(g, p, smallCluster(), DefaultDESConfig())
+	r2, _ := SimulateDES(g, p, smallCluster())
 	if r1.Relative != r2.Relative {
 		t.Fatal("DES nondeterministic")
 	}
@@ -202,7 +199,7 @@ func TestDESFanOutBroadcast(t *testing.T) {
 		g.AddEdge(0, s, 0)
 	}
 	p := stream.NewPlacement(4, 2)
-	res, err := SimulateDES(g, p, smallCluster(), DefaultDESConfig())
+	res, err := SimulateDES(g, p, smallCluster())
 	if err != nil {
 		t.Fatal(err)
 	}

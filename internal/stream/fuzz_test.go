@@ -1,36 +1,31 @@
-package stream
+package stream_test
 
 import (
-	"bytes"
+	"slices"
 	"testing"
+
+	"repro/internal/stream"
 )
 
-// FuzzReadJSON exercises the JSON decoder against arbitrary input: it must
-// never panic, and anything it accepts must round-trip losslessly.
+// FuzzReadJSON reads arbitrary bytes as a graph file: no input may panic
+// the decoder, and every graph it accepts must come back bit for bit
+// through JSONWriter and a second read.
 func FuzzReadJSON(f *testing.F) {
-	var seed bytes.Buffer
-	g := NewGraph(1000)
-	g.AddNode(Node{IPT: 10, Payload: 20, Selectivity: 1})
-	g.AddNode(Node{IPT: 30, Payload: 40, Selectivity: 0.5})
+	g := stream.NewGraph(1000)
+	g.AddNode(stream.Node{IPT: 10, Payload: 20, Selectivity: 1})
+	g.AddNode(stream.Node{IPT: 30, Payload: 40, Selectivity: 0.5})
 	g.AddEdge(0, 1, 25)
-	if err := WriteJSON(&seed, []*Graph{g}); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed.Bytes())
+	f.Add(writeJSON(f, g))
 	f.Add([]byte(`[]`))
 	f.Add([]byte(`[{"source_rate":1,"nodes":[],"edges":[]}]`))
 	f.Add([]byte(`{`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		graphs, err := ReadJSON(bytes.NewReader(data))
+		graphs, err := readJSON(data)
 		if err != nil {
 			return // rejected input is fine; panics are not
 		}
-		var buf bytes.Buffer
-		if err := WriteJSON(&buf, graphs); err != nil {
-			t.Fatalf("accepted graphs failed to re-encode: %v", err)
-		}
-		back, err := ReadJSON(&buf)
+		back, err := readJSON(writeJSON(t, graphs...))
 		if err != nil {
 			t.Fatalf("round trip rejected: %v", err)
 		}
@@ -38,83 +33,54 @@ func FuzzReadJSON(f *testing.F) {
 			t.Fatalf("round trip lost graphs: %d -> %d", len(graphs), len(back))
 		}
 		for i := range graphs {
-			if graphs[i].NumNodes() != back[i].NumNodes() || graphs[i].NumEdges() != back[i].NumEdges() {
-				t.Fatal("round trip changed structure")
-			}
+			sameGraph(t, graphs[i], back[i])
 		}
 	})
 }
 
-// FuzzAdjacencyFromJSON builds the CSR adjacency view for every graph the
-// JSON decoder accepts and checks its structural invariants: monotone
-// offsets covering all edges, each edge appearing exactly once per
-// direction under its own endpoint, and per-node buckets ascending by edge
-// id (the order the tensor CSR kernels rely on).
+// FuzzAdjacencyFromJSON builds the CSR adjacency view of every graph a
+// graph file reads to and checks it against a scan of the edge list:
+// offsets that start at 0, never decrease and cover every edge, and per
+// node exactly the edges leaving and entering it, ascending by edge id
+// (the order the tensor CSR kernels rely on).
 func FuzzAdjacencyFromJSON(f *testing.F) {
-	var seed bytes.Buffer
-	g := NewGraph(500)
-	g.AddNode(Node{IPT: 1, Payload: 2, Selectivity: 1})
-	g.AddNode(Node{IPT: 3, Payload: 4, Selectivity: 1})
-	g.AddNode(Node{IPT: 5, Payload: 6, Selectivity: 1})
+	g := stream.NewGraph(500)
+	g.AddNode(stream.Node{IPT: 1, Payload: 2, Selectivity: 1})
+	g.AddNode(stream.Node{IPT: 3, Payload: 4, Selectivity: 1})
+	g.AddNode(stream.Node{IPT: 5, Payload: 6, Selectivity: 1})
 	g.AddEdge(0, 1, 7)
 	g.AddEdge(0, 2, 8)
 	g.AddEdge(1, 2, 9)
-	if err := WriteJSON(&seed, []*Graph{g}); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed.Bytes())
+	f.Add(writeJSON(f, g))
 	f.Add([]byte(`[{"source_rate":1,"nodes":[{"ipt":1,"payload":1,"selectivity":1}],"edges":[]}]`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		graphs, err := ReadJSON(bytes.NewReader(data))
+		graphs, err := readJSON(data)
 		if err != nil {
 			return
 		}
 		for _, g := range graphs {
 			adj := g.Adjacency()
 			n, m := g.NumNodes(), g.NumEdges()
-			if len(adj.OutOff) != n+1 || len(adj.InOff) != n+1 {
-				t.Fatalf("offset lengths %d/%d for %d nodes", len(adj.OutOff), len(adj.InOff), n)
-			}
-			if len(adj.OutEdge) != m || len(adj.InEdge) != m {
-				t.Fatalf("edge array lengths %d/%d for %d edges", len(adj.OutEdge), len(adj.InEdge), m)
+			if len(adj.OutOff) != n+1 || len(adj.InOff) != n+1 || len(adj.OutEdge) != m || len(adj.InEdge) != m {
+				t.Fatalf("offsets %d/%d and edge arrays %d/%d for %d nodes and %d edges",
+					len(adj.OutOff), len(adj.InOff), len(adj.OutEdge), len(adj.InEdge), n, m)
 			}
 			if adj.OutOff[0] != 0 || adj.InOff[0] != 0 || int(adj.OutOff[n]) != m || int(adj.InOff[n]) != m {
 				t.Fatal("offsets do not cover the edge list")
 			}
-			seenOut := make([]bool, m)
+			out, in := make([][]int, n), make([][]int, n)
+			for ei, e := range g.Edges {
+				out[e.Src] = append(out[e.Src], ei)
+				in[e.Dst] = append(in[e.Dst], ei)
+			}
 			for v := 0; v < n; v++ {
 				if adj.OutOff[v] > adj.OutOff[v+1] || adj.InOff[v] > adj.InOff[v+1] {
 					t.Fatalf("non-monotone offsets at node %d", v)
 				}
-				prev := -1
-				for _, ei := range adj.Out(v) {
-					if g.Edges[ei].Src != v {
-						t.Fatalf("edge %d in out-bucket of %d but Src=%d", ei, v, g.Edges[ei].Src)
-					}
-					if ei <= prev {
-						t.Fatalf("out-bucket of %d not ascending: %d after %d", v, ei, prev)
-					}
-					prev = ei
-					seenOut[ei] = true
-				}
-				prev = -1
-				for _, ei := range adj.In(v) {
-					if g.Edges[ei].Dst != v {
-						t.Fatalf("edge %d in in-bucket of %d but Dst=%d", ei, v, g.Edges[ei].Dst)
-					}
-					if ei <= prev {
-						t.Fatalf("in-bucket of %d not ascending: %d after %d", v, ei, prev)
-					}
-					prev = ei
-				}
-				if adj.OutDegree(v) != len(g.OutEdges(v)) || adj.InDegree(v) != len(g.InEdges(v)) {
-					t.Fatalf("degree mismatch at node %d", v)
-				}
-			}
-			for ei, ok := range seenOut {
-				if !ok {
-					t.Fatalf("edge %d missing from out buckets", ei)
+				if !slices.Equal(adj.Out(v), out[v]) || !slices.Equal(adj.In(v), in[v]) {
+					t.Fatalf("node %d: out-bucket %v, in-bucket %v; the edge list gives %v and %v",
+						v, adj.Out(v), adj.In(v), out[v], in[v])
 				}
 			}
 		}

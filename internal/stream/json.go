@@ -6,13 +6,8 @@ import (
 	"io"
 )
 
-// graphJSON is the on-disk representation of a Graph.
-type graphJSON struct {
-	SourceRate float64    `json:"source_rate"`
-	Nodes      []nodeJSON `json:"nodes"`
-	Edges      []edgeJSON `json:"edges"`
-}
-
+// nodeJSON and edgeJSON are the wire form of one node and one edge, the
+// field names and tags the allocation service's GraphSpec decodes.
 type nodeJSON struct {
 	IPT         float64 `json:"ipt"`
 	Payload     float64 `json:"payload"`
@@ -27,49 +22,11 @@ type edgeJSON struct {
 	Payload float64 `json:"payload"`
 }
 
-// MarshalJSON implements json.Marshaler.
-func (g *Graph) MarshalJSON() ([]byte, error) {
-	out := graphJSON{SourceRate: g.SourceRate}
-	for _, n := range g.Nodes {
-		out.Nodes = append(out.Nodes, nodeJSON(n))
-	}
-	for _, e := range g.Edges {
-		out.Edges = append(out.Edges, edgeJSON(e))
-	}
-	return json.Marshal(out)
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (g *Graph) UnmarshalJSON(data []byte) error {
-	var in graphJSON
-	if err := json.Unmarshal(data, &in); err != nil {
-		return err
-	}
-	*g = Graph{SourceRate: in.SourceRate}
-	for _, n := range in.Nodes {
-		g.Nodes = append(g.Nodes, Node(n))
-	}
-	for i, e := range in.Edges {
-		if e.Src < 0 || e.Src >= len(g.Nodes) || e.Dst < 0 || e.Dst >= len(g.Nodes) {
-			return fmt.Errorf("stream: edge %d endpoints out of range", i)
-		}
-		g.Edges = append(g.Edges, Edge(e))
-	}
-	return nil
-}
-
-// WriteJSON streams a set of graphs as a JSON array.
-func WriteJSON(w io.Writer, graphs []*Graph) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(graphs)
-}
-
 // JSONWriter emits a JSON array of graphs one element at a time, holding
 // only the element currently being written: the caller generates a graph,
 // writes it, and drops it, so a dataset of huge graphs never materializes
-// in memory at once. The byte stream is identical to WriteJSON over the
-// same non-empty sequence (and to WriteJSON of an empty non-nil slice when
-// nothing is written before Close).
+// in memory at once. Each element carries the field names of the
+// allocation service's wire form (serve.GraphSpec), which decodes it.
 type JSONWriter struct {
 	w      io.Writer
 	n      int
@@ -100,8 +57,7 @@ func (jw *JSONWriter) emitValue(v any) {
 
 // Write appends one graph to the array. The graph is marshaled field by
 // field — source rate, then each node, then each edge — so no whole-graph
-// buffer is ever built (element-wise marshals concatenate to exactly the
-// bytes json.Marshal produces for the whole graph).
+// buffer is ever built.
 func (jw *JSONWriter) Write(g *Graph) error {
 	if jw.closed {
 		return fmt.Errorf("stream: JSONWriter already closed")
@@ -147,7 +103,7 @@ func (jw *JSONWriter) Write(g *Graph) error {
 }
 
 // Close terminates the array (emitting "[]" when nothing was written) and
-// the trailing newline WriteJSON's encoder produces.
+// writes a trailing newline.
 func (jw *JSONWriter) Close() error {
 	if jw.closed {
 		return jw.err
@@ -160,18 +116,4 @@ func (jw *JSONWriter) Close() error {
 	}
 	jw.emit("\n")
 	return jw.err
-}
-
-// ReadJSON reads a JSON array of graphs and validates each.
-func ReadJSON(r io.Reader) ([]*Graph, error) {
-	var graphs []*Graph
-	if err := json.NewDecoder(r).Decode(&graphs); err != nil {
-		return nil, fmt.Errorf("stream: decode graphs: %w", err)
-	}
-	for i, g := range graphs {
-		if err := g.Validate(); err != nil {
-			return nil, fmt.Errorf("stream: graph %d: %w", i, err)
-		}
-	}
-	return graphs, nil
 }

@@ -31,7 +31,8 @@ type Node struct {
 	// flight toward it, which is what the re-allocation loop's move-cost
 	// model charges.
 	State float64
-	// Name is an optional human-readable label (used by examples/DOT).
+	// Name is an optional human-readable label (the application
+	// templates set it; DOT renders it).
 	Name string
 }
 
@@ -704,16 +705,4 @@ func (g *Graph) ScaleSourceRate(f float64) *Graph {
 		}
 	}
 	return sg
-}
-
-// Clone deep-copies the graph.
-func (g *Graph) Clone() *Graph {
-	cg := NewGraph(g.SourceRate)
-	cg.Nodes = append([]Node(nil), g.Nodes...)
-	cg.Edges = append([]Edge(nil), g.Edges...)
-	if g.loadOverride != nil {
-		cg.loadOverride = append([]float64(nil), g.loadOverride...)
-		cg.trafficOverride = append([]float64(nil), g.trafficOverride...)
-	}
-	return cg
 }

@@ -448,13 +448,3 @@ func TestDOTContainsNodesAndEdges(t *testing.T) {
 		t.Fatalf("dot output:\n%s", dot)
 	}
 }
-
-func TestCloneIndependence(t *testing.T) {
-	g := chain(3, 100)
-	c := g.Clone()
-	c.Nodes[0].IPT = 999
-	c.Edges[0].Payload = 777
-	if g.Nodes[0].IPT == 999 || g.Edges[0].Payload == 777 {
-		t.Fatal("clone aliases original")
-	}
-}

@@ -325,12 +325,12 @@ func TestElementwiseIntoAliasing(t *testing.T) {
 	b := New(4, 5)
 	a.RandUniform(rng, 1)
 	b.RandUniform(rng, 1)
-	want := Add(a, b)
+	want := AddInto(a, b, New(4, 5))
 	got := a.Clone()
 	AddInto(got, b, got) // dst aliases a
 	mustEqual(t, "AddInto aliased", got, want)
 
-	wantS := Scale(a, 2.5)
+	wantS := ScaleInto(a, 2.5, New(4, 5))
 	gotS := a.Clone()
 	ScaleInto(gotS, 2.5, gotS)
 	mustEqual(t, "ScaleInto aliased", gotS, wantS)

@@ -1,8 +1,8 @@
 // into.go provides destination-passing variants of the element-wise and
 // reduction kernels. Each …Into fully defines dst (no kernel reads stale
 // dst contents), so a dst obtained from the arena's Get — whose contents
-// are unspecified — is always safe. The allocating kernels in tensor.go
-// delegate here; the matrix-product and fused kernels live in kernels.go.
+// are unspecified — is always safe. The matrix-product and fused kernels
+// live in kernels.go.
 //
 // Element-wise kernels (AddInto, SubInto, MulInto, ScaleInto, ApplyInto,
 // AddRowVectorInto) permit dst to alias an input. The matrix-product

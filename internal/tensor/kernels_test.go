@@ -10,7 +10,7 @@ import (
 // Naive references for the fused kernels (scalar ascending-k loops).
 
 func naiveGatherMatMul(a *Matrix, idx []int, b *Matrix) *Matrix {
-	g := GatherRows(a, idx)
+	g := GatherRowsInto(a, idx, New(len(idx), a.Cols))
 	out := New(len(idx), b.Cols)
 	for i := 0; i < g.Rows; i++ {
 		for j := 0; j < b.Cols; j++ {
@@ -105,7 +105,7 @@ func TestBlockedKernelsMatchNaive(t *testing.T) {
 
 		// Gather-T1: gather(a, idx)ᵀ·g == T1 of the materialized gather.
 		gm := randMat(rng, e, n)
-		gathered := GatherRows(a, idx)
+		gathered := GatherRowsInto(a, idx, New(e, a.Cols))
 		approxEqual(t, "GatherMatMulT1Into",
 			GatherMatMulT1Into(a, idx, gm, Get(k, n)), refMatMulT1(gathered, gm), tol)
 

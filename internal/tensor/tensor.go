@@ -93,11 +93,6 @@ func MatMul(a, b *Matrix) *Matrix {
 	return MatMulInto(a, b, &Matrix{Rows: a.Rows, Cols: b.Cols, Data: make([]float64, a.Rows*b.Cols)})
 }
 
-// MatMulT2 returns a·bᵀ, i.e. (a.Rows × b.Rows). Used for input gradients.
-func MatMulT2(a, b *Matrix) *Matrix {
-	return MatMulT2Into(a, b, &Matrix{Rows: a.Rows, Cols: b.Rows, Data: make([]float64, a.Rows*b.Rows)})
-}
-
 // Transpose returns mᵀ as a new matrix.
 func (m *Matrix) Transpose() *Matrix {
 	t := New(m.Cols, m.Rows)
@@ -109,59 +104,12 @@ func (m *Matrix) Transpose() *Matrix {
 	return t
 }
 
-// Add returns a+b element-wise.
-func Add(a, b *Matrix) *Matrix {
-	mustSameShape("add", a, b)
-	return AddInto(a, b, New(a.Rows, a.Cols))
-}
-
 // AddInPlace accumulates b into a.
 func AddInPlace(a, b *Matrix) {
 	mustSameShape("add-in-place", a, b)
 	for i, v := range b.Data {
 		a.Data[i] += v
 	}
-}
-
-// Sub returns a-b element-wise.
-func Sub(a, b *Matrix) *Matrix {
-	mustSameShape("sub", a, b)
-	return SubInto(a, b, New(a.Rows, a.Cols))
-}
-
-// Mul returns the Hadamard product a⊙b.
-func Mul(a, b *Matrix) *Matrix {
-	mustSameShape("mul", a, b)
-	return MulInto(a, b, New(a.Rows, a.Cols))
-}
-
-// Scale returns a·s element-wise.
-func Scale(a *Matrix, s float64) *Matrix {
-	return ScaleInto(a, s, New(a.Rows, a.Cols))
-}
-
-// AddRowVector returns a with the 1×cols vector v added to every row.
-func AddRowVector(a, v *Matrix) *Matrix {
-	return AddRowVectorInto(a, v, New(a.Rows, a.Cols))
-}
-
-// Apply returns f mapped over every element.
-func Apply(a *Matrix, f func(float64) float64) *Matrix {
-	return ApplyInto(a, f, New(a.Rows, a.Cols))
-}
-
-// Tanh returns element-wise tanh via the specialized TanhInto loop.
-func Tanh(a *Matrix) *Matrix { return TanhInto(a, New(a.Rows, a.Cols)) }
-
-// Sigmoid returns element-wise logistic sigmoid via SigmoidInto.
-func Sigmoid(a *Matrix) *Matrix { return SigmoidInto(a, New(a.Rows, a.Cols)) }
-
-// ReLU returns element-wise max(0, x) via ReLUInto.
-func ReLU(a *Matrix) *Matrix { return ReLUInto(a, New(a.Rows, a.Cols)) }
-
-// GatherRows returns the matrix whose i-th row is a.Row(idx[i]).
-func GatherRows(a *Matrix, idx []int) *Matrix {
-	return GatherRowsInto(a, idx, New(len(idx), a.Cols))
 }
 
 // ScatterAddRows adds each row i of src into dst.Row(idx[i]).
@@ -183,43 +131,6 @@ func ScatterAddRows(dst, src *Matrix, idx []int) {
 // inputs are parallelized over segment blocks (see SegmentMeanInto).
 func SegmentMean(a *Matrix, seg []int, segments int) *Matrix {
 	return SegmentMeanInto(a, seg, segments, New(segments, a.Cols))
-}
-
-// ConcatCols horizontally concatenates matrices with equal row counts.
-func ConcatCols(ms ...*Matrix) *Matrix {
-	if len(ms) == 0 {
-		return New(0, 0)
-	}
-	rows := ms[0].Rows
-	cols := 0
-	for _, m := range ms {
-		if m.Rows != rows {
-			panic("tensor: concat-cols row mismatch")
-		}
-		cols += m.Cols
-	}
-	out := New(rows, cols)
-	for i := 0; i < rows; i++ {
-		orow := out.Row(i)
-		off := 0
-		for _, m := range ms {
-			copy(orow[off:off+m.Cols], m.Row(i))
-			off += m.Cols
-		}
-	}
-	return out
-}
-
-// SliceCols returns columns [lo, hi) as a new matrix.
-func SliceCols(a *Matrix, lo, hi int) *Matrix {
-	if lo < 0 || hi > a.Cols || lo > hi {
-		panic(fmt.Sprintf("tensor: slice-cols [%d,%d) of %d", lo, hi, a.Cols))
-	}
-	out := New(a.Rows, hi-lo)
-	for i := 0; i < a.Rows; i++ {
-		copy(out.Row(i), a.Row(i)[lo:hi])
-	}
-	return out
 }
 
 // Sum returns the sum of all elements.

@@ -77,8 +77,8 @@ func TestMatMulTransposedVariants(t *testing.T) {
 	c := New(6, 7)
 	c.RandUniform(rng, 1)
 	// a·cᵀ == a·Transpose(c)
-	if !Equal(MatMulT2(a, c), MatMul(a, c.Transpose()), 1e-12) {
-		t.Fatal("MatMulT2 mismatch")
+	if !Equal(MatMulT2Into(a, c, New(a.Rows, c.Rows)), MatMul(a, c.Transpose()), 1e-12) {
+		t.Fatal("MatMulT2Into mismatch")
 	}
 }
 
@@ -94,22 +94,22 @@ func TestMatMulShapePanics(t *testing.T) {
 func TestElementwiseOps(t *testing.T) {
 	a := FromRows([][]float64{{1, -2}})
 	b := FromRows([][]float64{{3, 4}})
-	if !Equal(Add(a, b), FromRows([][]float64{{4, 2}}), 0) {
+	if !Equal(AddInto(a, b, New(1, 2)), FromRows([][]float64{{4, 2}}), 0) {
 		t.Fatal("add")
 	}
-	if !Equal(Sub(a, b), FromRows([][]float64{{-2, -6}}), 0) {
+	if !Equal(SubInto(a, b, New(1, 2)), FromRows([][]float64{{-2, -6}}), 0) {
 		t.Fatal("sub")
 	}
-	if !Equal(Mul(a, b), FromRows([][]float64{{3, -8}}), 0) {
+	if !Equal(MulInto(a, b, New(1, 2)), FromRows([][]float64{{3, -8}}), 0) {
 		t.Fatal("mul")
 	}
-	if !Equal(Scale(a, 2), FromRows([][]float64{{2, -4}}), 0) {
+	if !Equal(ScaleInto(a, 2, New(1, 2)), FromRows([][]float64{{2, -4}}), 0) {
 		t.Fatal("scale")
 	}
-	if !Equal(ReLU(a), FromRows([][]float64{{1, 0}}), 0) {
+	if !Equal(ReLUInto(a, New(1, 2)), FromRows([][]float64{{1, 0}}), 0) {
 		t.Fatal("relu")
 	}
-	s := Sigmoid(FromRows([][]float64{{0}}))
+	s := SigmoidInto(FromRows([][]float64{{0}}), New(1, 1))
 	if math.Abs(s.At(0, 0)-0.5) > 1e-12 {
 		t.Fatal("sigmoid(0) != 0.5")
 	}
@@ -126,7 +126,7 @@ func TestAddInPlace(t *testing.T) {
 func TestAddRowVector(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {3, 4}})
 	v := FromRows([][]float64{{10, 20}})
-	got := AddRowVector(a, v)
+	got := AddRowVectorInto(a, v, New(2, 2))
 	want := FromRows([][]float64{{11, 22}, {13, 24}})
 	if !Equal(got, want, 0) {
 		t.Fatal("add row vector")
@@ -135,7 +135,7 @@ func TestAddRowVector(t *testing.T) {
 
 func TestGatherScatter(t *testing.T) {
 	a := FromRows([][]float64{{1, 1}, {2, 2}, {3, 3}})
-	g := GatherRows(a, []int{2, 2, 0})
+	g := GatherRowsInto(a, []int{2, 2, 0}, New(3, 2))
 	want := FromRows([][]float64{{3, 3}, {3, 3}, {1, 1}})
 	if !Equal(g, want, 0) {
 		t.Fatal("gather")
@@ -153,19 +153,6 @@ func TestSegmentMean(t *testing.T) {
 	want := FromRows([][]float64{{3, 0}, {10, 6}, {0, 0}})
 	if !Equal(got, want, 1e-12) {
 		t.Fatalf("segment mean: %v", got)
-	}
-}
-
-func TestConcatAndSlice(t *testing.T) {
-	a := FromRows([][]float64{{1}, {2}})
-	b := FromRows([][]float64{{3, 4}, {5, 6}})
-	cat := ConcatCols(a, b)
-	if cat.Cols != 3 || cat.At(1, 2) != 6 {
-		t.Fatalf("concat: %v", cat)
-	}
-	sl := SliceCols(cat, 1, 3)
-	if !Equal(sl, b, 0) {
-		t.Fatal("slice")
 	}
 }
 
