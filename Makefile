@@ -78,17 +78,19 @@ quality:
 	$(GO) run ./cmd/experiments -run table1,fig5,fig6,fig8,table2,drift,robustness-sim -budget quick -scale 0.4 -quiet > .quality.txt
 	grep -v '^completed ' .quality.txt | diff QUALITY_GOLDEN.txt -
 
-# Fuzz gate: ten seconds of go's native fuzzer on POST /allocate, the one
-# decoder of untrusted bytes. No input may panic the handler or answer
-# 5xx, and a 200 must carry an in-range device per operator and a relative
-# throughput in [0, 1]. A failing input lands in
-# internal/serve/testdata/fuzz/ and replays under `go test` from then on.
-# The fuzzer minimizes every new interesting input for up to
-# -fuzzminimizetime (60 s by default); inputs grown from the Medium seed
-# are tens of KB, so the default spends the whole run minimizing one of
-# them, and 2 s keeps the workers fuzzing.
+# Fuzz gate: ten seconds each of go's native fuzzer on POST /allocate, the
+# one decoder of untrusted bytes, and on its canonical fast path. No input
+# may panic the handler or answer 5xx, and a 200 must carry an in-range
+# device per operator and a relative throughput in [0, 1]. The fast path
+# must decline a body or decode it exactly as encoding/json does. A
+# failing input lands in internal/serve/testdata/fuzz/ and replays under
+# `go test` from then on. The fuzzer minimizes every new interesting input
+# for up to -fuzzminimizetime (60 s by default); inputs grown from the
+# Medium seed are tens of KB, so the default spends the whole run
+# minimizing one of them, and 2 s keeps the workers fuzzing.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzAllocateRequest$$' -fuzztime=10s -fuzzminimizetime=2s ./internal/serve/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeAllocateRequest$$' -fuzztime=10s -fuzzminimizetime=2s ./internal/serve/
 
 # One iteration of every benchmark: catches benchmarks that panic or
 # regress into non-termination without paying for a full measurement run.

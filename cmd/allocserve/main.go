@@ -95,7 +95,7 @@ func main() {
 		maxInflight = flag.Int("max-inflight", 0, "shed (429) once more than this many requests are in flight (0 = unbounded)")
 		sloP99      = flag.Float64("slo-p99-ms", 0, "serve-latency p99 objective in ms; breaching it latches shed mode with hysteresis (0 = off)")
 		accessLog   = flag.String("access-log", "", "append one JSONL access record per /allocate request to this file")
-		traceOut    = flag.String("trace-out", "", "write a Chrome trace-event JSON of serving spans (cache-probe, queue-wait, forward) to this file")
+		traceOut    = flag.String("trace-out", "", "write a Chrome trace-event JSON of serving spans (decode, cache-probe, queue-wait, forward) to this file")
 		pprofOn     = flag.Bool("pprof", false, "mount /debug/pprof/ (goroutine stacks and heap contents; opt-in)")
 		rtEvery     = flag.Duration("runtime-every", 5*time.Second, "Go runtime-stats sampling period (goroutines, heap, GC pauses; 0 disables)")
 		devices     = flag.Int("devices", 10, "default cluster size when a request omits its cluster")

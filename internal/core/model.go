@@ -222,6 +222,13 @@ type Allocation struct {
 	Coarse    *stream.CoarseMap
 	// CoarseGraph is the graph the placer saw.
 	CoarseGraph *stream.Graph
+	// Reward is sim.Reward of Placement on the graph, and Candidate the
+	// index of the sweep candidate that won (0 is the uncoarsened
+	// graph). Only AllocateRanked, and so Allocate, scores its result
+	// and sets both; every other entry point leaves them zero, which
+	// there means not computed, not a zero reward.
+	Reward    float64
+	Candidate int
 }
 
 // AllocateDecision runs the pipeline with an explicit decision vector.
@@ -307,6 +314,7 @@ func (pl *Pipeline) AllocateRanked(g *stream.Graph, c sim.Cluster, score []float
 		for ; ti < len(targets) && walk.NumSuper() <= targets[ti]; ti++ {
 			a := pl.allocateMap(g, c, walk.Map())
 			if r := sim.Reward(g, a.Placement, c); r > bestR {
+				a.Reward, a.Candidate = r, ti
 				best, bestR = a, r
 			}
 		}

@@ -246,7 +246,8 @@ func TestAllocateRankedLeavesRetainedOutputsIntact(t *testing.T) {
 // rebuilding every candidate the placer saw (CoarsenToRanked at its
 // super-node count → CollapseEdges → ExpandPlacement → sim.Reward), the
 // result is the first candidate that reaches the maximum reward, since the
-// sweep keeps only strict improvements. Each graph also runs on a cluster
+// sweep keeps only strict improvements, and the Allocation records that
+// candidate's index and reward. Each graph also runs on a cluster
 // roomy enough that every candidate scores 1, where only the first may win.
 func TestAllocateRankedReturnsBestScoredCandidate(t *testing.T) {
 	model := New(DefaultConfig())
@@ -292,6 +293,9 @@ func TestAllocateRankedReturnsBestScoredCandidate(t *testing.T) {
 			}
 			if r := sim.Reward(g, a.Placement, tc.c); math.Float64bits(r) != math.Float64bits(bestR) {
 				t.Fatalf("%s: reward %v, rebuilt best %v", label, r, bestR)
+			}
+			if a.Candidate != best || math.Float64bits(a.Reward) != math.Float64bits(bestR) {
+				t.Fatalf("%s: recorded candidate %d reward %v, rebuilt best %d reward %v", label, a.Candidate, a.Reward, best, bestR)
 			}
 		}
 	}

@@ -338,8 +338,7 @@ func (h *Harness) coarsenThroughputs(m *core.Model, pl placer.Placer, ds *gen.Da
 	pipe := &core.Pipeline{Model: m, Placer: pl}
 	return parallel.Map(len(ds.Test), 0, func(i int) float64 {
 		g := ds.Test[i]
-		a := pipe.Allocate(g, ds.Cluster)
-		return sim.Reward(g, a.Placement, ds.Cluster) * g.SourceRate
+		return pipe.Allocate(g, ds.Cluster).Reward * g.SourceRate
 	})
 }
 
@@ -649,7 +648,7 @@ func (h *Harness) Fig8() []Fig8Row {
 		return ratioObs{
 			ratio:   a.Coarse.CompressionRatio(),
 			metis:   sim.Reward(g, mp, ds.Cluster) * g.SourceRate,
-			coarsen: sim.Reward(g, a.Placement, ds.Cluster) * g.SourceRate,
+			coarsen: a.Reward * g.SourceRate,
 		}
 	})
 	ratios := make([]float64, len(observations))
@@ -828,14 +827,14 @@ func (h *Harness) Fig3() (metisThroughput, coarsenThroughput float64) {
 		mg := stream.CoarseGraph(cand, cm)
 		mp := placer.Metis{Seed: h.Seed}.Place(mg, ds.Cluster)
 		mpl := stream.ExpandPlacement(cm, mp)
-		gap := sim.Reward(cand, mpl, ds.Cluster) - sim.Reward(cand, ca.Placement, ds.Cluster)
+		gap := sim.Reward(cand, mpl, ds.Cluster) - ca.Reward
 		if gap < bestGap {
 			bestGap, g, a, metisPl = gap, cand, ca, mpl
 		}
 	}
 
 	metisThroughput = sim.Reward(g, metisPl, ds.Cluster) * g.SourceRate
-	coarsenThroughput = sim.Reward(g, a.Placement, ds.Cluster) * g.SourceRate
+	coarsenThroughput = a.Reward * g.SourceRate
 	h.printf("== Fig.3 qualitative example ==\n")
 	h.printf("  metis-coarsening throughput:  %.0f/s\n", metisThroughput)
 	h.printf("  model-coarsening throughput:  %.0f/s\n\n", coarsenThroughput)

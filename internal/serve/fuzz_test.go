@@ -30,12 +30,13 @@ func writeGraphs(t testing.TB, graphs ...*stream.Graph) []byte {
 	return buf.Bytes()
 }
 
-// FuzzAllocateRequest posts arbitrary bytes to POST /allocate. No input
-// may panic the handler or answer 5xx. A 200 carries one in-range device
-// per operator of the request's graph and a relative throughput in
-// [0, 1]. Every graph BuildGraph accepts also gets its CSR adjacency
-// checked.
-func FuzzAllocateRequest(f *testing.F) {
+// allocateSeeds is the seed corpus of both /allocate fuzz targets: the
+// graph-file seeds of stream's fuzz targets as request bodies, a
+// JSONWriter-written Small and Medium graph, and hub fans, where one
+// operator feeds every other operator, with 64 operators, at the
+// per-request operator cap and one over it.
+func allocateSeeds(t testing.TB) [][]byte {
+	var seeds [][]byte
 	for _, body := range []string{
 		`{"graph":{"source_rate":1000,"nodes":[{"ipt":10,"payload":20,"selectivity":1},` +
 			`{"ipt":30,"payload":40,"selectivity":0.5}],"edges":[{"src":0,"dst":1,"payload":25}]}}`,
@@ -47,12 +48,45 @@ func FuzzAllocateRequest(f *testing.F) {
 			`{"src":1,"dst":2,"payload":9}]}}`,
 		`{"graph":{"source_rate":1,"nodes":[{"ipt":1,"payload":1,"selectivity":1}],"edges":[]}}`,
 	} {
-		f.Add([]byte(body))
+		seeds = append(seeds, []byte(body))
 	}
 	for _, s := range []gen.Setting{gen.Small(), gen.Medium()} {
-		arr := writeGraphs(f, s.Generate().Test[0])
+		arr := writeGraphs(t, s.Generate().Test[0])
 		elem := bytes.TrimSuffix(bytes.TrimPrefix(arr, []byte("[")), []byte("]\n"))
-		f.Add(append(append([]byte(`{"graph":`), elem...), '}'))
+		seeds = append(seeds, append(append([]byte(`{"graph":`), elem...), '}'))
+	}
+	for _, n := range []int{64, maxRequestNodes, maxRequestNodes + 1} {
+		seeds = append(seeds, hubFanBody(t, n))
+	}
+	return seeds
+}
+
+// hubFanBody is a request whose graph has n operators, operator 0
+// feeding each of the others.
+func hubFanBody(t testing.TB, n int) []byte {
+	t.Helper()
+	gs := GraphSpec{SourceRate: 1000}
+	for v := 0; v < n; v++ {
+		gs.Nodes = append(gs.Nodes, NodeSpec{IPT: 10, Payload: 64, Selectivity: 1})
+		if v > 0 {
+			gs.Edges = append(gs.Edges, EdgeSpec{Src: 0, Dst: v})
+		}
+	}
+	body, err := json.Marshal(AllocateRequest{Graph: gs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// FuzzAllocateRequest posts arbitrary bytes to POST /allocate. No input
+// may panic the handler or answer 5xx. A 200 carries one in-range device
+// per operator of the request's graph and a relative throughput in
+// [0, 1]. Every graph BuildGraph accepts also gets its CSR adjacency
+// checked.
+func FuzzAllocateRequest(f *testing.F) {
+	for _, body := range allocateSeeds(f) {
+		f.Add(body)
 	}
 
 	def := gen.Small().Cluster

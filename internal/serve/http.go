@@ -9,7 +9,7 @@
 // when the client sent a plausible one, minted otherwise. The id rides
 // the request context into the service, tagging the child spans the
 // request emits, and keys the JSONL access log — so one curl's journey
-// through validate → cache probe → forward lock → forward → respond is a
+// through decode → cache probe → forward lock → forward → respond is a
 // single grep.
 package serve
 
@@ -217,8 +217,9 @@ func NewHandler(s *Service, defCluster sim.Cluster, reloadPath string, reg *obs.
 	mux.HandleFunc("/statusz", func(w http.ResponseWriter, r *http.Request) {
 		writeStatusz(w, s, reg)
 	})
+	fallbacks := reg.Counter("serve_decode_fallback_total")
 	mux.HandleFunc("/allocate", func(w http.ResponseWriter, r *http.Request) {
-		handleAllocate(w, r, s, defCluster, opts.AccessLog)
+		handleAllocate(w, r, s, defCluster, opts.AccessLog, fallbacks)
 	})
 	mux.HandleFunc("/reload", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -252,8 +253,11 @@ func withTraceID(next http.Handler) http.Handler {
 // writing one access-log record whatever the outcome. A body over
 // maxRequestBytes gets 413 and an invalid spec 400. Shed requests get
 // 429 + Retry-After so well-behaved clients back off; a draining service
-// answers 503, and any other service failure 500.
-func handleAllocate(w http.ResponseWriter, r *http.Request, s *Service, defCluster sim.Cluster, accessLog *obs.JSONLWriter) {
+// answers 503, and any other service failure 500. fallbacks counts the
+// bodies the canonical fast path did not decode (decode.go), and the
+// decode span covers reading, decoding and validating a body that
+// passes.
+func handleAllocate(w http.ResponseWriter, r *http.Request, s *Service, defCluster sim.Cluster, accessLog *obs.JSONLWriter, fallbacks *obs.Counter) {
 	start := time.Now()
 	rec := AccessRecord{TraceID: TraceIDFrom(r.Context())}
 	defer func() {
@@ -274,10 +278,16 @@ func handleAllocate(w http.ResponseWriter, r *http.Request, s *Service, defClust
 		fail(http.StatusMethodNotAllowed, "POST only")
 		return
 	}
+	decodeT0 := start
+	if s.tracer != nil {
+		decodeT0 = time.Now()
+	}
 	var req AllocateRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	fast, err := decodeRequest(w, r, &req)
+	if !fast {
+		fallbacks.Inc()
+	}
+	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			fail(http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", maxRequestBytes))
@@ -296,6 +306,7 @@ func handleAllocate(w http.ResponseWriter, r *http.Request, s *Service, defClust
 		fail(http.StatusBadRequest, "bad cluster: "+err.Error())
 		return
 	}
+	s.emitSpan("decode", laneRequest, decodeT0, rec.TraceID)
 	rec.Nodes = g.NumNodes()
 	rec.Edges = len(g.Edges)
 	rec.Devices = c.Devices

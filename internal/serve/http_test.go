@@ -18,7 +18,7 @@ import (
 	"repro/internal/stream"
 )
 
-func testSpecBody(t *testing.T, g *stream.Graph) []byte {
+func testSpecBody(t testing.TB, g *stream.Graph) []byte {
 	t.Helper()
 	gs := GraphSpec{SourceRate: g.SourceRate}
 	for _, n := range g.Nodes {

@@ -47,7 +47,8 @@ func samePlacement(t *testing.T, label string, a, b []int) {
 
 // TestServedMatchesOffline pins the headline claim: a served placement is
 // bit-identical to the offline Pipeline.Allocate placement for the same
-// model, on both the cold and the cached path.
+// model, on both the cold and the cached path, and its relative
+// throughput is the reward the sweep recorded for it.
 func TestServedMatchesOffline(t *testing.T) {
 	s := gen.Small()
 	model := core.New(core.DefaultConfig())
@@ -66,6 +67,9 @@ func TestServedMatchesOffline(t *testing.T) {
 		samePlacement(t, "cold", offline.Placement.Assign, cold.Assign)
 		if r := sim.Reward(g, offline.Placement, s.Cluster); math.Float64bits(r) != math.Float64bits(cold.Relative) {
 			t.Fatalf("graph %d: reward %v vs served %v", gi, r, cold.Relative)
+		}
+		if math.Float64bits(offline.Reward) != math.Float64bits(cold.Relative) {
+			t.Fatalf("graph %d: sweep reward %v vs served %v", gi, offline.Reward, cold.Relative)
 		}
 		if cold.NumSuper != offline.Coarse.NumSuper {
 			t.Fatalf("graph %d: num_super %d vs %d", gi, cold.NumSuper, offline.Coarse.NumSuper)

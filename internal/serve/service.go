@@ -59,9 +59,9 @@ type Options struct {
 	// Registry receives serve metrics (default obs.Default).
 	Registry *obs.Registry
 	// Tracer, when set, receives request-scoped child spans
-	// (cache-probe, queue-wait, forward) tagged with each request's
-	// trace id. Nil disables span emission entirely — the hot path then
-	// takes no extra timestamps.
+	// (cache-probe, queue-wait, forward, and the HTTP layer's decode)
+	// tagged with each request's trace id. Nil disables span emission
+	// entirely — the hot path then takes no extra timestamps.
 	Tracer *obs.Tracer
 	// MaxInflight sheds cache-missing requests once more than this many
 	// requests are in flight (0 = unbounded).
@@ -308,8 +308,9 @@ func (s *Service) AllocateCtx(ctx context.Context, g *stream.Graph, c sim.Cluste
 		s.errs.Inc()
 		return Result{}, ErrClosed
 	}
-	// The features, the sweep and the reported reward all read g's
-	// demands: propagate the rates once, after the cache had its chance.
+	// The features and the sweep, which scores the reported reward, all
+	// read g's demands: propagate the rates once, after the cache had its
+	// chance.
 	g = g.PinDemands()
 	ver := s.version.Load()
 	probs, err := s.forward(ver.snap, gnn.BuildFeatures(g, c), traceID)
@@ -318,12 +319,14 @@ func (s *Service) AllocateCtx(ctx context.Context, g *stream.Graph, c sim.Cluste
 		return Result{}, err
 	}
 
+	// The sweep scored the winner on this same pinned view, so its
+	// reward is the placement's relative throughput.
 	a := s.pipe.AllocateRanked(g, c, probs)
 	res := Result{
 		Assign:       a.Placement.Assign,
 		Devices:      a.Placement.Devices,
 		NumSuper:     a.Coarse.NumSuper,
-		Relative:     sim.Reward(g, a.Placement, c),
+		Relative:     a.Reward,
 		ModelVersion: ver.id,
 		Fingerprint:  fp,
 	}

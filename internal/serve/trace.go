@@ -1,8 +1,8 @@
 // trace.go carries the request-scoped trace identity. The HTTP layer
 // mints (or adopts) an X-Trace-Id per request and threads it through
 // context.Context into the service, so the child spans one request
-// emits — cache-probe, queue-wait, forward — can be grepped out of the
-// Chrome trace by id.
+// emits — decode, cache-probe, queue-wait, forward — can be grepped out
+// of the Chrome trace by id.
 package serve
 
 import (

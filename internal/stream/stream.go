@@ -15,6 +15,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Node is one stream operator.
@@ -573,14 +574,19 @@ func CoarseGraph(g *Graph, cm *CoarseMap) *Graph {
 	// Cross edges in (source, destination) super-node order: two stable
 	// counting-sort passes, by destination and then by source, keep
 	// ascending edge id inside each pair, the order the sums below need.
-	cross := make([]int32, 0, len(g.Edges))
+	sc := coarsePool.Get().(*coarseScratch)
+	defer coarsePool.Put(sc)
+	if cap(sc.cross) < len(g.Edges) {
+		sc.cross = make([]int32, 0, len(g.Edges))
+	}
+	cross := sc.cross[:0]
 	for ei, e := range g.Edges {
 		if cm.Super[e.Src] != cm.Super[e.Dst] {
 			cross = append(cross, int32(ei))
 		}
 	}
-	byDst := make([]int32, len(cross))
-	count := make([]int32, ns+1)
+	byDst := grow(&sc.byDst, len(cross))
+	count := grow(&sc.count, ns+1)
 	sortBySuper(byDst, cross, count, g.Edges, cm.Super, false)
 	sortBySuper(cross, byDst, count, g.Edges, cm.Super, true)
 
@@ -612,6 +618,27 @@ func CoarseGraph(g *Graph, cm *CoarseMap) *Graph {
 	// are pinned to their exact aggregates rather than re-propagated.
 	cg.SetDemandOverrides(superLoad, superTraffic)
 	return cg
+}
+
+// coarseScratch is CoarseGraph's sort scratch: the cross edge ids, their
+// destination-sorted copy and the counting sort's counts. None of it
+// outlives a call, so it is pooled (the rank sweep builds a coarse graph
+// per candidate); the graph CoarseGraph returns is always freshly
+// allocated. Buffers only grow.
+type coarseScratch struct {
+	cross, byDst, count []int32
+}
+
+var coarsePool = sync.Pool{New: func() any { return new(coarseScratch) }}
+
+// grow sets *s to length n, reallocating only when its capacity is
+// short, and returns it. The contents are unspecified.
+func grow(s *[]int32, n int) []int32 {
+	if cap(*s) < n {
+		*s = make([]int32, n)
+	}
+	*s = (*s)[:n]
+	return *s
 }
 
 // sortBySuper stably counting-sorts the edge ids in src into dst by the
