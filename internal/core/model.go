@@ -267,68 +267,51 @@ func (pl *Pipeline) Allocate(g *stream.Graph, c sim.Cluster) Allocation {
 }
 
 // AllocateRanked sweeps coarsening ratios along an edge ranking: one
-// stream.Collapser walk collapses edges in descending score order
+// stream.Collapser sweep collapses edges in descending score order
 // (skipping edges inside one super-node), and each time the super-node
-// count crosses the next target size the walk's current coarse map is
-// evaluated end-to-end. The best allocation wins. Target sizes are
-// multiples of the device count, the same knob Metis exposes as its
-// coarsening scale.
+// count reaches the next of sweepTargets the walk's current coarse map is
+// evaluated end-to-end. The best allocation wins.
 func (pl *Pipeline) AllocateRanked(g *stream.Graph, c sim.Cluster, score []float64) Allocation {
 	// Every candidate's coarse graph and reward reads g's demands: pin
 	// them once rather than re-propagating rates per candidate (a no-op
 	// when the caller pinned them already).
 	g = g.PinDemands()
-	n := g.NumNodes()
-	order := stream.RankEdges(score)
-	// Candidate super-node counts: light coarsenings as fractions of n
-	// (where most of the benefit typically lies) plus heavy coarsenings as
-	// multiples of the device count.
-	k := c.Devices
-	var raw []int
+	walk := stream.NewCollapser(g)
+	var best Allocation
+	bestR := -1.0
+	walk.Sweep(stream.RankEdges(score), sweepTargets(g.NumNodes(), c.Devices), nil, func(i int) {
+		a := pl.allocateMap(g, c, walk.Map())
+		if r := sim.Reward(g, a.Placement, c); r > bestR {
+			a.Reward, a.Candidate = r, i
+			best, bestR = a, r
+		}
+	})
+	return best
+}
+
+// sweepTargets is the rank sweep's schedule of super-node counts for an
+// n-node graph on the given devices, strictly descending from n: light
+// coarsenings as fractions of n (where most of the benefit typically
+// lies), then heavy ones as multiples of the device count, the same knob
+// Metis exposes as its coarsening scale. A count not below the last one
+// kept, or below 1, is dropped.
+func sweepTargets(n, devices int) []int {
+	targets := []int{n}
+	add := func(t int) {
+		if t >= 1 && t < targets[len(targets)-1] {
+			targets = append(targets, t)
+		}
+	}
 	for _, f := range []float64{1, 0.92, 0.84, 0.75, 0.65, 0.55, 0.45, 0.35, 0.25} {
-		raw = append(raw, int(f*float64(n)))
+		add(int(f * float64(n)))
 	}
 	// Sub-device-count targets let the pipeline use fewer devices than
 	// available — essential in the excess-device setting, where the
 	// optimal allocation leaves devices idle.
 	for _, m := range []float64{8, 4, 2, 1, 0.75, 0.5, 0.25} {
-		t := int(m * float64(k))
-		if t >= 1 {
-			raw = append(raw, t)
-		}
+		add(int(m * float64(devices)))
 	}
-	targets := []int{n}
-	for _, t := range raw {
-		if t >= 1 && t < targets[len(targets)-1] {
-			targets = append(targets, t)
-		}
-	}
-
-	// Each candidate is the walk's grouping when the super-node count
-	// first reaches its target.
-	walk := stream.NewCollapser(g)
-	var best Allocation
-	bestR := -1.0
-	ti := 0
-	evalReached := func() {
-		for ; ti < len(targets) && walk.NumSuper() <= targets[ti]; ti++ {
-			a := pl.allocateMap(g, c, walk.Map())
-			if r := sim.Reward(g, a.Placement, c); r > bestR {
-				a.Reward, a.Candidate = r, ti
-				best, bestR = a, r
-			}
-		}
-	}
-	evalReached()
-	for _, ei := range order {
-		if ti == len(targets) {
-			break
-		}
-		if walk.Collapse(int(ei)) {
-			evalReached()
-		}
-	}
-	return best
+	return targets
 }
 
 // AllocateGreedy runs pure threshold-0.5 inference (used by ablations).
@@ -336,32 +319,21 @@ func (pl *Pipeline) AllocateGreedy(g *stream.Graph, c sim.Cluster) Allocation {
 	return pl.AllocateDecision(g, c, pl.Model.Greedy(g, c))
 }
 
-// CoarsenTo collapses edges by descending merge probability until at most
-// target super-nodes remain (cycle-closing edges along the ranking are
-// skipped) and returns the resulting decision vector.
-func (mo *Model) CoarsenTo(g *stream.Graph, c sim.Cluster, target int) Decision {
-	return CoarsenToRanked(g, target, mo.Probs(g, c))
-}
-
 // CoarsenToRanked collapses edges by descending score (index ascending on
 // ties, so equal scores coarsen deterministically) until at most target
 // super-nodes remain; edges whose endpoints already share a super-node are
-// skipped. It is the ranking half of CoarsenTo with the model factored
-// out, which lets the multilevel driver reuse one forward pass's scores.
+// skipped. The multilevel driver and the coarse-graph placer's training
+// set reuse one forward pass's scores through it.
 func CoarsenToRanked(g *stream.Graph, target int, score []float64) Decision {
 	return collapseTo(g, target, stream.RankEdges(score)).Decision()
 }
 
-// collapseTo walks order, collapsing edges until at most target
-// super-nodes remain.
+// collapseTo is a one-target sweep along order: it stops at the first
+// grouping of at most target super-nodes, or, when no grouping is that
+// coarse, with every edge collapsed.
 func collapseTo(g *stream.Graph, target int, order []int32) *stream.Collapser {
 	walk := stream.NewCollapser(g)
-	for _, ei := range order {
-		if walk.NumSuper() <= target {
-			break
-		}
-		walk.Collapse(int(ei))
-	}
+	walk.Sweep(order, []int{target}, nil, func(int) {})
 	return walk
 }
 

@@ -314,6 +314,27 @@ func (r randomPlacer) Place(g *stream.Graph, c sim.Cluster) *stream.Placement {
 
 func (randomPlacer) Name() string { return "random" }
 
+// TestSweepTargetsPinned pins the rank sweep's schedule at the (nodes,
+// devices) shapes of the Small, Medium, Large, XLarge and Excess presets.
+func TestSweepTargetsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		preset     string
+		n, devices int
+		want       []int
+	}{
+		{"small", 4, 5, []int{4, 3, 2, 1}},
+		{"small", 26, 5, []int{26, 23, 21, 19, 16, 14, 11, 9, 6, 5, 3, 2, 1}},
+		{"medium", 150, 10, []int{150, 138, 126, 112, 97, 82, 67, 52, 37, 20, 10, 7, 5, 2}},
+		{"large", 450, 10, []int{450, 414, 378, 337, 292, 247, 202, 157, 112, 80, 40, 20, 10, 7, 5, 2}},
+		{"xlarge", 1500, 20, []int{1500, 1380, 1260, 1125, 975, 825, 675, 525, 375, 160, 80, 40, 20, 15, 10, 5}},
+		{"excess", 412, 10, []int{412, 379, 346, 309, 267, 226, 185, 144, 103, 80, 40, 20, 10, 7, 5, 2}},
+	} {
+		if got := sweepTargets(tc.n, tc.devices); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: sweepTargets(%d, %d) = %v, want %v", tc.preset, tc.n, tc.devices, got, tc.want)
+		}
+	}
+}
+
 // TestCollapseExpandProperties checks two properties of the paper's model
 // on Small, Medium and Large graphs with random decision vectors, from no
 // edge collapsed to every edge, under random, round-robin and Metis
@@ -396,8 +417,9 @@ func TestConfigDefaultsFilledIn(t *testing.T) {
 
 func TestCoarsenToTargets(t *testing.T) {
 	g, c, m := testSetup(t)
+	probs := m.Probs(g, c)
 	for _, target := range []int{1, 3, 10, g.NumNodes()} {
-		d := m.CoarsenTo(g, c, target)
+		d := CoarsenToRanked(g, target, probs)
 		cm := stream.CollapseEdges(g, d)
 		if cm.NumSuper > target && target >= 1 {
 			// Only reachable if the graph is disconnected; generated
@@ -406,7 +428,7 @@ func TestCoarsenToTargets(t *testing.T) {
 		}
 	}
 	// Target = node count means no collapsing at all.
-	d := m.CoarsenTo(g, c, g.NumNodes())
+	d := CoarsenToRanked(g, g.NumNodes(), probs)
 	for _, x := range d {
 		if x {
 			t.Fatal("collapsed edges despite identity target")

@@ -14,20 +14,6 @@ import (
 	"repro/internal/stream"
 )
 
-func TestCoarsenToRankedMatchesCoarsenTo(t *testing.T) {
-	g, c, m := testSetup(t)
-	want := m.CoarsenTo(g, c, 10)
-	got := CoarsenToRanked(g, 10, m.Probs(g, c))
-	if len(got) != len(want) {
-		t.Fatal("decision length mismatch")
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("decision[%d]: ranked %v vs model %v", i, got[i], want[i])
-		}
-	}
-}
-
 // refineChain builds a 6-node chain with a deliberately unbalanced
 // placement: all the work on device 0, device 1 idle.
 func refineChain() (*stream.Graph, sim.Cluster, *stream.Placement) {

@@ -302,7 +302,7 @@ func (h *Harness) CoarsePlacerEncDec(level string, s gen.Setting) placer.Placer 
 	// decoder's compounding errors stay bounded on short sequences.
 	coarse := parallel.Map(len(ds.Train), 0, func(i int) *stream.Graph {
 		g := ds.Train[i]
-		d := model.CoarsenTo(g, ds.Cluster, 4*ds.Cluster.Devices)
+		d := core.CoarsenToRanked(g, 4*ds.Cluster.Devices, model.Probs(g, ds.Cluster))
 		cm := stream.CollapseEdges(g, d)
 		return stream.CoarseGraph(g, cm)
 	})

@@ -341,8 +341,8 @@ func buildFull(t *topoGraph, rng *rand.Rand, cfg Config, budget int) (entry, exi
 }
 
 // replicateNode duplicates a random node (with its connections) up to
-// ReplicateMax times, bounded by budget. Replicated operators keep the
-// same feature group (handled by featureGroup in assignFeatures).
+// ReplicateMax times, bounded by budget. Each copy is recorded in
+// t.replicas, through which it takes the original's per-tuple demand.
 func replicateNode(t *topoGraph, rng *rand.Rand, cfg Config, budget int) {
 	v := pickNode(t, rng)
 	k := 1 + rng.Intn(cfg.ReplicateMax)
@@ -361,9 +361,9 @@ func replicateNode(t *topoGraph, rng *rand.Rand, cfg Config, budget int) {
 	}
 }
 
-// assignFeatures randomizes per-operator demand and per-edge traffic, then
-// rescales so the graph's total CPU demand and total traffic land at the
-// sampled targets.
+// assignFeatures builds t's stream graph and draws its features. Input
+// rates sum each operator's predecessors in t.in order, the order every
+// seeded dataset was generated with.
 func assignFeatures(t *topoGraph, cfg Config, rng *rand.Rand) *stream.Graph {
 	g := stream.NewGraph(cfg.SourceRate)
 	// Selectivities keep tuple rates at the source-rate scale: a fan-in
@@ -387,10 +387,6 @@ func assignFeatures(t *topoGraph, cfg Config, rng *rand.Rand) *stream.Graph {
 	for _, e := range eds {
 		g.AddEdge(e.u, e.v, 1)
 	}
-	// Draw i.i.d. per-node demand and per-edge traffic weights, then invert
-	// the steady-state rates to realize them through IPT and payload (the
-	// paper characterizes operators by CPU utilization and edges by
-	// payload directly; both are "randomly assigned").
 	rates := g.SteadyRates()
 	inRate := make([]float64, t.n)
 	for v := 0; v < t.n; v++ {
@@ -402,38 +398,52 @@ func assignFeatures(t *topoGraph, cfg Config, rng *rand.Rand) *stream.Graph {
 			inRate[v] += rates[u]
 		}
 	}
-	for v := 0; v < t.n; v++ {
+	drawFeatures(g, cfg, rates, inRate, t.replicas, rng)
+	return g
+}
+
+// drawFeatures randomizes per-operator demand and per-edge traffic, then
+// rescales so the graph's total CPU demand and total traffic land at the
+// sampled targets, and draws operator state last. rates are g's steady
+// rates and inRate[v] the rate arriving at v (the source rate at a
+// source), summed by each generator in its own predecessor order. Each
+// replica pair {copy, original} copies the original's per-tuple demand.
+func drawFeatures(g *stream.Graph, cfg Config, rates, inRate []float64, replicas [][2]int, rng *rand.Rand) {
+	n := g.NumNodes()
+	adj := g.Adjacency()
+	// Draw i.i.d. per-node demand and per-edge traffic weights, then invert
+	// the steady-state rates to realize them through IPT and payload (the
+	// paper characterizes operators by CPU utilization and edges by
+	// payload directly; both are "randomly assigned").
+	for v := 0; v < n; v++ {
 		g.Nodes[v].IPT = (0.5 + rng.Float64()) / inRate[v]
 	}
 	for ei := range g.Edges {
 		g.Edges[ei].Payload = (0.5 + rng.Float64()) / rates[g.Edges[ei].Src]
 	}
-	for _, pair := range t.replicas {
-		if pair[0] < t.n && pair[1] < t.n {
-			// Replicas copy the original operator's per-tuple demand.
+	for _, pair := range replicas {
+		if pair[0] < n && pair[1] < n {
 			g.Nodes[pair[0]].IPT = g.Nodes[pair[1]].IPT
 		}
 	}
 	// Node payload feature: mean of outgoing edge payloads.
-	outSum := make([]float64, t.n)
-	outCnt := make([]int, t.n)
-	for _, e := range g.Edges {
-		outSum[e.Src] += e.Payload
-		outCnt[e.Src]++
-	}
-	for v := 0; v < t.n; v++ {
-		if outCnt[v] > 0 {
-			g.Nodes[v].Payload = outSum[v] / float64(outCnt[v])
-		} else {
+	for v := 0; v < n; v++ {
+		out := adj.Out(v)
+		if len(out) == 0 {
 			g.Nodes[v].Payload = 0
+			continue
 		}
+		sum := 0.0
+		for _, ei := range out {
+			sum += g.Edges[ei].Payload
+		}
+		g.Nodes[v].Payload = sum / float64(len(out))
 	}
 
 	// Rescale CPU: total load → frac × cluster instruction capacity.
 	frac := cfg.LoadFrac[0] + rng.Float64()*(cfg.LoadFrac[1]-cfg.LoadFrac[0])
 	targetLoad := frac * float64(cfg.Cluster.Devices) * cfg.Cluster.InstructionCapacity()
-	cur := g.TotalLoad()
-	if cur > 0 {
+	if cur := g.TotalLoad(); cur > 0 {
 		s := targetLoad / cur
 		for i := range g.Nodes {
 			g.Nodes[i].IPT *= s
@@ -442,14 +452,12 @@ func assignFeatures(t *topoGraph, cfg Config, rng *rand.Rand) *stream.Graph {
 	// Rescale payloads: total traffic → sampled fraction of aggregate
 	// cluster bandwidth.
 	frac = cfg.TrafficFrac[0] + rng.Float64()*(cfg.TrafficFrac[1]-cfg.TrafficFrac[0])
-	tr := g.EdgeTraffic()
 	var total float64
-	for _, x := range tr {
+	for _, x := range g.EdgeTraffic() {
 		total += x
 	}
 	if total > 0 {
-		target := frac * float64(cfg.Cluster.Devices) * cfg.Cluster.Bandwidth
-		s := target / total
+		s := frac * float64(cfg.Cluster.Devices) * cfg.Cluster.Bandwidth / total
 		for i := range g.Edges {
 			g.Edges[i].Payload *= s
 		}
@@ -464,15 +472,15 @@ func assignFeatures(t *topoGraph, cfg Config, rng *rand.Rand) *stream.Graph {
 	// second window; other operators are stateful with probability ~0.25.
 	// State only matters to migration cost, never to steady-state load.
 	rates = g.SteadyRates()
-	for v := 0; v < t.n; v++ {
+	for v := 0; v < n; v++ {
 		inBits := 0.0
-		for _, ei := range g.InEdges(v) {
+		for _, ei := range adj.In(v) {
 			e := g.Edges[ei]
 			inBits += rates[e.Src] * e.Payload
 		}
-		stateful := len(t.in[v]) > 1
+		stateful := adj.InDegree(v) > 1
 		draw := rng.Float64()
-		if !stateful && len(t.in[v]) > 0 {
+		if !stateful && adj.InDegree(v) > 0 {
 			stateful = draw < 0.25
 		}
 		if stateful {
@@ -480,7 +488,6 @@ func assignFeatures(t *topoGraph, cfg Config, rng *rand.Rand) *stream.Graph {
 			g.Nodes[v].State = inBits * (0.2 + 1.8*rng.Float64())
 		}
 	}
-	return g
 }
 
 type edgePair struct{ u, v int }

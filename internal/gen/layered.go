@@ -6,14 +6,15 @@
 // in-edges from a sliding window of recent predecessors, which makes the
 // graph connected and acyclic by construction with no edge set, no
 // rewiring, and no intermediate topology — just the final node and edge
-// arrays, O(N+E) memory total. Feature assignment reuses the same
-// demand/traffic normalization scheme as the recursive path (§V), driven
-// by the graph's own adjacency instead of the topoGraph.
+// arrays, O(N+E) memory total. Features come from the recursive path's
+// drawFeatures (§V), with input rates summed over the graph's own
+// adjacency instead of the topoGraph.
 package gen
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/stream"
 )
@@ -50,15 +51,7 @@ func generateLayered(cfg Config, rng *rand.Rand) *stream.Graph {
 		// dedup loop is constant work).
 		got := 0
 		for got < indeg {
-			u := lo + rng.Intn(span)
-			dup := false
-			for j := 0; j < got; j++ {
-				if preds[j] == u {
-					dup = true
-					break
-				}
-			}
-			if !dup {
+			if u := lo + rng.Intn(span); !slices.Contains(preds[:got], u) {
 				preds[got] = u
 				got++
 			}
@@ -69,31 +62,16 @@ func generateLayered(cfg Config, rng *rand.Rand) *stream.Graph {
 		}
 		g.AddNode(stream.Node{IPT: 1, Payload: 1, Selectivity: sel})
 		// Ascending predecessor order keeps edge emission deterministic.
-		for a := 0; a < got; a++ {
-			for b := a + 1; b < got; b++ {
-				if preds[b] < preds[a] {
-					preds[a], preds[b] = preds[b], preds[a]
-				}
-			}
-		}
-		for a := 0; a < got; a++ {
-			g.AddEdge(preds[a], i, 1)
+		slices.Sort(preds[:got])
+		for _, u := range preds[:got] {
+			g.AddEdge(u, i, 1)
 		}
 	}
-	assignFeaturesGraph(g, cfg, rng)
-	return g
-}
-
-// assignFeaturesGraph is assignFeatures for an already-materialized graph:
-// the same i.i.d. demand/traffic draws, rate inversion, load and traffic
-// rescaling, and state assignment as the recursive path, reading structure
-// from the graph's CSR adjacency instead of a topoGraph.
-func assignFeaturesGraph(g *stream.Graph, cfg Config, rng *rand.Rand) {
-	n := g.NumNodes()
+	// Input rates sum each operator's predecessors in CSR order.
 	rates := g.SteadyRates()
 	adj := g.Adjacency()
-	inRate := make([]float64, n)
-	for v := 0; v < n; v++ {
+	inRate := make([]float64, target)
+	for v := range inRate {
 		if adj.InDegree(v) == 0 {
 			inRate[v] = cfg.SourceRate
 			continue
@@ -102,66 +80,6 @@ func assignFeaturesGraph(g *stream.Graph, cfg Config, rng *rand.Rand) {
 			inRate[v] += rates[g.Edges[ei].Src]
 		}
 	}
-	for v := 0; v < n; v++ {
-		g.Nodes[v].IPT = (0.5 + rng.Float64()) / inRate[v]
-	}
-	for ei := range g.Edges {
-		g.Edges[ei].Payload = (0.5 + rng.Float64()) / rates[g.Edges[ei].Src]
-	}
-	// Node payload feature: mean of outgoing edge payloads.
-	for v := 0; v < n; v++ {
-		out := adj.Out(v)
-		if len(out) == 0 {
-			g.Nodes[v].Payload = 0
-			continue
-		}
-		sum := 0.0
-		for _, ei := range out {
-			sum += g.Edges[ei].Payload
-		}
-		g.Nodes[v].Payload = sum / float64(len(out))
-	}
-
-	// Rescale CPU: total load → frac × cluster instruction capacity.
-	frac := cfg.LoadFrac[0] + rng.Float64()*(cfg.LoadFrac[1]-cfg.LoadFrac[0])
-	targetLoad := frac * float64(cfg.Cluster.Devices) * cfg.Cluster.InstructionCapacity()
-	if cur := g.TotalLoad(); cur > 0 {
-		s := targetLoad / cur
-		for i := range g.Nodes {
-			g.Nodes[i].IPT *= s
-		}
-	}
-	// Rescale payloads: total traffic → fraction of aggregate bandwidth.
-	frac = cfg.TrafficFrac[0] + rng.Float64()*(cfg.TrafficFrac[1]-cfg.TrafficFrac[0])
-	var total float64
-	for _, x := range g.EdgeTraffic() {
-		total += x
-	}
-	if total > 0 {
-		s := frac * float64(cfg.Cluster.Devices) * cfg.Cluster.Bandwidth / total
-		for i := range g.Edges {
-			g.Edges[i].Payload *= s
-		}
-		for i := range g.Nodes {
-			g.Nodes[i].Payload *= s
-		}
-	}
-	// Operator state (migration cost only): fan-in operators always hold a
-	// window of arriving data, others are stateful with probability ~0.25.
-	rates = g.SteadyRates()
-	for v := 0; v < n; v++ {
-		inBits := 0.0
-		for _, ei := range adj.In(v) {
-			e := g.Edges[ei]
-			inBits += rates[e.Src] * e.Payload
-		}
-		stateful := adj.InDegree(v) > 1
-		draw := rng.Float64()
-		if !stateful && adj.InDegree(v) > 0 {
-			stateful = draw < 0.25
-		}
-		if stateful {
-			g.Nodes[v].State = inBits * (0.2 + 1.8*rng.Float64())
-		}
-	}
+	drawFeatures(g, cfg, rates, inRate, nil, rng)
+	return g
 }

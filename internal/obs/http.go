@@ -91,6 +91,18 @@ func Serve(addr string, reg *Registry) (*Server, error) {
 	return ServeHandler(addr, Handler(reg))
 }
 
+// Connection bounds of every server ServeHandler starts; variables so
+// tests can shorten them. A client stalling inside its headers is cut
+// off after readHeaderTimeout. An idle keep-alive connection is closed
+// after idleTimeout, long past any gap between a paced client's
+// requests, because a request racing the close fails. There is no
+// ReadTimeout: it stays armed while the handler runs and would cancel
+// its context, so a handler bounds its own body read.
+var (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // ServeHandler starts h on addr with the same lifecycle plumbing as
 // Serve: a background accept loop whose error is surfaced by
 // Shutdown/Err rather than silently discarded.
@@ -99,7 +111,7 @@ func ServeHandler(addr string, h http.Handler) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	srv := &http.Server{Handler: h}
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	s := &Server{ln: ln, srv: srv, errCh: make(chan error, 1)}
 	go func() {
 		s.errCh <- srv.Serve(ln)

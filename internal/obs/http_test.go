@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -230,5 +231,35 @@ func TestServeErrSurfaced(t *testing.T) {
 	// Err stays sticky through Shutdown.
 	if err := srv.Close(); err == nil {
 		t.Fatal("Close should surface the serve error")
+	}
+}
+
+// TestServeCutsOffStalledHeaders checks that a client stalling inside
+// its request headers loses its connection once readHeaderTimeout
+// passes, and that idle keep-alive connections are kept two minutes.
+func TestServeCutsOffStalledHeaders(t *testing.T) {
+	defer func(d time.Duration) { readHeaderTimeout = d }(readHeaderTimeout)
+	readHeaderTimeout = 50 * time.Millisecond
+	srv, err := ServeHandler("127.0.0.1:0", http.NotFoundHandler())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if srv.srv.IdleTimeout < 2*time.Minute {
+		t.Fatalf("IdleTimeout %v, want at least 2m", srv.srv.IdleTimeout)
+	}
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	io.WriteString(conn, "GET /metrics HTTP/1.1\r\nHost: x\r\n")
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	_, err = conn.Read(make([]byte, 1))
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("a client stalled inside its headers kept its connection for 2s")
+	}
+	if err == nil {
+		t.Fatal("the server answered headers that never ended")
 	}
 }

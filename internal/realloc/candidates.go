@@ -8,6 +8,7 @@
 package realloc
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/sim"
@@ -40,70 +41,41 @@ func (l *Loop) candidates(region map[int]bool, st sim.DriftState, order []int32)
 	for _, v := range nodes {
 		inRegion[v] = true
 	}
-	up := st.NumUp(l.c.Devices)
-	targets := regionTargets(len(nodes), up)
-
-	// One collapse walk along the pipeline's ranking, restricted to
-	// region-internal edges, snapshotting the grouping each time the
-	// region's super-node count crosses the next target. Operators outside
-	// the region stay singletons.
-	walk := stream.NewCollapser(l.g)
+	// One sweep along the pipeline's ranking, restricted to
+	// region-internal edges, snapshotting the grouping at each region
+	// target. Operators outside the region stay singletons, so the walk's
+	// super-node count exceeds the region's by their number.
 	outside := l.g.NumNodes() - len(nodes)
+	targets := regionTargets(len(nodes), st.NumUp(l.c.Devices))
+	for i := range targets {
+		targets[i] += outside
+	}
+	keep := func(ei int) bool {
+		e := l.g.Edges[ei]
+		return inRegion[e.Src] && inRegion[e.Dst]
+	}
+	walk := stream.NewCollapser(l.g)
 	loads := l.g.NodeLoad()
 	var out []candidate
-	ti := 0
-	snapshot := func() {
-		for ; ti < len(targets) && walk.NumSuper()-outside <= targets[ti]; ti++ {
-			if p := l.assignRegion(nodes, inRegion, walk.Map(), loads, st); p != nil {
-				out = append(out, l.score(p, st))
-			}
+	walk.Sweep(order, targets, keep, func(int) {
+		if p := l.assignRegion(nodes, inRegion, walk.Map(), loads, st); p != nil {
+			out = append(out, l.score(p, st))
 		}
-	}
-	snapshot()
-	for _, ei := range order {
-		if ti == len(targets) {
-			break
-		}
-		if e := l.g.Edges[ei]; inRegion[e.Src] && inRegion[e.Dst] && walk.Collapse(int(ei)) {
-			snapshot()
-		}
-	}
+	})
 	return out
 }
 
 // regionTargets picks the super-node counts to snapshot: no collapse
 // (pure reassignment), intermediate granularities, and down to the
-// available device count — descending and deduplicated.
+// available device count — clamped to [1, nRegion], descending and
+// deduplicated.
 func regionTargets(nRegion, upDevices int) []int {
-	raw := []int{
-		nRegion,
-		(3*nRegion + 3) / 4,
-		(nRegion + 1) / 2,
-		(nRegion + 3) / 4,
-		2 * upDevices,
-		upDevices,
+	targets := []int{nRegion, (3*nRegion + 3) / 4, (nRegion + 1) / 2, (nRegion + 3) / 4, 2 * upDevices, upDevices}
+	for i, t := range targets {
+		targets[i] = min(max(t, 1), nRegion)
 	}
-	var targets []int
-	for _, t := range raw {
-		if t < 1 {
-			t = 1
-		}
-		if t > nRegion {
-			t = nRegion
-		}
-		dup := false
-		for _, have := range targets {
-			if have == t {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			targets = append(targets, t)
-		}
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(targets)))
-	return targets
+	slices.SortFunc(targets, func(a, b int) int { return b - a })
+	return slices.Compact(targets)
 }
 
 // assignRegion greedily places the region's super-nodes onto the

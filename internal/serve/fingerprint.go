@@ -14,6 +14,7 @@ package serve
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"hash"
 	"math"
 	"sync"
 
@@ -24,56 +25,70 @@ import (
 // Fingerprint is the canonical identity of one allocation request.
 type Fingerprint [sha256.Size]byte
 
-// fpBufPool recycles encode buffers so a steady-state fingerprint costs
-// no allocation.
+// fpBufSize bounds the encode buffer: the canonical encoding streams
+// into SHA-256 a buffer-full at a time, so a request at the operator cap
+// leaves no buffer of its own size in the pool.
+const fpBufSize = 4096
+
+// fpEncoder is one hash in progress and its encode buffer.
+type fpEncoder struct {
+	h hash.Hash
+	b []byte
+}
+
+// fpBufPool recycles encoders so a steady-state fingerprint costs no
+// allocation.
 var fpBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 4096)
-		return &b
-	},
+	New: func() any { return &fpEncoder{sha256.New(), make([]byte, 0, fpBufSize)} },
 }
 
-func appendU64(b []byte, v uint64) []byte {
-	return binary.LittleEndian.AppendUint64(b, v)
-}
-
-func appendF64(b []byte, v float64) []byte {
-	return appendU64(b, math.Float64bits(v))
+// room hashes and empties b unless n more bytes fit in the buffer.
+func (e *fpEncoder) room(b []byte, n int) []byte {
+	if len(b)+n > fpBufSize {
+		e.h.Write(b)
+		b = b[:0]
+	}
+	return b
 }
 
 // FingerprintRequest hashes the canonical encoding of (g, c).
 func FingerprintRequest(g *stream.Graph, c sim.Cluster) Fingerprint {
-	bp := fpBufPool.Get().(*[]byte)
-	b := (*bp)[:0]
+	e := fpBufPool.Get().(*fpEncoder)
+	e.h.Reset()
+	le, f := binary.LittleEndian, math.Float64bits
 
-	b = appendF64(b, g.SourceRate)
-	b = appendU64(b, uint64(len(g.Nodes)))
+	b := le.AppendUint64(e.b[:0], f(g.SourceRate))
+	b = le.AppendUint64(b, uint64(len(g.Nodes)))
 	for i := range g.Nodes {
+		b = e.room(b, 32)
 		n := &g.Nodes[i]
-		b = appendF64(b, n.IPT)
-		b = appendF64(b, n.Payload)
-		b = appendF64(b, n.Selectivity)
-		b = appendF64(b, n.State)
+		b = le.AppendUint64(b, f(n.IPT))
+		b = le.AppendUint64(b, f(n.Payload))
+		b = le.AppendUint64(b, f(n.Selectivity))
+		b = le.AppendUint64(b, f(n.State))
 	}
-	b = appendU64(b, uint64(len(g.Edges)))
+	b = le.AppendUint64(e.room(b, 8), uint64(len(g.Edges)))
 	for i := range g.Edges {
-		e := &g.Edges[i]
-		b = appendU64(b, uint64(e.Src))
-		b = appendU64(b, uint64(e.Dst))
-		b = appendF64(b, e.Payload)
+		b = e.room(b, 24)
+		ed := &g.Edges[i]
+		b = le.AppendUint64(b, uint64(ed.Src))
+		b = le.AppendUint64(b, uint64(ed.Dst))
+		b = le.AppendUint64(b, f(ed.Payload))
 	}
 
-	b = appendU64(b, uint64(c.Devices))
-	b = appendF64(b, c.MIPS)
-	b = appendF64(b, c.Bandwidth)
-	b = appendU64(b, uint64(c.Links))
-	b = appendU64(b, uint64(len(c.DeviceMIPS)))
+	b = le.AppendUint64(e.room(b, 40), uint64(c.Devices))
+	b = le.AppendUint64(b, f(c.MIPS))
+	b = le.AppendUint64(b, f(c.Bandwidth))
+	b = le.AppendUint64(b, uint64(c.Links))
+	b = le.AppendUint64(b, uint64(len(c.DeviceMIPS)))
 	for _, m := range c.DeviceMIPS {
-		b = appendF64(b, m)
+		b = le.AppendUint64(e.room(b, 8), f(m))
 	}
 
-	fp := sha256.Sum256(b)
-	*bp = b
-	fpBufPool.Put(bp)
+	e.h.Write(b)
+	var fp Fingerprint
+	copy(fp[:], e.h.Sum(b[:0]))
+	e.b = b
+	fpBufPool.Put(e)
 	return fp
 }

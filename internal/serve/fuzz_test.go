@@ -61,10 +61,9 @@ func allocateSeeds(t testing.TB) [][]byte {
 	return seeds
 }
 
-// hubFanBody is a request whose graph has n operators, operator 0
-// feeding each of the others.
-func hubFanBody(t testing.TB, n int) []byte {
-	t.Helper()
+// hubFanSpec is a graph of n operators, operator 0 feeding each of the
+// others.
+func hubFanSpec(n int) GraphSpec {
 	gs := GraphSpec{SourceRate: 1000}
 	for v := 0; v < n; v++ {
 		gs.Nodes = append(gs.Nodes, NodeSpec{IPT: 10, Payload: 64, Selectivity: 1})
@@ -72,7 +71,13 @@ func hubFanBody(t testing.TB, n int) []byte {
 			gs.Edges = append(gs.Edges, EdgeSpec{Src: 0, Dst: v})
 		}
 	}
-	body, err := json.Marshal(AllocateRequest{Graph: gs})
+	return gs
+}
+
+// hubFanBody is a request for hubFanSpec(n).
+func hubFanBody(t testing.TB, n int) []byte {
+	t.Helper()
+	body, err := json.Marshal(AllocateRequest{Graph: hubFanSpec(n)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -135,6 +135,11 @@ const (
 // about 3× headroom over the largest for names and whitespace.
 const maxRequestBytes = 4 << 20
 
+// bodyReadTimeout bounds reading an /allocate body: a client must send
+// a body at the maxRequestBytes cap at 1.2 Mbit/s or faster. A variable
+// so tests can shorten it.
+var bodyReadTimeout = 30 * time.Second
+
 // BuildCluster resolves the spec against a default cluster and validates
 // the result (sim.Cluster.Validate). A device count above
 // maxRequestDevices is rejected.
@@ -282,6 +287,12 @@ func handleAllocate(w http.ResponseWriter, r *http.Request, s *Service, defClust
 	if s.tracer != nil {
 		decodeT0 = time.Now()
 	}
+	// A client stalling inside its body would hold the connection and
+	// this goroutine, so the read is bounded. The bound stays armed on a
+	// failed read, where it also bounds the server's discard of the rest.
+	// A writer without read deadlines (a test recorder) reads unbounded.
+	rc := http.NewResponseController(w)
+	_ = rc.SetReadDeadline(time.Now().Add(bodyReadTimeout))
 	var req AllocateRequest
 	fast, err := decodeRequest(w, r, &req)
 	if !fast {
@@ -296,6 +307,8 @@ func handleAllocate(w http.ResponseWriter, r *http.Request, s *Service, defClust
 		fail(http.StatusBadRequest, "bad request: "+err.Error())
 		return
 	}
+	// Left armed, the bound would cancel the request's context mid-forward.
+	_ = rc.SetReadDeadline(time.Time{})
 	g, err := req.Graph.BuildGraph()
 	if err != nil {
 		fail(http.StatusBadRequest, "bad graph: "+err.Error())

@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -387,4 +389,37 @@ func TestHTTPForwardPanicAnswers500(t *testing.T) {
 	}
 	want := (&core.Pipeline{Model: model, Placer: placer.Metis{Seed: 1}}).Allocate(g, s.Cluster)
 	samePlacement(t, "after panic", want.Placement.Assign, got.Assign)
+}
+
+// TestHTTPCutsOffStalledBody checks that a client stalling inside its
+// /allocate body is answered 400 and cut off once bodyReadTimeout
+// passes.
+func TestHTTPCutsOffStalledBody(t *testing.T) {
+	defer func(d time.Duration) { bodyReadTimeout = d }(bodyReadTimeout)
+	bodyReadTimeout = 50 * time.Millisecond
+	s := gen.Small()
+	reg := obs.NewRegistry()
+	svc := newTestService(t, Options{Model: core.New(core.DefaultConfig()), Registry: reg})
+	srv := httptest.NewServer(NewHandler(svc, s.Cluster, "", reg, HandlerOpts{}))
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	io.WriteString(conn, "POST /allocate HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\n{\"graph\":")
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	br := bufio.NewReader(conn)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatalf("no answer within 2s to a client stalled inside its body: %v", err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400", resp.StatusCode)
+	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		t.Fatalf("connection still open after the cut-off (read: %v)", err)
+	}
 }

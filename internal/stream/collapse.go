@@ -106,6 +106,32 @@ func (c *Collapser) Map() *CoarseMap {
 	return &CoarseMap{Super: super, NumSuper: next}
 }
 
+// Sweep walks order, collapsing each edge that keep accepts (nil
+// accepts every edge), and calls at(i) the first time NumSuper() falls
+// to targets[i] or below; at may read Map and Decision. targets must
+// not increase. A target met before the first collapse is reported before
+// it, targets met together are reported in order, and the walk stops
+// once the last target is met, so the collapser then holds that
+// target's grouping. An unreached target gets no call, and the walk
+// then ends with every accepted edge of order collapsed.
+func (c *Collapser) Sweep(order []int32, targets []int, keep func(ei int) bool, at func(i int)) {
+	ti := 0
+	reached := func() {
+		for ; ti < len(targets) && c.numSuper <= targets[ti]; ti++ {
+			at(ti)
+		}
+	}
+	reached()
+	for _, ei := range order {
+		if ti == len(targets) {
+			return
+		}
+		if (keep == nil || keep(int(ei))) && c.Collapse(int(ei)) {
+			reached()
+		}
+	}
+}
+
 // CollapseEdges builds the coarse map induced by merging the endpoints of
 // every edge whose index appears with decision true. Super-node ids are
 // compacted and ordered by the smallest original node they contain.
