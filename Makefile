@@ -49,9 +49,10 @@ race:
 	$(GO) test -race ./...
 
 # Chaos gate: the runtime's drift-timeline replay (crashes, link classes,
-# surges), the drift re-allocation and the resilience suites under the
-# race detector, twice, so flaky timing in the wall-clock replay or a data
-# race in the re-allocation loop fails loudly. Then the tests that reach
+# surges), the drift re-allocation and the panic-isolating fan-out
+# (internal/parallel) suites under the race detector, twice, so flaky
+# timing in the wall-clock replay or a data race in the re-allocation
+# loop fails loudly. Then the tests that reach
 # the shared forward-pass binder pool or the tensor
 # arena from several goroutines (offline passes, served snapshot passes,
 # concurrent cache misses, mixed-size arena traffic, Metis's pooled
@@ -62,7 +63,7 @@ race:
 # times: their LSTM and attention layers run on concurrent replicas bound
 # to one parameter snapshot.
 chaos:
-	$(GO) test -race -count=2 ./internal/runtime/ ./internal/realloc/ ./internal/resilience/
+	$(GO) test -race -count=2 ./internal/runtime/ ./internal/realloc/ ./internal/parallel/
 	$(GO) test -race -count=10 -run 'TestProbsIntoConcurrent|TestProbsIntoAfterPanic|TestConcurrentAllocateRace|TestConcurrentMatchesSerial|TestArenaConcurrentGetPut|TestPartitionConcurrentMatchesSerial' ./internal/core/ ./internal/serve/ ./internal/tensor/ ./internal/metis/
 	$(GO) test -race -count=20 -run 'TestStepScoresEachDistinctDecisionOnce' ./internal/rl/
 	$(GO) test -race -count=10 -run 'TestBatchedTrainingDeterministicAcrossWorkers/(gdp|graph-enc-dec)$$' ./internal/rl/

@@ -27,7 +27,9 @@
 //	model := streamcoarsen.NewModel(streamcoarsen.DefaultModelConfig())
 //	pipe := streamcoarsen.NewPipeline(model)
 //	trainer := streamcoarsen.NewTrainer(streamcoarsen.DefaultTrainConfig(), model, pipe)
-//	trainer.TrainOn(data.Train, cluster)
+//	if err := trainer.TrainOn(data.Train, cluster); err != nil {
+//		log.Fatal(err)
+//	}
 //	alloc := pipe.Allocate(data.Test[0], cluster)
 package streamcoarsen
 

@@ -100,14 +100,10 @@ func main() {
 		rtEvery     = flag.Duration("runtime-every", 5*time.Second, "Go runtime-stats sampling period (goroutines, heap, GC pauses; 0 disables)")
 		devices     = flag.Int("devices", 10, "default cluster size when a request omits its cluster")
 		mbps        = flag.Float64("mbps", 1000, "default cluster link bandwidth (Mbps)")
-		verbose     = flag.Bool("v", false, "verbose logging (debug level)")
 	)
 	flag.Parse()
 
 	obs.Log.SetLevel(obs.LevelInfo)
-	if *verbose {
-		obs.Log.SetLevel(obs.LevelDebug)
-	}
 
 	if *rtEvery > 0 {
 		stopRT := obs.StartRuntimeStats(obs.Default, *rtEvery)

@@ -73,7 +73,6 @@ func main() {
 		trainWork   = flag.Int("train-workers", 0, "replica workers per graph batch (0 = all cores); pure wall-clock knob, never changes results")
 		cpuprofile  = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memprofile  = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
-		verbose     = flag.Bool("v", false, "verbose logging (debug level)")
 		listen      = flag.String("listen", "", "serve /metrics (Prometheus) and /debug/vars (expvar) on this address, e.g. :9090 or :0")
 		traceOut    = flag.String("trace-out", "", "write a Chrome trace-event JSON of training phases to this file")
 		curveOut    = flag.String("curve-out", "", "append one JSONL training-curve record per optimizer step to this file")
@@ -83,12 +82,9 @@ func main() {
 	)
 	flag.Parse()
 
-	// CLI default is info-level progress on stderr; -v raises to debug,
-	// -quiet keeps the trainer's own lines off as before.
+	// CLI default is info-level progress on stderr; -quiet keeps the
+	// trainer's own lines off as before.
 	obs.Log.SetLevel(obs.LevelInfo)
-	if *verbose {
-		obs.Log.SetLevel(obs.LevelDebug)
-	}
 
 	var err error
 	stopProf, err = prof.Start(*cpuprofile, *memprofile)

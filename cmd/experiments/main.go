@@ -40,7 +40,6 @@ func main() {
 		twork  = flag.Int("train-workers", 0, "replica workers per graph batch (0 = all cores); never changes results")
 		cpup   = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memp   = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
-		verb   = flag.Bool("v", false, "verbose logging (debug level)")
 		listen = flag.String("listen", "", "serve /metrics and /debug/vars on this address, e.g. :9090 or :0")
 		trace  = flag.String("trace-out", "", "write a Chrome trace-event JSON of training phases to this file")
 		curveP = flag.String("curve-out", "", "append one JSONL training-curve record per optimizer step to this file")
@@ -48,9 +47,6 @@ func main() {
 	flag.Parse()
 
 	obs.Log.SetLevel(obs.LevelInfo)
-	if *verb {
-		obs.Log.SetLevel(obs.LevelDebug)
-	}
 
 	stopProf, err := prof.Start(*cpup, *memp)
 	if err != nil {

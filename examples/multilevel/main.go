@@ -21,6 +21,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	streamcoarsen "repro"
 )
@@ -38,7 +39,9 @@ func main() {
 	cfg := streamcoarsen.DefaultTrainConfig()
 	cfg.PretrainEpochs, cfg.Epochs = 6, 0
 	trainer := streamcoarsen.NewTrainer(cfg, model, pipe)
-	trainer.TrainOn(data.Train, data.Cluster)
+	if err := trainer.TrainOn(data.Train, data.Cluster); err != nil {
+		log.Fatal(err)
+	}
 
 	// Part 1 — one-shot vs multilevel on an unseen graph an order of
 	// magnitude past the training sizes: the xlarge setting (1,000–2,000
@@ -99,8 +102,8 @@ func main() {
 //	  multilevel :   1733 ->   600 supernodes   throughput    2636 tuples/s
 //	  config: leaf 600, factor 8 per level, 2 refine passes
 //	huge graph: 100205 nodes, 151389 edges, 32 devices
-//	  multilevel : 100205 -> 12525 supernodes at level 1   throughput     884 tuples/s
-//	  placement  : 100205 operators on 7 devices
+//	  multilevel : 100205 -> 12525 supernodes at level 1   throughput     814 tuples/s
+//	  placement  : 100205 operators on 8 devices
 //
 // The coarsest-level partition concentrates load on a subset of the 32
 // devices — a model pretrained on 10-device medium graphs has never seen

@@ -6,6 +6,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	streamcoarsen "repro"
 )
@@ -28,7 +29,9 @@ func main() {
 	cfg := streamcoarsen.DefaultTrainConfig()
 	cfg.PretrainEpochs, cfg.Epochs = 8, 2
 	trainer := streamcoarsen.NewTrainer(cfg, model, pipe)
-	trainer.TrainOn(data.Train, cluster)
+	if err := trainer.TrainOn(data.Train, cluster); err != nil {
+		log.Fatal(err)
+	}
 
 	// Allocate every unseen test graph and compare with plain Metis.
 	fmt.Printf("\n%-8s %-14s %-14s %-12s\n", "graph", "metis thr/s", "coarsen thr/s", "coarse size")

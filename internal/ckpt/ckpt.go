@@ -89,33 +89,6 @@ func Decode(data []byte, kind string, out any) error {
 	return nil
 }
 
-// KindOf returns the kind tag of an envelope, or "" when data is not a
-// ckpt envelope. Callers use it to dispatch between checkpoint flavors
-// (e.g. weights-only vs full trainer state) before decoding.
-func KindOf(data []byte) string {
-	var probe struct {
-		Version *int   `json:"ckpt_version"`
-		Kind    string `json:"kind"`
-	}
-	if err := json.Unmarshal(data, &probe); err != nil || probe.Version == nil {
-		return ""
-	}
-	return probe.Kind
-}
-
-// IsEnvelope reports whether data looks like a ckpt envelope (as opposed
-// to a legacy bare-JSON file). It requires the ckpt_version key so plain
-// parameter maps are never mistaken for envelopes.
-func IsEnvelope(data []byte) bool {
-	var probe struct {
-		Version *int `json:"ckpt_version"`
-	}
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return false
-	}
-	return probe.Version != nil
-}
-
 // strictUnmarshal decodes exactly one JSON value and rejects trailing
 // data, catching files truncated or concatenated by a crashed writer.
 func strictUnmarshal(data []byte, out any) error {

@@ -93,23 +93,6 @@ func TestRejectsTrailingData(t *testing.T) {
 	}
 }
 
-func TestIsEnvelope(t *testing.T) {
-	path := roundTripPath(t)
-	if err := WriteFile(path, "test-state", payload{}); err != nil {
-		t.Fatal(err)
-	}
-	data, _ := os.ReadFile(path)
-	if !IsEnvelope(data) {
-		t.Error("envelope not recognized")
-	}
-	if IsEnvelope([]byte(`{"w": {"rows": 1, "cols": 1, "data": [0]}}`)) {
-		t.Error("legacy params map misdetected as envelope")
-	}
-	if IsEnvelope([]byte("not json")) {
-		t.Error("garbage misdetected as envelope")
-	}
-}
-
 func TestWriteLeavesNoTempFilesBehind(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "state.json")

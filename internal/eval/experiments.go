@@ -164,9 +164,7 @@ func (h *Harness) CoarsenModel(level string) *core.Model {
 	}
 	train := func(m *core.Model, ds *gen.Dataset, pre, ep int) {
 		pipe := &core.Pipeline{Model: m, Placer: placer.Metis{Seed: h.Seed}}
-		cfg := h.rlConfig(pre, ep)
-		tr := rl.NewTrainer(cfg, m, pipe)
-		tr.TrainOn(ds.Train, ds.Cluster)
+		mustTrain(rl.NewTrainer(h.rlConfig(pre, ep), m, pipe), ds.Train, ds.Cluster)
 	}
 	finetune := func(m *core.Model, ds *gen.Dataset, ep int) {
 		// Snapshot before fine-tuning: the paper trains each curriculum
@@ -180,8 +178,7 @@ func (h *Harness) CoarsenModel(level string) *core.Model {
 		pipe := &core.Pipeline{Model: m, Placer: placer.Metis{Seed: h.Seed}}
 		cfg := h.rlConfig(0, ep) // no imitation pretraining when fine-tuning
 		cfg.LR = 0.001           // gentler updates: the model is already competent
-		tr := rl.NewTrainer(cfg, m, pipe)
-		tr.TrainOn(ds.Train, ds.Cluster)
+		mustTrain(rl.NewTrainer(cfg, m, pipe), ds.Train, ds.Cluster)
 
 		// Validate on a slice of the training split and keep the better.
 		val := ds.Train
@@ -223,7 +220,8 @@ func (h *Harness) CoarsenModel(level string) *core.Model {
 		cfg := h.rlConfig(0, h.Budget.Pretrain/2+h.Budget.RL)
 		cfg.MetisGuided = false
 		pipe := &core.Pipeline{Model: model, Placer: placer.Metis{Seed: h.Seed}}
-		rl.NewTrainer(cfg, model, pipe).TrainOn(h.Dataset(gen.Large()).Train, h.Dataset(gen.Large()).Cluster)
+		ds := h.Dataset(gen.Large())
+		mustTrain(rl.NewTrainer(cfg, model, pipe), ds.Train, ds.Cluster)
 	case "large-scratch-guided":
 		model = newModel()
 		train(model, h.Dataset(gen.Large()), h.Budget.Pretrain, h.Budget.RL)
@@ -245,6 +243,15 @@ func copyParams(dst, src *core.Model) error {
 	return nn.CopyValuesFrom(dst.PS, src.PS)
 }
 
+// mustTrain runs tr over graphs and panics on its error: a run that
+// halted (a scorer panicked, say) leaves a half-trained model, and rows
+// scored from it would pass for results.
+func mustTrain(tr *rl.Trainer, graphs []*stream.Graph, c sim.Cluster) {
+	if err := tr.TrainOn(graphs, c); err != nil {
+		panic("eval: train: " + err.Error())
+	}
+}
+
 // trainPlacer trains a learned placer through rl.Trainer: pretraining
 // epochs of Metis imitation, then Budget.BaselineRL epochs of REINFORCE,
 // with 4 samples per step at LR 0.002.
@@ -253,9 +260,7 @@ func (h *Harness) trainPlacer(m rl.Policy[[]int], graphs []*stream.Graph, c sim.
 	cfg.PretrainEpochs, cfg.Epochs = pretrain, h.Budget.BaselineRL
 	cfg.Seed, cfg.Quiet = seed, h.Quiet
 	cfg.GraphBatch, cfg.TrainWorkers = h.GraphBatch, h.TrainWorkers
-	if err := rl.NewPolicyTrainer(cfg, m).TrainOn(graphs, c); err != nil {
-		panic("eval: train placer: " + err.Error())
-	}
+	mustTrain(rl.NewPolicyTrainer(cfg, m), graphs, c)
 }
 
 // Baseline returns the trained learned baseline ("graph-enc-dec", "gdp",
@@ -718,8 +723,7 @@ func (h *Harness) Table2() *Report {
 		cfg.Seed = h.Seed
 		m := core.New(cfg)
 		pipe := &core.Pipeline{Model: m, Placer: placer.Metis{Seed: h.Seed}}
-		tr := rl.NewTrainer(h.rlConfig(h.Budget.Pretrain, h.Budget.RL), m, pipe)
-		tr.TrainOn(ds.Train, ds.Cluster)
+		mustTrain(rl.NewTrainer(h.rlConfig(h.Budget.Pretrain, h.Budget.RL), m, pipe), ds.Train, ds.Cluster)
 		return m
 	}
 	noEnc := core.DefaultConfig()

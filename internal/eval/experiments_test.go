@@ -1,13 +1,18 @@
 package eval
 
 import (
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/rl"
+	"repro/internal/sim"
+	"repro/internal/stream"
 )
 
 // tinyHarness returns a harness small enough for unit tests.
@@ -56,6 +61,32 @@ func TestBaselineUnknownKindPanics(t *testing.T) {
 		}
 	}()
 	tinyHarness(t).Baseline("nope", settingForTest())
+}
+
+// explodingPlacer panics on every placement, so every sample scoring
+// of a trainer whose pipeline holds it fails.
+type explodingPlacer struct{}
+
+func (explodingPlacer) Place(*stream.Graph, sim.Cluster) *stream.Placement {
+	panic("placer exploded mid-sample")
+}
+
+func (explodingPlacer) Name() string { return "exploding" }
+
+func TestMustTrainPanicsOnHaltedRun(t *testing.T) {
+	ds := tinyHarness(t).Dataset(settingForTest())
+	m := core.New(core.DefaultConfig())
+	cfg := rl.DefaultConfig()
+	cfg.MetisGuided, cfg.PretrainEpochs, cfg.Epochs, cfg.Quiet = false, 0, 1, true
+	tr := rl.NewTrainer(cfg, m, &core.Pipeline{Model: m, Placer: explodingPlacer{}})
+	var msg any
+	func() {
+		defer func() { msg = recover() }()
+		mustTrain(tr, ds.Train, ds.Cluster)
+	}()
+	if !strings.Contains(fmt.Sprint(msg), "placer exploded mid-sample") {
+		t.Fatalf("mustTrain panicked with %v, want the recovered panic's text", msg)
+	}
 }
 
 func TestFig1ProducesBothSeries(t *testing.T) {

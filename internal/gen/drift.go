@@ -164,10 +164,7 @@ func DriftEvents(cfg DriftConfig, devices int, rng *rand.Rand) []sim.DriftEvent 
 // derived seeds, so the output is independent of worker scheduling —
 // the same contract as GenerateSet.
 func DriftEventSet(cfg DriftConfig, devices, n int, seed int64) [][]sim.DriftEvent {
-	out := make([][]sim.DriftEvent, n)
-	parallel.ForEach(n, 0, func(i int) {
-		rng := rand.New(rand.NewSource(seed + int64(i)*7_368_787))
-		out[i] = DriftEvents(cfg, devices, rng)
+	return parallel.Map(n, 0, func(i int) []sim.DriftEvent {
+		return DriftEvents(cfg, devices, rand.New(rand.NewSource(seed+int64(i)*7_368_787)))
 	})
-	return out
 }

@@ -504,12 +504,9 @@ func sortEdges(eds []edgePair) {
 // GenerateSet produces n graphs in parallel with per-graph derived seeds,
 // so the output is independent of worker scheduling.
 func GenerateSet(cfg Config, n int, seed int64) []*stream.Graph {
-	out := make([]*stream.Graph, n)
-	parallel.ForEach(n, 0, func(i int) {
-		rng := rand.New(rand.NewSource(graphSeed(seed, i)))
-		out[i] = Generate(cfg, rng)
+	return parallel.Map(n, 0, func(i int) *stream.Graph {
+		return Generate(cfg, rand.New(rand.NewSource(graphSeed(seed, i))))
 	})
-	return out
 }
 
 // GenerateEach produces the same n graphs as GenerateSet — identical

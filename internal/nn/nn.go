@@ -5,7 +5,6 @@
 package nn
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -406,8 +405,7 @@ const paramsKind = "nn-params"
 
 // SaveParams writes all parameter values of ps to path as a checksummed
 // envelope (see internal/ckpt), written atomically so a crash mid-save
-// cannot corrupt an existing file. LoadParams also accepts the legacy
-// bare-JSON map written by earlier versions.
+// cannot corrupt an existing file.
 func SaveParams(ps *ParamSet, path string) error {
 	out := make(map[string]savedParam, len(ps.params))
 	for _, p := range ps.params {
@@ -419,11 +417,10 @@ func SaveParams(ps *ParamSet, path string) error {
 	return nil
 }
 
-// LoadParams reads parameter values from path into ps. New-format files
-// (ckpt envelopes) are checksum-verified; legacy bare-JSON maps remain
-// loadable but are parsed strictly. In both formats every parameter of ps
-// must be present in the file with a matching shape and a complete data
-// vector — a truncated, corrupt, or partial file is rejected with a
+// LoadParams reads parameter values from path, a checksum-verified
+// "nn-params" envelope written by SaveParams, into ps. Every parameter of
+// ps must be present in the file with a matching shape and a complete
+// data vector — a truncated, corrupt, or partial file is rejected with a
 // descriptive error instead of silently zero-filling or partially
 // updating the model.
 func LoadParams(ps *ParamSet, path string) error {
@@ -432,15 +429,8 @@ func LoadParams(ps *ParamSet, path string) error {
 		return fmt.Errorf("nn: load params: %w", err)
 	}
 	var in map[string]savedParam
-	if ckpt.IsEnvelope(data) {
-		if err := ckpt.Decode(data, paramsKind, &in); err != nil {
-			return fmt.Errorf("nn: %s: %w", path, err)
-		}
-	} else {
-		// json.Unmarshal rejects both truncated values and trailing bytes.
-		if err := json.Unmarshal(data, &in); err != nil {
-			return fmt.Errorf("nn: %s is corrupt or truncated: %w", path, err)
-		}
+	if err := ckpt.Decode(data, paramsKind, &in); err != nil {
+		return fmt.Errorf("nn: %s: %w", path, err)
 	}
 	// Validate everything before touching ps so a bad file cannot leave
 	// the model half-loaded.

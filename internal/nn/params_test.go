@@ -1,12 +1,15 @@
 package nn
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/ckpt"
 )
 
 func twoParamSet(seed int64) *ParamSet {
@@ -17,20 +20,35 @@ func twoParamSet(seed int64) *ParamSet {
 	return ps
 }
 
-func TestLoadParamsLegacyFormatStillLoads(t *testing.T) {
-	ps1 := twoParamSet(1)
-	path := filepath.Join(t.TempDir(), "legacy.json")
-	// Hand-write the legacy bare-map format.
-	legacy := `{"a":{"rows":3,"cols":4,"data":[1,1,1,1,1,1,1,1,1,1,1,1]},` +
-		`"b":{"rows":2,"cols":2,"data":[5,6,7,8]}}`
-	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
+// writeParamsFile writes raw, a JSON parameter map, as SaveParams frames
+// it: inside an "nn-params" envelope.
+func writeParamsFile(t *testing.T, name, raw string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), name)
+	if err := ckpt.WriteFile(path, paramsKind, json.RawMessage(raw)); err != nil {
 		t.Fatal(err)
 	}
-	if err := LoadParams(ps1, path); err != nil {
-		t.Fatalf("legacy format must stay loadable: %v", err)
+	return path
+}
+
+func TestLoadParamsRejectsBareMap(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bare.json")
+	bare := `{"a":{"rows":3,"cols":4,"data":[1,1,1,1,1,1,1,1,1,1,1,1]},` +
+		`"b":{"rows":2,"cols":2,"data":[5,6,7,8]}}`
+	if err := os.WriteFile(path, []byte(bare), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if ps1.Get("b").Value.Data[3] != 8 {
-		t.Errorf("legacy values not applied: %v", ps1.Get("b").Value.Data)
+	ps := twoParamSet(1)
+	before := ps.StateMap()
+	if err := LoadParams(ps, path); err == nil {
+		t.Fatal("a bare parameter map must be rejected")
+	}
+	for name, st := range before {
+		for i, v := range ps.Get(name).Value.Data {
+			if v != st.Value[i] {
+				t.Fatalf("rejected load modified %s[%d]", name, i)
+			}
+		}
 	}
 }
 
@@ -80,11 +98,7 @@ func TestLoadParamsRejectsChecksumMismatch(t *testing.T) {
 func TestLoadParamsRejectsPartialFile(t *testing.T) {
 	// A file holding only parameter "a" must not silently leave "b" at its
 	// previous values.
-	path := filepath.Join(t.TempDir(), "partial.json")
-	partial := `{"a":{"rows":3,"cols":4,"data":[0,0,0,0,0,0,0,0,0,0,0,0]}}`
-	if err := os.WriteFile(path, []byte(partial), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	path := writeParamsFile(t, "partial.json", `{"a":{"rows":3,"cols":4,"data":[0,0,0,0,0,0,0,0,0,0,0,0]}}`)
 	err := LoadParams(twoParamSet(1), path)
 	if err == nil || !strings.Contains(err.Error(), "missing parameters") {
 		t.Fatalf("want missing-parameter error, got %v", err)
@@ -92,12 +106,8 @@ func TestLoadParamsRejectsPartialFile(t *testing.T) {
 }
 
 func TestLoadParamsRejectsShortDataVector(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "short.json")
-	short := `{"a":{"rows":3,"cols":4,"data":[1,2,3]},` +
-		`"b":{"rows":2,"cols":2,"data":[5,6,7,8]}}`
-	if err := os.WriteFile(path, []byte(short), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	path := writeParamsFile(t, "short.json", `{"a":{"rows":3,"cols":4,"data":[1,2,3]},`+
+		`"b":{"rows":2,"cols":2,"data":[5,6,7,8]}}`)
 	ps := twoParamSet(1)
 	before := append([]float64(nil), ps.Get("a").Value.Data...)
 	err := LoadParams(ps, path)

@@ -3,11 +3,16 @@
 // generation, batch evaluation of allocations, and REINFORCE sample scoring.
 //
 // All helpers are deterministic in their outputs (each index computes its
-// own result slot) even though execution order is not.
+// own result slot) even though execution order is not. A panic in one
+// index is recovered on its worker, so it can neither kill the process
+// from a goroutine no caller can recover nor lose its siblings' results.
 package parallel
 
 import (
+	"errors"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -17,11 +22,33 @@ func DefaultWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// ForEach runs fn(i) for i in [0, n) on up to workers goroutines.
-// workers <= 0 selects DefaultWorkers(). It blocks until all calls return.
-func ForEach(n, workers int, fn func(i int)) {
+// PanicError is a panic recovered inside a worker, carrying the payload
+// and the stack of the panicking goroutine.
+type PanicError struct {
+	// Index is the work-item index whose function panicked.
+	Index int
+	// Value is the value passed to panic().
+	Value any
+	// Stack is the stack trace captured at recovery.
+	Stack []byte
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("task %d panicked: %v\n%s", e.Index, e.Value, e.Stack)
+}
+
+// ForEach runs fn(worker, i) for i in [0, n) on up to workers goroutines,
+// the caller's among them, and returns once every call has. workers <= 0
+// selects DefaultWorkers(). Worker ids are dense in [0, min(workers, n)),
+// and all calls carrying the same id run one after another on one
+// goroutine, so fn may use per-worker state (a model replica, a scratch
+// tape, a reusable buffer) without locking. A panicking call is
+// recovered as a *PanicError, and every index runs regardless of other
+// indices' failures. The returned error joins every panic and error in
+// index order (nil when all succeeded).
+func ForEach(n, workers int, fn func(worker, i int) error) error {
 	if n <= 0 {
-		return
+		return nil
 	}
 	if workers <= 0 {
 		workers = DefaultWorkers()
@@ -29,76 +56,47 @@ func ForEach(n, workers int, fn func(i int)) {
 	if workers > n {
 		workers = n
 	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
+	errs := make([]error, n)
+	var next atomic.Int64
+	run := func(w int) {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			errs[i] = protect(w, i, fn)
 		}
-		return
 	}
-	var next int64
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() { defer wg.Done(); run(w) }()
 	}
+	run(0) // the caller is worker 0, and the only one when workers is 1
 	wg.Wait()
+	return errors.Join(errs...)
 }
 
-// ForEachWorker is ForEach with a stable worker id passed to fn: all
-// calls carrying the same worker id run sequentially on one goroutine, so
-// fn may use per-worker state (a model replica, a scratch tape, a reusable
-// buffer) without locking. Worker ids are dense in [0, workers). Like
-// ForEach, result placement is by index, so outputs are deterministic even
-// though the (worker, index) pairing is not.
-func ForEachWorker(n, workers int, fn func(worker, i int)) {
-	if n <= 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
+// protect calls fn(w, i), converting a panic into a *PanicError.
+func protect(w, i int, fn func(worker, i int) error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &PanicError{Index: i, Value: r, Stack: debug.Stack()}
 		}
-		return
-	}
-	var next int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(worker int) {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= n {
-					return
-				}
-				fn(worker, i)
-			}
-		}(w)
-	}
-	wg.Wait()
+	}()
+	return fn(w, i)
 }
 
-// Map applies fn to each index and collects the results in order.
+// Map applies fn to each index on ForEach and collects the results in
+// order. Once every index has run, the lowest-index panic, if any, is
+// re-raised as its *PanicError on the caller's goroutine, so a partial
+// result can never masquerade as a complete one.
 func Map[T any](n, workers int, fn func(i int) T) []T {
 	out := make([]T, n)
-	ForEach(n, workers, func(i int) {
+	if err := ForEach(n, workers, func(_, i int) error {
 		out[i] = fn(i)
-	})
+		return nil
+	}); err != nil {
+		var pe *PanicError
+		errors.As(err, &pe)
+		panic(pe)
+	}
 	return out
 }
 

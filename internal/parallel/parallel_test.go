@@ -1,17 +1,32 @@
 package parallel
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
 
+// workerCounts are the pool sizes every ForEach test runs at: the
+// default, the single-worker path, a small pool and one wider than n.
+var workerCounts = []int{0, 1, 3, 64}
+
 func TestForEachCoversAllIndices(t *testing.T) {
-	for _, workers := range []int{0, 1, 3, 64} {
+	for _, workers := range workerCounts {
 		n := 257
 		seen := make([]int32, n)
-		ForEach(n, workers, func(i int) { atomic.AddInt32(&seen[i], 1) })
+		err := ForEach(n, workers, func(_, i int) error {
+			atomic.AddInt32(&seen[i], 1)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
 		for i, c := range seen {
 			if c != 1 {
 				t.Fatalf("workers=%d index %d visited %d times", workers, i, c)
@@ -20,17 +35,8 @@ func TestForEachCoversAllIndices(t *testing.T) {
 	}
 }
 
-func TestForEachZeroAndNegative(t *testing.T) {
-	calls := 0
-	ForEach(0, 4, func(int) { calls++ })
-	ForEach(-3, 4, func(int) { calls++ })
-	if calls != 0 {
-		t.Fatalf("expected no calls, got %d", calls)
-	}
-}
-
 func TestForEachWorkerCoversAllIndicesWithValidIDs(t *testing.T) {
-	for _, workers := range []int{0, 1, 3, 64} {
+	for _, workers := range workerCounts {
 		n := 257
 		seen := make([]int32, n)
 		bound := workers
@@ -41,12 +47,16 @@ func TestForEachWorkerCoversAllIndicesWithValidIDs(t *testing.T) {
 			bound = n
 		}
 		var badID int32
-		ForEachWorker(n, workers, func(w, i int) {
+		err := ForEach(n, workers, func(w, i int) error {
 			if w < 0 || w >= bound {
 				atomic.AddInt32(&badID, 1)
 			}
 			atomic.AddInt32(&seen[i], 1)
+			return nil
 		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
 		if badID != 0 {
 			t.Fatalf("workers=%d produced %d out-of-range worker ids", workers, badID)
 		}
@@ -58,28 +68,166 @@ func TestForEachWorkerCoversAllIndicesWithValidIDs(t *testing.T) {
 	}
 }
 
-func TestForEachWorkerSerializesPerWorker(t *testing.T) {
-	// Per-worker state must never be touched concurrently: bump a
-	// non-atomic counter per worker id and verify the totals add up,
-	// which they only can if same-id calls are sequential (the race
-	// detector additionally proves the absence of concurrent access).
-	const n, workers = 500, 4
-	counts := make([]int, workers)
-	ForEachWorker(n, workers, func(w, i int) { counts[w]++ })
-	total := 0
-	for _, c := range counts {
-		total += c
+func TestForEachZeroAndNegative(t *testing.T) {
+	calls := 0
+	for _, n := range []int{0, -3} {
+		if err := ForEach(n, 4, func(int, int) error { calls++; return nil }); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
 	}
-	if total != n {
-		t.Fatalf("per-worker counts sum to %d, want %d", total, n)
+	if calls != 0 {
+		t.Fatalf("expected no calls, got %d", calls)
+	}
+}
+
+func TestForEachSerializesPerWorker(t *testing.T) {
+	// Per-worker state must never be touched concurrently: each call
+	// marks its worker id busy, yields, and clears the mark, so a second
+	// call with the same id arriving meanwhile finds it set. The
+	// non-atomic per-worker counts must also add up, and the race
+	// detector additionally proves the absence of concurrent access.
+	const n = 500
+	for _, workers := range workerCounts {
+		size := max(workers, DefaultWorkers())
+		busy := make([]atomic.Bool, size)
+		counts := make([]int, size)
+		var overlaps atomic.Int32
+		ForEach(n, workers, func(w, i int) error {
+			if !busy[w].CompareAndSwap(false, true) {
+				overlaps.Add(1)
+			}
+			counts[w]++
+			runtime.Gosched()
+			busy[w].Store(false)
+			return nil
+		})
+		if k := overlaps.Load(); k != 0 {
+			t.Fatalf("workers=%d: %d calls overlapped another call with the same worker id", workers, k)
+		}
+		total := 0
+		for _, c := range counts {
+			total += c
+		}
+		if total != n {
+			t.Fatalf("workers=%d: per-worker counts sum to %d, want %d", workers, total, n)
+		}
 	}
 }
 
 func TestMapOrdering(t *testing.T) {
-	out := Map(100, 8, func(i int) int { return i * i })
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("out[%d] = %d", i, v)
+	for _, workers := range workerCounts {
+		out := Map(100, workers, func(i int) int { return i * i })
+		for i, v := range out {
+			if v != i*i {
+				t.Fatalf("workers=%d: out[%d] = %d", workers, i, v)
+			}
+		}
+	}
+}
+
+func TestForEachIsolatesPanicKeepsSiblingResults(t *testing.T) {
+	for _, workers := range workerCounts {
+		const n = 16
+		results := make([]int, n)
+		err := ForEach(n, workers, func(_, i int) error {
+			if i == 5 {
+				panic("worker exploded")
+			}
+			results[i] = i * i
+			return nil
+		})
+		var pe *PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("workers=%d: expected *PanicError, got %T: %v", workers, err, err)
+		}
+		if pe.Index != 5 || pe.Value != "worker exploded" {
+			t.Errorf("workers=%d: wrong panic metadata: %+v", workers, pe)
+		}
+		if !bytes.Contains(pe.Stack, []byte("parallel_test.go")) {
+			t.Errorf("workers=%d: stack does not reach the panicking call:\n%s", workers, pe.Stack)
+		}
+		for i := 0; i < n; i++ {
+			if i != 5 && results[i] != i*i {
+				t.Errorf("workers=%d: sibling result %d lost: got %d", workers, i, results[i])
+			}
+		}
+	}
+}
+
+func TestForEachIsolatesPanicsAndKeepsIDsStable(t *testing.T) {
+	const n, workers = 64, 4
+	var covered, badID int32
+	err := ForEach(n, workers, func(w, i int) error {
+		if w < 0 || w >= workers {
+			atomic.AddInt32(&badID, 1)
+		}
+		if i%9 == 0 {
+			panic("replica exploded")
+		}
+		atomic.AddInt32(&covered, 1)
+		return nil
+	})
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Index != 0 {
+		t.Fatalf("expected a PanicError for index 0 first, got %v", err)
+	}
+	if badID != 0 {
+		t.Fatalf("%d out-of-range worker ids after panics", badID)
+	}
+	if want := int32(n - (n+8)/9); covered != want {
+		t.Fatalf("covered %d sibling entries, want %d", covered, want)
+	}
+}
+
+func TestForEachJoinsMultipleFailures(t *testing.T) {
+	for _, workers := range workerCounts {
+		err := ForEach(8, workers, func(_, i int) error {
+			switch i {
+			case 2:
+				return fmt.Errorf("plain failure %d", i)
+			case 6:
+				panic(i)
+			case 7:
+				return fmt.Errorf("plain failure %d", i)
+			}
+			return nil
+		})
+		if err == nil {
+			t.Fatalf("workers=%d: expected error", workers)
+		}
+		msg := err.Error()
+		a := strings.Index(msg, "plain failure 2")
+		b := strings.Index(msg, "task 6 panicked: 6")
+		c := strings.Index(msg, "plain failure 7")
+		if a < 0 || b < a || c < b {
+			t.Errorf("workers=%d: joined error out of index order or missing a failure: %v", workers, msg)
+		}
+	}
+}
+
+// TestMapRaisesLowestPanicAfterEveryIndex checks Map's contract: every
+// index runs, sibling panics included, and only then is the lowest-index
+// panic re-raised on the caller's goroutine.
+func TestMapRaisesLowestPanicAfterEveryIndex(t *testing.T) {
+	for _, workers := range workerCounts {
+		const n = 40
+		var ran atomic.Int32
+		var raised any
+		func() {
+			defer func() { raised = recover() }()
+			Map(n, workers, func(i int) int {
+				ran.Add(1)
+				if i == 3 || i == 30 {
+					panic(fmt.Sprint("boom ", i))
+				}
+				return i
+			})
+		}()
+		if pe, ok := raised.(*PanicError); !ok || pe.Index != 3 || pe.Value != "boom 3" {
+			t.Fatalf("workers=%d: recovered %v, want the index-3 *PanicError", workers, raised)
+		}
+		if k := ran.Load(); k != n {
+			t.Fatalf("workers=%d: %d of %d indices ran before the re-raise", workers, k, n)
 		}
 	}
 }

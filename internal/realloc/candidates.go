@@ -149,6 +149,6 @@ func (l *Loop) score(p *stream.Placement, st sim.DriftState) candidate {
 	if err == nil {
 		rel = res.Relative
 	}
-	cost, moved := PlacementMoveCost(l.g, l.cur, p, l.cfg.MigrationWindow)
+	cost, moved := PlacementMoveCost(l.g, l.cur, p, migrationWindow)
 	return candidate{p: p, rel: rel, moveCost: cost, moved: moved}
 }

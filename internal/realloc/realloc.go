@@ -37,19 +37,22 @@ type Scorer interface {
 	Probs(g *stream.Graph, c sim.Cluster) []float64
 }
 
+const (
+	// detectWindow is the detector's sliding window length in ticks.
+	detectWindow = 4
+	// dropFrac triggers a replan when measured relative throughput falls
+	// below (1-dropFrac) × the window maximum.
+	dropFrac = 0.1
+	// migrationWindow is the drain horizon in seconds used by the move
+	// cost model: tuples in flight ≈ input rate × migrationWindow.
+	migrationWindow = 1.0
+)
+
 // Config tunes the re-allocation loop.
 type Config struct {
-	// Window is the detector's sliding window length in ticks.
-	Window int
-	// DropFrac triggers a replan when measured relative throughput falls
-	// below (1-DropFrac) × the window maximum.
-	DropFrac float64
 	// MoveCostWeight is λ in utility = relative − λ·(moveCost/totalCost):
 	// how much normalized migration cost offsets a throughput gain.
 	MoveCostWeight float64
-	// MigrationWindow is the drain horizon in seconds used by the move
-	// cost model: tuples in flight ≈ input rate × MigrationWindow.
-	MigrationWindow float64
 	// MaxRegionDevices bounds the tight replan region; each escalation
 	// level doubles it until the region covers the whole cluster.
 	MaxRegionDevices int
@@ -62,10 +65,7 @@ type Config struct {
 // DefaultConfig returns the tuning used by the drift experiment.
 func DefaultConfig() Config {
 	return Config{
-		Window:           4,
-		DropFrac:         0.1,
 		MoveCostWeight:   0.3,
-		MigrationWindow:  1.0,
 		MaxRegionDevices: 2,
 		Escalations:      3,
 	}
@@ -73,17 +73,8 @@ func DefaultConfig() Config {
 
 func (cfg Config) withDefaults() Config {
 	d := DefaultConfig()
-	if cfg.Window <= 0 {
-		cfg.Window = d.Window
-	}
-	if cfg.DropFrac <= 0 {
-		cfg.DropFrac = d.DropFrac
-	}
 	if cfg.MoveCostWeight < 0 {
 		cfg.MoveCostWeight = d.MoveCostWeight
-	}
-	if cfg.MigrationWindow <= 0 {
-		cfg.MigrationWindow = d.MigrationWindow
 	}
 	if cfg.MaxRegionDevices <= 0 {
 		cfg.MaxRegionDevices = d.MaxRegionDevices
@@ -95,7 +86,7 @@ func (cfg Config) withDefaults() Config {
 }
 
 // MoveCost is the cost of migrating operator v: the tuples in flight
-// that must be drained or replayed (input rate × MigrationWindow) times
+// that must be drained or replayed (input rate × window) times
 // a factor for the operator state that must be transferred (1 + state
 // in Mb). Rates are the graph's nominal steady rates — the cost of a
 // move is a property of the operator, not of the instant it happens.
@@ -192,7 +183,7 @@ func New(g *stream.Graph, c sim.Cluster, scorer Scorer, initial *stream.Placemen
 		c:         c,
 		scorer:    scorer,
 		cur:       initial.Clone(),
-		totalCost: TotalMoveCost(g, cfg.MigrationWindow),
+		totalCost: TotalMoveCost(g, migrationWindow),
 	}, nil
 }
 
@@ -255,7 +246,7 @@ func (l *Loop) Step(ctx context.Context, st sim.DriftState) (Action, error) {
 		return act, nil
 	}
 
-	cost, moved := PlacementMoveCost(l.g, l.cur, adopted.p, l.cfg.MigrationWindow)
+	cost, moved := PlacementMoveCost(l.g, l.cur, adopted.p, migrationWindow)
 	l.cur = adopted.p
 	l.degraded, l.hasFail = false, false
 	obsDegraded.Set(0)
@@ -275,9 +266,9 @@ func (l *Loop) Step(ctx context.Context, st sim.DriftState) (Action, error) {
 // detect is the windowed throughput/queue-pressure detector. It fires
 // when operators sit on unavailable devices (stranded load), when the
 // offered load exceeds what the placement sustains by more than
-// DropFrac (relative < 1-DropFrac means the bottleneck's queues grow
+// dropFrac (relative < 1-dropFrac means the bottleneck's queues grow
 // without bound in the fluid model — the queue-depth signal), or when
-// measured relative throughput dropped by DropFrac against the recent
+// measured relative throughput dropped by dropFrac against the recent
 // window maximum (a bottleneck shift that still sustains, but worse).
 func (l *Loop) detect(measured sim.Result, st sim.DriftState) bool {
 	for d := 0; d < l.c.Devices; d++ {
@@ -285,7 +276,7 @@ func (l *Loop) detect(measured sim.Result, st sim.DriftState) bool {
 			return true
 		}
 	}
-	if measured.Relative < 1-l.cfg.DropFrac {
+	if measured.Relative < 1-dropFrac {
 		return true
 	}
 	if len(l.window) > 0 {
@@ -295,7 +286,7 @@ func (l *Loop) detect(measured sim.Result, st sim.DriftState) bool {
 				peak = r
 			}
 		}
-		if measured.Relative < (1-l.cfg.DropFrac)*peak {
+		if measured.Relative < (1-dropFrac)*peak {
 			return true
 		}
 	}
@@ -313,8 +304,8 @@ func (l *Loop) hostsOps(d int) bool {
 
 func (l *Loop) pushWindow(rel float64) {
 	l.window = append(l.window, rel)
-	if len(l.window) > l.cfg.Window {
-		l.window = l.window[len(l.window)-l.cfg.Window:]
+	if len(l.window) > detectWindow {
+		l.window = l.window[len(l.window)-detectWindow:]
 	}
 }
 

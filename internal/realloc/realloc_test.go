@@ -143,9 +143,9 @@ func TestLoopPrefersCheaperEquivalentMigration(t *testing.T) {
 	// Both workers had to leave device 1 regardless; the cheap check is
 	// that the loop reports the true cost of what it moved.
 	rates := g.SteadyRates()
-	wantCost := MoveCost(g, rates, 1, l.cfg.MigrationWindow) + MoveCost(g, rates, 2, l.cfg.MigrationWindow)
+	wantCost := MoveCost(g, rates, 1, migrationWindow) + MoveCost(g, rates, 2, migrationWindow)
 	if a[0] != 0 {
-		wantCost += MoveCost(g, rates, 0, l.cfg.MigrationWindow)
+		wantCost += MoveCost(g, rates, 0, migrationWindow)
 	}
 	if math.Abs(act.MoveCost-wantCost) > 1e-9*wantCost {
 		t.Errorf("reported move cost %v, want %v", act.MoveCost, wantCost)

@@ -151,35 +151,3 @@ func TestBatchedWorkerPanicSurfacesAsError(t *testing.T) {
 		t.Fatalf("error should carry the recovered panic: %v", err)
 	}
 }
-
-// TestLegacyCheckpointRestoresSampleSeq exercises the compatibility path:
-// a checkpoint whose payload predates the substream cursor (SampleSeq
-// absent, Steps > 0) must restore the cursor from the step counter, since
-// the two advanced in lockstep.
-func TestLegacyCheckpointRestoresSampleSeq(t *testing.T) {
-	ds, m, pipe := quickSetup(t, 2)
-	cfg := batchConfig(1, 1)
-	cfg.Epochs = 1
-	tr := NewTrainer(cfg, m, pipe)
-	if err := tr.TrainOn(ds.Train, ds.Cluster); err != nil {
-		t.Fatal(err)
-	}
-	if tr.sampleSeq == 0 || tr.sampleSeq != uint64(tr.steps) {
-		t.Fatalf("cursor should track steps: seq=%d steps=%d", tr.sampleSeq, tr.steps)
-	}
-	path := filepath.Join(t.TempDir(), "legacy.ckpt")
-	// Forge the legacy shape: zero the cursor before saving.
-	seq := tr.sampleSeq
-	tr.sampleSeq = 0
-	if err := tr.SaveCheckpoint(path); err != nil {
-		t.Fatal(err)
-	}
-	_, m2, pipe2 := quickSetup(t, 2)
-	tr2 := NewTrainer(cfg, m2, pipe2)
-	if err := tr2.LoadCheckpoint(path); err != nil {
-		t.Fatal(err)
-	}
-	if tr2.sampleSeq != seq {
-		t.Fatalf("legacy restore: seq=%d, want %d (from steps)", tr2.sampleSeq, seq)
-	}
-}

@@ -79,27 +79,20 @@ func (t *Trainer) SaveCheckpoint(path string) error {
 
 // SaveWeights writes only the model parameters via nn.SaveParams — the
 // lightweight artifact for deployment-time inference, without optimizer
-// or trainer state. LoadCheckpoint accepts these files too.
+// or trainer state. nn.LoadParams reads it back; LoadCheckpoint refuses
+// it.
 func (t *Trainer) SaveWeights(path string) error {
 	return nn.SaveParams(t.ps, path)
 }
 
-// LoadCheckpoint restores state saved by SaveCheckpoint. Three formats
-// are accepted:
-//
-//   - full trainer checkpoints (checksum-verified): the complete training
-//     state is restored and training resumes exactly where it stopped;
-//   - parameter envelopes written by nn.SaveParams: weights only;
-//   - the legacy bare-JSON parameter map of earlier versions: weights
-//     only, kept loadable for old model files.
+// LoadCheckpoint restores the full training state from a checksum-verified
+// "rl-trainer" envelope written by SaveCheckpoint, so training resumes
+// exactly where it stopped. Any other file, a weights file written by
+// SaveWeights included, is refused with an error naming its kind.
 func (t *Trainer) LoadCheckpoint(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("rl: load checkpoint: %w", err)
-	}
-	if ckpt.KindOf(data) != trainerKind {
-		// Weights-only file (params envelope or legacy map).
-		return nn.LoadParams(t.ps, path)
 	}
 	var payload checkpointPayload
 	if err := ckpt.Decode(data, trainerKind, &payload); err != nil {
@@ -128,12 +121,6 @@ func (t *Trainer) LoadCheckpoint(path string) error {
 	t.Pos = payload.Pos
 	t.steps = payload.Steps
 	t.sampleSeq = payload.SampleSeq
-	if t.sampleSeq == 0 && payload.Steps > 0 {
-		// Checkpoint written before substream sampling existed: the visit
-		// counter and the step counter advanced in lockstep, so the step
-		// count restores the cursor exactly.
-		t.sampleSeq = uint64(payload.Steps)
-	}
 	t.Divergences = payload.Divergences
 	// The restored state is by definition good: give the divergence guard
 	// its rollback target.

@@ -188,24 +188,18 @@ func TestCurriculumResumeMatchesUninterrupted(t *testing.T) {
 	paramsEqual(t, runs[0].m.PS, runs[2].m.PS)
 }
 
-func TestLoadCheckpointAcceptsWeightsOnlyFormats(t *testing.T) {
-	ds, m, pipe := quickSetup(t, 2)
-	_ = ds
+func TestLoadCheckpointRefusesWeightsFile(t *testing.T) {
+	_, m, pipe := quickSetup(t, 2)
 	cfg := resumeConfig()
-	tr := NewTrainer(cfg, m, pipe)
-	dir := t.TempDir()
-
-	// nn.SaveParams envelope.
-	envPath := filepath.Join(dir, "weights.json")
-	if err := tr.SaveWeights(envPath); err != nil {
+	path := filepath.Join(t.TempDir(), "weights.json")
+	if err := NewTrainer(cfg, m, pipe).SaveWeights(path); err != nil {
 		t.Fatal(err)
 	}
 	_, m2, pipe2 := quickSetup(t, 2)
-	tr2 := NewTrainer(cfg, m2, pipe2)
-	if err := tr2.LoadCheckpoint(envPath); err != nil {
-		t.Fatalf("params envelope must load: %v", err)
+	err := NewTrainer(cfg, m2, pipe2).LoadCheckpoint(path)
+	if err == nil || !strings.Contains(err.Error(), `"nn-params"`) {
+		t.Fatalf("want a kind-mismatch error naming \"nn-params\", got %v", err)
 	}
-	paramsEqual(t, m.PS, m2.PS)
 }
 
 func TestDivergenceGuardRollsBackAndHalvesLR(t *testing.T) {

@@ -40,7 +40,6 @@ import (
 	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/parallel"
-	"repro/internal/resilience"
 	"repro/internal/sim"
 	"repro/internal/stream"
 
@@ -282,11 +281,12 @@ func (t *Trainer) logf(format string, args ...any) {
 // action for every training graph (run before the first epoch when
 // MetisGuided).
 func (t *Trainer) SeedMetisGuided(graphs []*stream.Graph, cluster sim.Cluster) error {
-	entries, err := resilience.Map(len(graphs), 0, func(i int) (scored, error) {
+	entries := make([]scored, len(graphs))
+	if err := parallel.ForEach(len(graphs), 0, func(_, i int) error {
 		a := t.pol.Guided(graphs[i], cluster, t.Cfg.Seed)
-		return scored{a: a, reward: t.score(i, graphs[i], cluster, a), guided: true}, nil
-	})
-	if err != nil {
+		entries[i] = scored{a: a, reward: t.score(i, graphs[i], cluster, a), guided: true}
+		return nil
+	}); err != nil {
 		return fmt.Errorf("rl: metis seeding failed: %w", err)
 	}
 	for i, e := range entries {
@@ -449,7 +449,7 @@ func (t *Trainer) stepEntry(binder *nn.Binder, wid int, seq uint64, gi int, g *s
 		}
 		first[s] = firstOf[k]
 	}
-	if err := resilience.ForEach(n, innerWorkers, func(s int) error {
+	if err := parallel.ForEach(n, innerWorkers, func(_, s int) error {
 		if first[s] == s {
 			samples[s].reward = t.score(gi, g, cluster, samples[s].a)
 		}
@@ -585,17 +585,12 @@ func (t *Trainer) trainBatch(cluster sim.Cluster, batch []batchEntry, seqBase ui
 		innerWorkers = 0
 	}
 	results := make([]stepResult, nB)
-	err := resilience.ForEachWorker(nB, workers, func(w, j int) error {
+	if err := parallel.ForEach(nB, workers, func(w, j int) (err error) {
 		// Worker lanes are 1-based in the trace; lane 0 belongs to the
 		// leader (all-reduce, checkpoint).
-		res, err := t.stepEntry(t.reps[w], w+1, seqBase+uint64(j), batch[j].gi, batch[j].g, cluster, t.entryGrads[j], innerWorkers)
-		if err != nil {
-			return err
-		}
-		results[j] = res
-		return nil
-	})
-	if err != nil {
+		results[j], err = t.stepEntry(t.reps[w], w+1, seqBase+uint64(j), batch[j].gi, batch[j].g, cluster, t.entryGrads[j], innerWorkers)
+		return err
+	}); err != nil {
 		return 0, err
 	}
 
@@ -801,10 +796,11 @@ func (t *Trainer) PretrainGuidedCtx(ctx context.Context, graphs []*stream.Graph,
 	if t.Cfg.PretrainEpochs <= 0 || t.Pos.Pretrain >= t.Cfg.PretrainEpochs {
 		return nil
 	}
-	targets, err := resilience.Map(len(graphs), 0, func(i int) (any, error) {
-		return t.pol.Guided(graphs[i], cluster, t.Cfg.Seed), nil
-	})
-	if err != nil {
+	targets := make([]any, len(graphs))
+	if err := parallel.ForEach(len(graphs), 0, func(_, i int) error {
+		targets[i] = t.pol.Guided(graphs[i], cluster, t.Cfg.Seed)
+		return nil
+	}); err != nil {
 		return fmt.Errorf("rl: pretrain target inference failed: %w", err)
 	}
 	for epoch := t.Pos.Pretrain; epoch < t.Cfg.PretrainEpochs; epoch++ {
@@ -991,9 +987,11 @@ func (t *Trainer) CurriculumCtx(ctx context.Context, levels []Level) error {
 }
 
 // Evaluate runs deployment-time inference (ranked coarsening sweep) on
-// every graph and returns the per-graph relative throughputs.
+// every graph and returns the per-graph relative throughputs. A panic in
+// one graph's allocation is re-raised once every graph has run (see
+// parallel.Map).
 func Evaluate(pipe *core.Pipeline, graphs []*stream.Graph, cluster sim.Cluster) []float64 {
-	return evalWith(graphs, func(i int) float64 {
+	return parallel.Map(len(graphs), 0, func(i int) float64 {
 		return pipe.Allocate(graphs[i], cluster).Reward
 	})
 }
@@ -1001,22 +999,8 @@ func Evaluate(pipe *core.Pipeline, graphs []*stream.Graph, cluster sim.Cluster) 
 // EvaluateGreedy runs pure threshold-0.5 inference on every graph (used by
 // inference-mode ablations).
 func EvaluateGreedy(pipe *core.Pipeline, graphs []*stream.Graph, cluster sim.Cluster) []float64 {
-	return evalWith(graphs, func(i int) float64 {
+	return parallel.Map(len(graphs), 0, func(i int) float64 {
 		alloc := pipe.AllocateGreedy(graphs[i], cluster)
 		return sim.Reward(graphs[i], alloc.Placement, cluster)
 	})
-}
-
-// evalWith scores every graph in parallel with panic isolation. A panic
-// in one worker no longer kills sibling scorings mid-flight; once all
-// graphs are attempted the recovered panic (with its stack) is re-raised
-// so a partial result can never masquerade as a complete evaluation.
-func evalWith(graphs []*stream.Graph, score func(i int) float64) []float64 {
-	out, err := resilience.Map(len(graphs), 0, func(i int) (float64, error) {
-		return score(i), nil
-	})
-	if err != nil {
-		panic(err)
-	}
-	return out
 }

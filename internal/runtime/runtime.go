@@ -35,19 +35,22 @@ import (
 	"repro/internal/stream"
 )
 
+const (
+	// timeScale is simulated seconds per wall second: capacities and
+	// source rates are multiplied by it, letting a 200 ms run cover
+	// multiple simulated seconds of traffic.
+	timeScale float64 = 10
+	// batchTuples is the tuple count carried per channel message.
+	batchTuples float64 = 64
+	// channelDepth is the per-edge channel capacity in batches; together
+	// with batchTuples it bounds queued tuples and creates backpressure.
+	channelDepth = 32
+)
+
 // Config controls one execution.
 type Config struct {
 	// WallTime is how long to run in real time.
 	WallTime time.Duration
-	// TimeScale is simulated seconds per wall second: capacities and
-	// source rates are multiplied by it, letting a 200 ms run cover
-	// multiple simulated seconds of traffic.
-	TimeScale float64
-	// BatchTuples is the tuple count carried per channel message.
-	BatchTuples float64
-	// ChannelDepth is the per-edge channel capacity in batches; together
-	// with BatchTuples it bounds queued tuples and creates backpressure.
-	ChannelDepth int
 	// WarmupFrac of WallTime is excluded from throughput measurement.
 	WarmupFrac float64
 	// Drift optionally replays a drift timeline, as sim.BuildTimeline
@@ -65,11 +68,8 @@ type Config struct {
 // DefaultConfig runs 300 ms of wall time at 10× time scale.
 func DefaultConfig() Config {
 	return Config{
-		WallTime:     300 * time.Millisecond,
-		TimeScale:    10,
-		BatchTuples:  64,
-		ChannelDepth: 32,
-		WarmupFrac:   0.3,
+		WallTime:   300 * time.Millisecond,
+		WarmupFrac: 0.3,
 	}
 }
 
@@ -167,7 +167,7 @@ func Run(g *stream.Graph, p *stream.Placement, c sim.Cluster, cfg Config) (Resul
 	if _, err := g.TopoOrder(); err != nil {
 		return Result{}, fmt.Errorf("runtime: %w", err)
 	}
-	if cfg.WallTime <= 0 || cfg.TimeScale <= 0 || cfg.BatchTuples <= 0 || cfg.ChannelDepth <= 0 {
+	if cfg.WallTime <= 0 {
 		return Result{}, fmt.Errorf("runtime: invalid config %+v", cfg)
 	}
 	for i, st := range cfg.Drift {
@@ -192,16 +192,16 @@ func Run(g *stream.Graph, p *stream.Placement, c sim.Cluster, cfg Config) (Resul
 	// One bounded channel per edge.
 	chans := make([]chan batch, g.NumEdges())
 	for i := range chans {
-		chans[i] = make(chan batch, cfg.ChannelDepth)
+		chans[i] = make(chan batch, channelDepth)
 	}
 
 	// Capacities in wall-time token rates (scaled).
 	cpu := make([]*bucket, c.Devices)
 	egress := make([]*bucket, c.Devices)
 	ingress := make([]*bucket, c.Devices)
-	nic := c.Bandwidth * cfg.TimeScale
+	nic := c.Bandwidth * timeScale
 	for d := 0; d < c.Devices; d++ {
-		cpu[d] = newBucket(c.CapacityOf(d)*cfg.TimeScale, start)
+		cpu[d] = newBucket(c.CapacityOf(d)*timeScale, start)
 		egress[d] = newBucket(nic*timeline[0].BandwidthFactor, start)
 		ingress[d] = newBucket(nic*timeline[0].BandwidthFactor, start)
 	}
@@ -245,7 +245,7 @@ func Run(g *stream.Graph, p *stream.Placement, c sim.Cluster, cfg Config) (Resul
 		devOps[p.Assign[v]] = append(devOps[p.Assign[v]], v)
 	}
 	// Source token buckets (arrival processes).
-	arrival := g.SourceRate * cfg.TimeScale
+	arrival := g.SourceRate * timeScale
 	srcBucket := make([]*bucket, n)
 	for v := 0; v < n; v++ {
 		if isSource[v] {
@@ -272,7 +272,7 @@ func Run(g *stream.Graph, p *stream.Placement, c sim.Cluster, cfg Config) (Resul
 		go func(d int) {
 			defer wg.Done()
 			ops := devOps[d]
-			pendingCap := 4 * cfg.BatchTuples
+			pendingCap := 4 * batchTuples
 			round := 0
 			crashed := false
 			for ctx.Err() == nil {
@@ -318,7 +318,7 @@ func Run(g *stream.Graph, p *stream.Placement, c sim.Cluster, cfg Config) (Resul
 					// other operators drain their input channels
 					// (consuming ingress bandwidth for cross-device edges).
 					if isSource[v] && pending[v] < pendingCap {
-						got := srcBucket[v].take(cfg.BatchTuples, now)
+						got := srcBucket[v].take(batchTuples, now)
 						pending[v] += got
 						// Sub-tuple grants accrue but are not "progress":
 						// counting them would busy-spin the device on an
@@ -339,7 +339,7 @@ func Run(g *stream.Graph, p *stream.Placement, c sim.Cluster, cfg Config) (Resul
 								// Reserve ingress bandwidth for a full batch
 								// before receiving; leftover credit persists,
 								// so nothing is lost to over-reservation.
-								maxBits := cfg.BatchTuples * e.Payload
+								maxBits := batchTuples * e.Payload
 								if rcvCredit[ei] < maxBits {
 									got := ingress[d].take(maxBits-rcvCredit[ei], now)
 									rcvCredit[ei] += got
@@ -373,7 +373,7 @@ func Run(g *stream.Graph, p *stream.Placement, c sim.Cluster, cfg Config) (Resul
 					// all the way to the sources.
 					stalled := false
 					for _, ei := range g.OutEdges(v) {
-						if residual[ei] > 4*cfg.BatchTuples {
+						if residual[ei] > 4*batchTuples {
 							stalled = true
 							break
 						}
@@ -382,8 +382,8 @@ func Run(g *stream.Graph, p *stream.Placement, c sim.Cluster, cfg Config) (Resul
 					// Process: spend CPU tokens on pending tuples.
 					if pending[v] > 0 && !stalled {
 						want := pending[v]
-						if want > cfg.BatchTuples {
-							want = cfg.BatchTuples
+						if want > batchTuples {
+							want = batchTuples
 						}
 						var did float64
 						if g.Nodes[v].IPT <= 0 {
@@ -422,7 +422,7 @@ func Run(g *stream.Graph, p *stream.Placement, c sim.Cluster, cfg Config) (Resul
 					// Flush residual output to channels, paying egress
 					// bandwidth for cross-device edges.
 					for _, ei := range g.OutEdges(v) {
-						if residual[ei] < cfg.BatchTuples {
+						if residual[ei] < batchTuples {
 							e := g.Edges[ei]
 							costly := p.Assign[e.Src] != p.Assign[e.Dst] && e.Payload > 0
 							if pending[v] > 0 ||
@@ -432,8 +432,8 @@ func Run(g *stream.Graph, p *stream.Placement, c sim.Cluster, cfg Config) (Resul
 						}
 						for residual[ei] > 0 {
 							send := residual[ei]
-							if send > cfg.BatchTuples {
-								send = cfg.BatchTuples
+							if send > batchTuples {
+								send = batchTuples
 							}
 							e := g.Edges[ei]
 							cost := 0.0
@@ -528,7 +528,7 @@ func Run(g *stream.Graph, p *stream.Placement, c sim.Cluster, cfg Config) (Resul
 	wg.Wait()
 
 	window := float64(cfg.WallTime)*(1-cfg.WarmupFrac)/float64(time.Second) + 1e-12
-	simWindow := window * cfg.TimeScale
+	simWindow := window * timeScale
 
 	// Normalize: sum of ideal sink input rates. They scale with the source
 	// rate, so a surge raises them by the RateFactor averaged over the

@@ -11,6 +11,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"strconv"
@@ -79,15 +80,15 @@ func putBody(bp *[]byte) {
 
 // decodeRequest decodes the /allocate body into req, which must be zero,
 // and reports whether the fast path decoded it. The error is the one
-// json.Decoder returns for the body.
+// json.Decoder returns for the body, or errTrailingData.
 //
 // A body whose Content-Length is declared and within maxRequestBytes is
 // read by readBody and handed to decodeCanonical. Every other body
 // (unknown length, over the cap, or declined by the fast path) goes to
-// the decoder this handler has always run: json.Decoder with
-// DisallowUnknownFields over an http.MaxBytesReader, reading the bytes
-// already consumed and then the rest of the body, into a zeroed req. So
-// a body over the cap gets its answer from the unchanged path.
+// json.Decoder with DisallowUnknownFields over an http.MaxBytesReader,
+// reading the bytes already consumed and then the rest of the body, into
+// a zeroed req, and must end there. So a body over the cap gets its
+// answer from encoding/json's path.
 func decodeRequest(w http.ResponseWriter, r *http.Request, req *AllocateRequest) (fast bool, err error) {
 	var src io.ReadCloser = r.Body
 	if n := r.ContentLength; n > 0 && n <= maxRequestBytes {
@@ -108,8 +109,25 @@ func decodeRequest(w http.ResponseWriter, r *http.Request, req *AllocateRequest)
 	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, src, maxRequestBytes))
 	dec.DisallowUnknownFields()
-	return false, dec.Decode(req)
+	if err := dec.Decode(req); err != nil {
+		return false, err
+	}
+	// Nothing but whitespace may follow the request. A failed read (a body
+	// over the cap, a stalled client) keeps its own error.
+	_, err = dec.Token()
+	var syntax *json.SyntaxError
+	switch {
+	case err == io.EOF:
+		return false, nil
+	case err == nil, err == io.ErrUnexpectedEOF, errors.As(err, &syntax):
+		return false, errTrailingData
+	}
+	return false, err
 }
+
+// errTrailingData answers a body that holds more than whitespace after
+// the request.
+var errTrailingData = errors.New("unexpected data after the request object")
 
 // errReader fails every read with err.
 type errReader struct{ err error }

@@ -19,13 +19,19 @@ import (
 )
 
 // referenceDecode is the decoder /allocate has always run, over the
-// whole body: json.Decoder with unknown fields refused.
+// whole body: json.Decoder with unknown fields refused, and nothing but
+// whitespace after the request.
 func referenceDecode(data []byte) (AllocateRequest, error) {
 	var req AllocateRequest
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	err := dec.Decode(&req)
-	return req, err
+	if err := dec.Decode(&req); err != nil {
+		return req, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return req, errTrailingData
+	}
+	return req, nil
 }
 
 // requestFloats lists the bits of every float in req, in field order.

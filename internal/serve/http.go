@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"os"
 	"strconv"
 	"time"
 
@@ -256,7 +257,8 @@ func withTraceID(next http.Handler) http.Handler {
 
 // handleAllocate is POST /allocate: decode, validate, serve, respond —
 // writing one access-log record whatever the outcome. A body over
-// maxRequestBytes gets 413 and an invalid spec 400. Shed requests get
+// maxRequestBytes gets 413, a body not received within bodyReadTimeout
+// 408, and an invalid spec 400. Shed requests get
 // 429 + Retry-After so well-behaved clients back off; a draining service
 // answers 503, and any other service failure 500. fallbacks counts the
 // bodies the canonical fast path did not decode (decode.go), and the
@@ -300,11 +302,15 @@ func handleAllocate(w http.ResponseWriter, r *http.Request, s *Service, defClust
 	}
 	if err != nil {
 		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
+		switch {
+		case errors.As(err, &tooLarge):
 			fail(http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", maxRequestBytes))
-			return
+		case errors.Is(err, os.ErrDeadlineExceeded):
+			// A stalled upload, not a malformed one: the client may retry.
+			fail(http.StatusRequestTimeout, fmt.Sprintf("request body not received within %v", bodyReadTimeout))
+		default:
+			fail(http.StatusBadRequest, "bad request: "+err.Error())
 		}
-		fail(http.StatusBadRequest, "bad request: "+err.Error())
 		return
 	}
 	// Left armed, the bound would cancel the request's context mid-forward.

@@ -277,6 +277,8 @@ func TestHTTPRejectsHostileGraph(t *testing.T) {
 	}{
 		{"valid graph", valid, http.StatusOK},
 		{"malformed JSON", []byte("{nope"), http.StatusBadRequest},
+		{"trailing bytes", append(bytes.Clone(valid), " trailing {"...), http.StatusBadRequest},
+		{"second request", append(bytes.Clone(valid), valid...), http.StatusBadRequest},
 		{"edge endpoint out of range", mutate(func(gs *GraphSpec) { gs.Edges[0].Dst = len(gs.Nodes) }), http.StatusBadRequest},
 		{"cycle", mutate(func(gs *GraphSpec) {
 			e := gs.Edges[0]
@@ -392,8 +394,11 @@ func TestHTTPForwardPanicAnswers500(t *testing.T) {
 }
 
 // TestHTTPCutsOffStalledBody checks that a client stalling inside its
-// /allocate body is answered 400 and cut off once bodyReadTimeout
-// passes.
+// /allocate body is answered 408 and cut off once bodyReadTimeout
+// passes, on both decode paths: a declared length reaches the fast
+// path's read, a chunked body the encoding/json fallback. A stall after
+// a complete request object, while the fallback checks what follows it,
+// is a stall too, not trailing data.
 func TestHTTPCutsOffStalledBody(t *testing.T) {
 	defer func(d time.Duration) { bodyReadTimeout = d }(bodyReadTimeout)
 	bodyReadTimeout = 50 * time.Millisecond
@@ -402,24 +407,30 @@ func TestHTTPCutsOffStalledBody(t *testing.T) {
 	svc := newTestService(t, Options{Model: core.New(core.DefaultConfig()), Registry: reg})
 	srv := httptest.NewServer(NewHandler(svc, s.Cluster, "", reg, HandlerOpts{}))
 	defer srv.Close()
-	conn, err := net.Dial("tcp", srv.Listener.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	io.WriteString(conn, "POST /allocate HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\n{\"graph\":")
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	br := bufio.NewReader(conn)
-	resp, err := http.ReadResponse(br, nil)
-	if err != nil {
-		t.Fatalf("no answer within 2s to a client stalled inside its body: %v", err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400", resp.StatusCode)
-	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		t.Fatalf("connection still open after the cut-off (read: %v)", err)
+	for _, tc := range []struct{ name, head, body string }{
+		{"declared length", "Content-Length: 100", `{"graph":`},
+		{"chunked", "Transfer-Encoding: chunked", "9\r\n{\"graph\":\r\n"},
+		{"complete request, then a stall", "Content-Length: 100", `{"graph":{}}`},
+	} {
+		conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		io.WriteString(conn, "POST /allocate HTTP/1.1\r\nHost: x\r\n"+tc.head+"\r\n\r\n"+tc.body)
+		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		br := bufio.NewReader(conn)
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			t.Fatalf("%s: no answer within 2s to a client stalled inside its body: %v", tc.name, err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestTimeout {
+			t.Fatalf("%s: status %d, want 408 (%s)", tc.name, resp.StatusCode, bytes.TrimSpace(msg))
+		}
+		if _, err := br.ReadByte(); err != io.EOF {
+			t.Fatalf("%s: connection still open after the cut-off (read: %v)", tc.name, err)
+		}
 	}
 }

@@ -158,7 +158,7 @@ func TestArenaConcurrentGetPut(t *testing.T) {
 		{"mixed sizes", func(rng *rand.Rand) (int, int) { return 1 + rng.Intn(40), 1 + rng.Intn(40) }},
 	} {
 		var bad atomic.Int64
-		parallel.ForEach(64, 0, func(w int) {
+		err := parallel.ForEach(64, 0, func(_, w int) error {
 			rng := rand.New(rand.NewSource(int64(w)))
 			for iter := 0; iter < 200; iter++ {
 				rows, cols := tc.shape(rng)
@@ -177,7 +177,11 @@ func TestArenaConcurrentGetPut(t *testing.T) {
 				}
 				Put(m)
 			}
+			return nil
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if n := bad.Load(); n != 0 {
 			t.Fatalf("%s: %d elements clobbered or misshapen while a buffer was owned", tc.name, n)
 		}
